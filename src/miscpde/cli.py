@@ -175,16 +175,27 @@ def budgets_from_config(cfg: Config, d: int) -> tuple[float, ...]:
 # small csv/json helpers
 
 
+def _cell(value) -> str:
+    # repr of a numpy scalar carries its type name (np.float64(0.5)), which
+    # read_csv's callers cannot parse; floats go out as the shortest
+    # round-tripping decimal.
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, np.integer):
+        return str(int(value))
+    return str(value)
+
+
 def write_csv(path: Path, columns: Sequence[str], rows: Sequence[Sequence], footer: dict | None = None) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            writer.writerow([_cell(v) for v in row])
         if footer:
             for key, value in footer.items():
-                handle.write(f"# {key} = {value!r}\n")
+                handle.write(f"# {key} = {_cell(value)}\n")
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]], dict[str, str]]:
@@ -307,6 +318,11 @@ def _build_set(mode: str, budget: float, *, work_model: WorkModel,
     raise ConfigError(f"unknown adaptivity mode {mode!r}")
 
 
+def _require_finite(value: float, what: str) -> None:
+    if not math.isfinite(value):
+        raise NumericalError(f"{what} is not finite: {value!r}")
+
+
 def fitted_slope(works: Sequence[float], errors: Sequence[float]) -> float:
     pairs = [(w, e) for w, e in zip(works, errors) if e > 0]
     if len(pairs) < 2:
@@ -352,6 +368,7 @@ def study_driver(
                                frontier_width=frontier_width, universe=universe,
                                field_spec=field_spec, qoi_spec=qoi_spec, evaluator=evaluator)
         result = evaluator.evaluate(index_set, mode="combination")
+        _require_finite(result.value, f"estimate at budget {budget}")
         sets.append(index_set)
         estimates.append(result.value)
         works.append(result.work)
@@ -362,6 +379,7 @@ def study_driver(
                              universe=universe, field_spec=field_spec, qoi_spec=qoi_spec,
                              evaluator=evaluator)
         reference = evaluator.evaluate(ref_set, mode="combination").value
+        _require_finite(reference, "reference estimate")
 
     records = []
     for budget, index_set, estimate, work in zip(budgets, sets, estimates, works):
@@ -451,6 +469,7 @@ def compare_driver(
     for i, (budget, record) in enumerate(zip(budgets, study.records)):
         levels, counts = mimc_plan(budget, field_spec.d, error_model.r_fem, gamma)
         mimc = mimc_estimate(levels, counts, field_spec, qoi_spec, n_random_vars, seed + i)
+        _require_finite(mimc.value, f"Monte Carlo estimate at budget {budget}")
         rows.append((
             budget,
             record.work,
@@ -644,7 +663,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--seed", type=int, default=0, help="random seed for sampling baselines")
-    common.add_argument("--threads", type=int, default=1, help="solver threads per tensor grid")
+    common.add_argument("--threads", type=int, default=1,
+                        help="threads for the per-point solves of a d > 1 tensor grid; "
+                             "1-D grids are solved in one batch")
 
     parser = argparse.ArgumentParser(prog="miscpde",
                                      description="Multi-index stochastic collocation studies")

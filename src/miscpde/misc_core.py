@@ -11,6 +11,7 @@ collocation point, so nested points are never solved twice.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -231,9 +232,9 @@ class EvalCache:
     hits: int = 0
     misses: int = 0
 
-    def key(self, alpha: tuple[int, ...], point_ids: Mapping[int, tuple[int, int]]):
-        reduced = frozenset((j, pid) for j, pid in point_ids.items() if pid != ZERO_ID)
-        return (alpha, reduced)
+    def key(self, alpha: tuple[int, ...], point_ids: Iterable[tuple[int, tuple[int, int]]]):
+        """(alpha, the (variable, point id) pairs off the y = 0 anchor, ascending)."""
+        return (alpha, tuple(sorted((j, pid) for j, pid in point_ids if pid != ZERO_ID)))
 
 
 @dataclass
@@ -251,10 +252,10 @@ class EstimatorResult:
 class MiscEvaluator:
     """Evaluates mixed differences and whole estimators with a shared cache.
 
-    Every solve is pure, so concurrent evaluation is safe; with
-    ``threads > 1`` the uncached solves of each tensor grid run on a
-    thread pool.  Sums are always reduced in a fixed deterministic
-    order, so results do not depend on scheduling.
+    The uncached points of each tensor grid are solved in one batch;
+    with ``threads > 1`` the per-point solves of d > 1 grids run on a
+    thread pool.  Every solve is pure and sums are always reduced in a
+    fixed deterministic order, so results do not depend on scheduling.
     """
 
     def __init__(self, field_spec: FieldSpec, qoi_spec: QoISpec, threads: int = 1):
@@ -264,67 +265,60 @@ class MiscEvaluator:
         self.qoi_spec = qoi_spec
         self.threads = max(1, int(threads))
         self.cache = EvalCache()
+        self.solved_dof = 0
 
     # -- point-level evaluation -------------------------------------------
 
     def value_at(self, alpha: tuple[int, ...], point: Mapping[int, float],
                  ids: Mapping[int, tuple[int, int]]) -> float:
-        key = self.cache.key(alpha, ids)
+        key = self.cache.key(alpha, ids.items())
         if key in self.cache.values:
             self.cache.hits += 1
             return self.cache.values[key]
         self.cache.misses += 1
+        self.solved_dof += pde_solver.unknowns(alpha)
         value = pde_solver.solve_qoi(alpha, point, self.field_spec, self.qoi_spec)
         self.cache.values[key] = value
         return value
 
-    def _grid(self, beta: SparseLevelVector):
-        support = beta.support
-        axes = []
-        for j in support:
-            level = beta.level(j)
-            pts = quadrature.cc_points(level)
-            ids = quadrature.point_ids(level)
-            wts = quadrature.cc_weights(level)
-            axes.append([(pts[i], ids[i], wts[i]) for i in range(len(pts))])
-        return support, axes
-
     def tensor_value(self, alpha: tuple[int, ...], beta: SparseLevelVector) -> float:
-        """Full tensor approximation: quadrature at level beta of F^alpha."""
-        support, axes = self._grid(beta)
+        """Full tensor approximation: quadrature at level beta of F^alpha.
+
+        One traversal gathers the grid's cache keys; the uncached points
+        are solved in one batch, and the values are reduced with the
+        outer-product quadrature weights.
+        """
+        support = beta.support
         if not support:
             return self.value_at(alpha, {}, {})
-        combos = list(itertools.product(*axes))
-        if self.threads > 1:
-            self._prefetch(alpha, support, combos)
-        total = 0.0
-        for combo in combos:
-            point = {j: c[0] for j, c in zip(support, combo)}
-            ids = {j: c[1] for j, c in zip(support, combo)}
-            weight = math.prod(c[2] for c in combo)
-            total += weight * self.value_at(alpha, point, ids)
-        return total
+        levels = [beta.level(j) for j in support]
+        key = self.cache.key
+        keys = [key(alpha, zip(support, ids))
+                for ids in itertools.product(*(quadrature.point_ids(b) for b in levels))]
+        cached = self.cache.values
+        values = [cached.get(k) for k in keys]
+        missing = [i for i, v in enumerate(values) if v is None]
+        self.cache.hits += len(keys) - len(missing)
+        if missing:
+            grid = np.meshgrid(*(quadrature.cc_points(b) for b in levels), indexing="ij")
+            points = np.zeros((len(missing), support[-1]))
+            points[:, np.array(support) - 1] = np.stack(grid, axis=-1).reshape(len(keys), -1)[missing]
+            for i, value in zip(missing, self._solve(alpha, points)):
+                cached[keys[i]] = values[i] = float(value)
+            self.cache.misses += len(missing)
+            self.solved_dof += len(missing) * pde_solver.unknowns(alpha)
+        weights = functools.reduce(np.multiply.outer, [quadrature.cc_weights(b) for b in levels])
+        return float(np.sum(weights.ravel() * values))
 
-    def _prefetch(self, alpha, support, combos) -> None:
-        # Solve the uncached points of one tensor grid concurrently; the
-        # main loop then reduces them in its fixed traversal order.
-        pending = {}
-        for combo in combos:
-            point = {j: c[0] for j, c in zip(support, combo)}
-            ids = {j: c[1] for j, c in zip(support, combo)}
-            key = self.cache.key(alpha, ids)
-            if key not in self.cache.values and key not in pending:
-                pending[key] = point
-        if not pending:
-            return
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            results = pool.map(
-                lambda item: (item[0], pde_solver.solve_qoi(alpha, item[1], self.field_spec, self.qoi_spec)),
-                pending.items(),
-            )
-            for key, value in results:
-                self.cache.values[key] = value
-                self.cache.misses += 1
+    def _solve(self, alpha: tuple[int, ...], points: np.ndarray) -> np.ndarray:
+        if self.threads > 1 and len(alpha) > 1:
+            with ThreadPoolExecutor(max_workers=self.threads) as pool:
+                return np.concatenate(list(pool.map(
+                    lambda row: pde_solver.solve_qoi_batch(alpha, row[None], self.field_spec,
+                                                           self.qoi_spec),
+                    points,
+                )))
+        return pde_solver.solve_qoi_batch(alpha, points, self.field_spec, self.qoi_spec)
 
     # -- difference operators ----------------------------------------------
 
@@ -366,7 +360,7 @@ class MiscEvaluator:
             raise IndexSetError("estimator evaluation needs a downward-closed set")
         solves_before = self.cache.misses
         hits_before = self.cache.hits
-        work_before = self._solved_dof
+        work_before = self.solved_dof
         if mode == "surplus":
             value = 0.0
             for m in index_set.members:
@@ -380,15 +374,11 @@ class MiscEvaluator:
         return EstimatorResult(
             value=value,
             work=index_set.nominal_work(),
-            solve_work=self._solved_dof - work_before,
+            solve_work=self.solved_dof - work_before,
             solves=self.cache.misses - solves_before,
             cache_hits=self.cache.hits - hits_before,
             mode=mode,
         )
-
-    @property
-    def _solved_dof(self) -> int:
-        return sum(pde_solver.unknowns(alpha) for alpha, _ in self.cache.values)
 
 
 @dataclass
@@ -434,14 +424,11 @@ def mimc_estimate(
                 continue
             corners.append((tuple(bits), shifted))
         corner_cost = sum(pde_solver.unknowns(a) for _, a in corners)
-        samples = np.empty(m_samples)
-        for s in range(m_samples):
-            draw = rng.uniform(-1.0, 1.0, n_random_vars)
-            y = {j + 1: float(draw[j]) for j in range(n_random_vars)}
-            value = 0.0
-            for bits, shifted in corners:
-                value += (-1) ** sum(bits) * pde_solver.solve_qoi(shifted, y, field_spec, qoi_spec)
-            samples[s] = value
+        # One (M, N) draw is the same stream as M draws of N.
+        draws = rng.uniform(-1.0, 1.0, (m_samples, n_random_vars))
+        samples = np.zeros(m_samples)
+        for bits, shifted in corners:
+            samples += (-1) ** sum(bits) * pde_solver.solve_qoi_batch(shifted, draws, field_spec, qoi_spec)
         evaluator_cost += m_samples * corner_cost
         if np.all(samples == samples[0]):
             # Zero-variance level (e.g. no sampled variables): the mean is

@@ -5,26 +5,32 @@ differences with the coefficient evaluated analytically at cell
 midpoints, per-dimension mesh sizes h_i = (1/3) * 2^(-alpha_i).  The
 quantity of interest is a Gaussian-window local average of the solution,
 discretized with the tensor trapezoidal rule on the solution's own grid.
+
+In 1-D the flux a u' is affine across the cells, so the system has an
+exact O(n) solution, which ``solve_qoi_batch`` evaluates for many
+parameter vectors at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import fft as sfft
-from scipy.linalg import solveh_banded
 
-from .random_field import FieldSpec, a_on_axes, mode_ordering
+from .random_field import FieldSpec, Mode, _check_active, a_on_axes, mode_ordering
 
 H0 = 1.0 / 3.0
 
 RESIDUAL_TOL = 1e-10
+
+# Rows x midpoints held in one 1-D batch temporary (512 KiB of float64).
+_BLOCK_ENTRIES = 1 << 16
 
 
 class SolverError(RuntimeError):
@@ -117,14 +123,78 @@ def _staggered_coefficients(alpha, y, modes) -> list[np.ndarray]:
     return staggered
 
 
-def _solve_tridiagonal(a_half: np.ndarray, h: float) -> np.ndarray:
-    n = len(a_half) - 1
-    diag = (a_half[:-1] + a_half[1:]) / h**2
-    upper = -a_half[1:-1] / h**2
-    ab = np.zeros((2, n))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    return solveh_banded(ab, np.ones(n))
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=None)
+def _midpoints(level: int) -> np.ndarray:
+    """Cell midpoints x_m = (m + 1/2) h, m = 0..n, of the 1-D grid at ``level``."""
+    (h,), (n,) = mesh_sizes((level,)), interior_counts((level,))
+    return _frozen(h * (np.arange(n + 1) + 0.5))
+
+
+@lru_cache(maxsize=1024)
+def _mode_row(level: int, mode: Mode) -> np.ndarray:
+    """amplitude * trig(x_m): one mode's contribution to kappa per unit y_j."""
+    (k,), (ell,) = mode.k, mode.ell
+    x = _midpoints(level)
+    trig = np.cos(np.pi * k * x) if ell == 1 else np.sin(np.pi * k * x)
+    return _frozen(mode.amplitude * trig)
+
+
+@lru_cache(maxsize=64)
+def _window_tails(level: int, spec: QoISpec) -> tuple[np.ndarray, np.ndarray]:
+    """R_m = sum of the window over the nodes right of x_m (R_n = 0), and x_m R_m."""
+    (node_axis,) = interior_axes((level,))
+    window = np.exp(-((node_axis - spec.x0[0]) ** 2) / (2.0 * spec.sigma**2))
+    tail = np.append(np.cumsum(window[::-1])[::-1], 0.0)
+    return _frozen(tail), _frozen(_midpoints(level) * tail)
+
+
+def _parameter_row(y: Mapping[int, float], modes) -> np.ndarray:
+    """The sparse parameter map as a (1, J) row of y_1..y_J."""
+    active = {j: v for j, v in y.items() if v != 0.0}
+    _check_active(active, modes)
+    row = np.zeros((1, max(active, default=0)))
+    for j, v in active.items():
+        row[0, j - 1] = v
+    return row
+
+
+def _flux_form_1d(level: int, Y: np.ndarray, modes) -> tuple[np.ndarray, np.ndarray]:
+    """b = 1/a at the midpoints and the flux constant C, one row per parameter row.
+
+    The discrete flux is a_m (u_{m+1} - u_m) / h = C - x_m, so
+    u_i = sum_{m < i} h (C - x_m) b_m, and u_{n+1} = 0 fixes
+    C = sum x_m b_m / sum b_m.  kappa is accumulated mode by mode and
+    reduced row by row, so each row's result does not depend on the
+    other rows of the batch.
+    """
+    x_m = _midpoints(level)
+    active = np.flatnonzero(Y.any(axis=0))
+    if active.size and active[-1] >= len(modes):
+        raise IndexError(
+            f"active variable {active[-1] + 1} is outside the enumerated modes 1..{len(modes)}"
+        )
+    kappa = np.zeros((len(Y), len(x_m)))
+    for j in active:
+        kappa += Y[:, j : j + 1] * _mode_row(level, modes[j])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        b = np.exp(-kappa)
+        sum_b = b.sum(axis=1)
+        sum_xb = (x_m * b).sum(axis=1)
+        flux = sum_xb / sum_b
+        # u_{n+1} = 0 in floating point: fails on overflow, underflow to 0, or NaN.
+        closure = np.abs(flux * sum_b - sum_xb) <= 1e-10 * (np.abs(flux) * sum_b + sum_xb)
+    if not closure.all():
+        bad = int(np.argmin(closure))
+        raise SolverError(
+            f"1-D closed-form solve at level {level} lost the boundary condition "
+            f"(row {bad}: sum of 1/a = {sum_b[bad]!r})"
+        )
+    return b, flux
 
 
 def _solve_constant_dst(alpha: Sequence[int]) -> np.ndarray:
@@ -190,29 +260,25 @@ def _solve_cg(matrix: sp.csr_matrix, diag: np.ndarray, rhs: np.ndarray) -> np.nd
 def solve(alpha: Sequence[int], y: Mapping[int, float], field_spec: FieldSpec) -> DiscreteSolution:
     """Solve the unit-forcing Dirichlet problem at refinement ``alpha`` and parameters ``y``.
 
-    The flux-form system is solved directly when possible (tridiagonal
-    in 1-D, sine-transform diagonalization for the constant-coefficient
-    case in higher dimensions) and otherwise by diagonally
-    preconditioned conjugate gradients; accepted solves have relative
-    residual below 1e-10.
+    The flux-form system is solved directly when possible (in closed
+    form in 1-D, by sine-transform diagonalization for the
+    constant-coefficient case in higher dimensions) and otherwise by
+    diagonally preconditioned conjugate gradients, whose accepted solves
+    have relative residual below 1e-10.
     """
     alpha = validate_alpha(alpha)
     if len(alpha) != field_spec.d:
         raise ValueError(f"alpha has {len(alpha)} components but the field is {field_spec.d}-dimensional")
     modes = mode_ordering(field_spec)
+    if len(alpha) == 1:
+        (level,), (h,) = alpha, mesh_sizes(alpha)
+        b, flux = _flux_form_1d(level, _parameter_row(y, modes), modes)
+        values = np.cumsum(h * (flux[0] - _midpoints(level)) * b[0])[:-1]
+        return DiscreteSolution(alpha, values)
     active = {j: v for j, v in y.items() if v != 0.0}
     if not active:
-        if len(alpha) == 1:
-            h = mesh_sizes(alpha)[0]
-            n = interior_counts(alpha)[0]
-            values = _solve_tridiagonal(np.ones(n + 1), h)
-        else:
-            values = _solve_constant_dst(alpha)
-        return DiscreteSolution(alpha, values.reshape(interior_counts(alpha)))
+        return DiscreteSolution(alpha, _solve_constant_dst(alpha))
     a_stag = _staggered_coefficients(alpha, active, modes)
-    if len(alpha) == 1:
-        values = _solve_tridiagonal(a_stag[0], mesh_sizes(alpha)[0])
-        return DiscreteSolution(alpha, values)
     matrix, diag = _assemble_sparse(alpha, a_stag)
     u = _solve_cg(matrix, diag, np.ones(matrix.shape[0]))
     return DiscreteSolution(alpha, u.reshape(interior_counts(alpha)))
@@ -235,4 +301,39 @@ def qoi(solution: DiscreteSolution, spec: QoISpec) -> float:
 
 def solve_qoi(alpha, y, field_spec: FieldSpec, qoi_spec: QoISpec) -> float:
     """F^alpha(y): the observation functional of the discrete solution."""
+    if len(alpha) == 1:
+        row = _parameter_row(y, mode_ordering(field_spec))
+        return float(solve_qoi_batch(alpha, row, field_spec, qoi_spec)[0])
     return qoi(solve(alpha, y, field_spec), qoi_spec)
+
+
+def solve_qoi_batch(alpha, Y, field_spec: FieldSpec, qoi_spec: QoISpec) -> np.ndarray:
+    """F^alpha at every row of ``Y``, a (P, J) array of y_1..y_J.
+
+    In 1-D the observation of the closed-form solution is
+    scale h^2 (C sum_m b_m R_m - sum_m x_m b_m R_m), with R_m the window
+    summed over the nodes right of x_m; each row's value is bit-identical
+    whatever the batch around it.  In d > 1 the rows are solved one by one.
+    """
+    alpha = validate_alpha(alpha)
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2:
+        raise ValueError(f"parameters must be a (points, variables) array, got shape {Y.shape}")
+    if len(alpha) != field_spec.d or qoi_spec.d != field_spec.d:
+        raise ValueError("alpha, field and window disagree on the spatial dimension")
+    if len(alpha) > 1:
+        return np.array([
+            solve_qoi(alpha, {j + 1: float(v) for j, v in enumerate(row) if v != 0.0},
+                      field_spec, qoi_spec)
+            for row in Y
+        ])
+    (level,), (h,) = alpha, mesh_sizes(alpha)
+    tail, x_tail = _window_tails(level, qoi_spec)
+    out = np.empty(len(Y))
+    rows = max(1, _BLOCK_ENTRIES // len(tail))
+    for start in range(0, len(Y), rows):
+        block = Y[start : start + rows]
+        b, flux = _flux_form_1d(level, block, mode_ordering(field_spec))
+        out[start : start + len(block)] = (flux * (b * tail).sum(axis=1)
+                                           - (b * x_tail).sum(axis=1))
+    return qoi_spec.scale * h * h * out
