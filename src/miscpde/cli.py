@@ -149,23 +149,31 @@ def problem_from_config(cfg: Config) -> tuple[FieldSpec, QoISpec, float]:
     sigma = cfg.get_float("problem.sigma", 0.2)
     x0 = cfg.get_floats("problem.x0")
     gamma = cfg.get_float("solver.gamma", 1.0)
-    field_spec = FieldSpec(d=d, nu=nu, max_modes=max_modes)
-    if x0 is None:
-        x0 = default_qoi_spec(d).x0
-    qoi_spec = QoISpec(sigma, tuple(x0))
+    try:
+        field_spec = FieldSpec(d=d, nu=nu, max_modes=max_modes)
+        if x0 is None:
+            x0 = default_qoi_spec(d).x0
+        qoi_spec = QoISpec(sigma, tuple(x0))
+    except ValueError as exc:
+        raise ConfigError(f"problem settings: {exc}") from exc
     if qoi_spec.d != d:
         raise ConfigError(f"problem.x0 has {qoi_spec.d} components, problem.d = {d}")
     return field_spec, qoi_spec, gamma
 
 
 def budgets_from_config(cfg: Config, d: int) -> tuple[float, ...]:
-    raw = cfg.get_str("adaptivity.budgets", None)
-    if raw is None or raw.startswith("auto"):
-        steps = int(raw.split(":", 1)[1]) if raw and ":" in raw else 6
+    raw = cfg.get_str("adaptivity.budgets", "auto")
+    if raw.startswith("auto"):
+        try:
+            steps = int(raw.split(":", 1)[1]) if ":" in raw else 6
+        except ValueError as exc:
+            raise ConfigError(f"adaptivity.budgets: expected auto:<steps>, got {raw!r}") from exc
+        if steps < 1:
+            raise ConfigError(f"adaptivity.budgets: need at least one step, got {raw!r}")
         base = pde_solver.unknowns((1,) * d)
         budgets = tuple(float(base * 4**t) for t in range(1, steps + 1))
     else:
-        budgets = tuple(float(v) for v in raw.split(","))
+        budgets = cfg.get_floats("adaptivity.budgets")
     if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ConfigError(f"budgets must be strictly increasing, got {budgets}")
     return budgets
@@ -415,10 +423,7 @@ def mimc_plan(budget: float, d: int, r_fem: float, gamma: float = 1.0,
     costs: list[float] = []
     for level in range(1, max_levels + 1):
         alpha = (level,) * d
-        cost = sum(
-            pde_solver.unknowns(a)
-            for a in _difference_corners(alpha)
-        )
+        cost = sum(pde_solver.unknowns(a) for _, a in misc_core.corners(alpha))
         if cost > budget / 4.0 and levels:
             break
         levels.append(alpha)
@@ -435,17 +440,6 @@ def mimc_plan(budget: float, d: int, r_fem: float, gamma: float = 1.0,
         costs.pop()
     counts = [max(1, c) for c in counts] if len(levels) > 1 else [max(1, int(budget / costs[0]))]
     return levels, counts
-
-
-def _difference_corners(alpha: tuple[int, ...]):
-    import itertools
-
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(alpha)):
-        shifted = tuple(a - b for a, b in zip(alpha, bits))
-        if all(v >= 1 for v in shifted):
-            out.append(shifted)
-    return out
 
 
 def compare_driver(
@@ -495,13 +489,29 @@ def reference_fingerprint(field_spec: FieldSpec, qoi_spec: QoISpec, gamma: float
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def read_reference(path: Path) -> tuple[str | None, float]:
+    """The (fingerprint, value) pair stored in a reference file."""
+    try:
+        data = json.loads(path.read_text())
+        return data.get("fingerprint"), float(data["value"])
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ConfigError(f"unreadable reference file {path}: {exc!r}") from exc
+
+
 def load_reference(path: Path, fingerprint: str) -> float | None:
     if not path.is_file():
         return None
-    data = json.loads(path.read_text())
-    if data.get("fingerprint") != fingerprint:
-        return None
-    return float(data["value"])
+    stored, value = read_reference(path)
+    return value if stored == fingerprint else None
+
+
+def load_model(cfg: Config) -> ErrorModel:
+    """The fitted error model named by ``adaptivity.model_file``."""
+    path = cfg.get_path("adaptivity.model_file", required=True)
+    try:
+        return ErrorModel.from_json(path.read_text())
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"unreadable model file {path}: {exc!r}") from exc
 
 
 def store_reference(path: Path, fingerprint: str, value: float) -> None:
@@ -570,8 +580,7 @@ def _study_from_config(cfg: Config, args):
     error_model = None
     universe = None
     if mode == "apriori":
-        model_path = cfg.get_path("adaptivity.model_file", required=True)
-        error_model = ErrorModel.from_json(model_path.read_text())
+        error_model = load_model(cfg)
     elif mode == "deterministic":
         r_fem = cfg.get_float("adaptivity.r_fem", default_r_fem(field_spec.nu, field_spec.d))
         error_model = ErrorModel(r_fem=r_fem, g_tilde=())
@@ -596,8 +605,7 @@ def _study_from_config(cfg: Config, args):
         try:
             reference = float(ref_raw)
         except ValueError:
-            ref_file = cfg.get_path("output.reference", required=True)
-            reference = float(json.loads(ref_file.read_text())["value"])
+            _, reference = read_reference(cfg.get_path("output.reference", required=True))
     else:
         reference = load_reference(ref_path, fingerprint)
 
@@ -633,8 +641,7 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     cfg = Config(parse_config(args.config), Path(args.config).parent)
     field_spec, qoi_spec, gamma = problem_from_config(cfg)
-    model_path = cfg.get_path("adaptivity.model_file", required=True)
-    error_model = ErrorModel.from_json(model_path.read_text())
+    error_model = load_model(cfg)
     budgets = budgets_from_config(cfg, field_spec.d)
     n_vars = cfg.get_int("mimc.random_vars", min(8, field_spec.max_modes))
     result = compare_driver(
@@ -653,7 +660,12 @@ def cmd_compare(args) -> int:
 def cmd_solve(args) -> int:
     cfg = Config(parse_config(args.config), Path(args.config).parent)
     field_spec, qoi_spec, _ = problem_from_config(cfg)
-    alpha = tuple(int(v) for v in args.alpha.split(",")) if args.alpha else (1,) * field_spec.d
+    try:
+        alpha = pde_solver.validate_alpha(args.alpha.split(",")) if args.alpha else (1,) * field_spec.d
+    except ValueError as exc:
+        raise ConfigError(f"--alpha: {exc}") from exc
+    if len(alpha) != field_spec.d:
+        raise ConfigError(f"--alpha has {len(alpha)} levels, problem.d = {field_spec.d}")
     value = pde_solver.solve_qoi(alpha, {}, field_spec, qoi_spec)
     print(f"alpha = {alpha}, unknowns = {pde_solver.unknowns(alpha)}, qoi = {value!r}")
     return EXIT_OK

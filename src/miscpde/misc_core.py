@@ -11,19 +11,18 @@ collocation point, so nested points are never solved twice.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import pde_solver, quadrature
 from .pde_solver import QoISpec
-from .quadrature import ZERO_ID, SparseLevelVector
+from .quadrature import SparseLevelVector
 from .random_field import FieldSpec
 
 
@@ -76,6 +75,23 @@ def is_downward_closed(members: Iterable[MixedIndex]) -> bool:
     return all(parent in mset for m in mset for parent in m.parents())
 
 
+def corners(levels: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """Signed corners of the binary box below ``levels``.
+
+    One ``(sign, lowered)`` pair for each way of lowering every level
+    above 1 by 0 or 1, in lexicographic bit order, with sign
+    (-1)^(number lowered).  Levels at 1 are never lowered.
+    """
+    free = [i for i, v in enumerate(levels) if v > 1]
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(free)):
+        lowered = list(levels)
+        for i, bit in zip(free, bits):
+            lowered[i] -= bit
+        out.append(((-1) ** sum(bits), tuple(lowered)))
+    return out
+
+
 def downward_closure(members: Iterable[MixedIndex]) -> set[MixedIndex]:
     closed = set(members)
     stack = list(closed)
@@ -103,14 +119,14 @@ class IndexSet:
     always telescope to 1.
     """
 
-    def __init__(self, members: Iterable[MixedIndex], require_closed: bool = True):
+    def __init__(self, members: Iterable[MixedIndex]):
         members = sorted(set(members), key=MixedIndex.sort_key)
         if not members:
             raise IndexSetError("an index set needs at least one member")
         dims = {m.spatial_dim for m in members}
         if len(dims) != 1:
             raise IndexSetError(f"mixed spatial dimensions in one set: {sorted(dims)}")
-        if require_closed and not is_downward_closed(members):
+        if not is_downward_closed(members):
             raise IndexSetError("index set is not downward closed")
         self._members = tuple(members)
         self._member_set = frozenset(members)
@@ -203,24 +219,14 @@ def combination_coefficients(index_set: IndexSet) -> dict[MixedIndex, int]:
     it is a binary offset above, which costs 2^(number of its
     above-base coordinates) instead of 2^(all active directions).
     """
-    members = set(index_set.members)
-    if not is_downward_closed(members):
-        raise IndexSetError("combination coefficients need a downward-closed set")
     coeffs: dict[MixedIndex, int] = {m: 0 for m in index_set.members}
     for upper in index_set.members:
-        spatial_dims = [i for i, a in enumerate(upper.alpha) if a > 1]
-        stoch_dims = upper.beta.support
-        for bits in itertools.product((0, 1), repeat=len(spatial_dims) + len(stoch_dims)):
-            alpha = list(upper.alpha)
-            for i, bit in zip(spatial_dims, bits):
-                alpha[i] -= bit
-            beta = upper.beta
-            for j, bit in zip(stoch_dims, bits[len(spatial_dims):]):
-                if bit:
-                    beta = beta.bump(j, -1)
-            lower = MixedIndex(tuple(alpha), beta)
+        d = upper.spatial_dim
+        support = upper.beta.support
+        for sign, lowered in corners(upper.alpha + tuple(b for _, b in upper.beta.items())):
+            lower = MixedIndex(lowered[:d], SparseLevelVector(zip(support, lowered[d:])))
             if lower in coeffs:
-                coeffs[lower] += (-1) ** sum(bits)
+                coeffs[lower] += sign
     return coeffs
 
 
@@ -231,10 +237,6 @@ class EvalCache:
     values: dict = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
-
-    def key(self, alpha: tuple[int, ...], point_ids: Iterable[tuple[int, tuple[int, int]]]):
-        """(alpha, the (variable, point id) pairs off the y = 0 anchor, ascending)."""
-        return (alpha, tuple(sorted((j, pid) for j, pid in point_ids if pid != ZERO_ID)))
 
 
 @dataclass
@@ -267,82 +269,60 @@ class MiscEvaluator:
         self.cache = EvalCache()
         self.solved_dof = 0
 
-    # -- point-level evaluation -------------------------------------------
-
-    def value_at(self, alpha: tuple[int, ...], point: Mapping[int, float],
-                 ids: Mapping[int, tuple[int, int]]) -> float:
-        key = self.cache.key(alpha, ids.items())
-        if key in self.cache.values:
-            self.cache.hits += 1
-            return self.cache.values[key]
-        self.cache.misses += 1
-        self.solved_dof += pde_solver.unknowns(alpha)
-        value = pde_solver.solve_qoi(alpha, point, self.field_spec, self.qoi_spec)
-        self.cache.values[key] = value
-        return value
+    # -- tensor grids ------------------------------------------------------
 
     def tensor_value(self, alpha: tuple[int, ...], beta: SparseLevelVector) -> float:
         """Full tensor approximation: quadrature at level beta of F^alpha.
 
-        One traversal gathers the grid's cache keys; the uncached points
-        are solved in one batch, and the values are reduced with the
-        outer-product quadrature weights.
+        Values are cached under (alpha, point id); the grid's uncached
+        points are solved in one batch, and the values are reduced with
+        the outer-product quadrature weights.
         """
-        support = beta.support
-        if not support:
-            return self.value_at(alpha, {}, {})
-        levels = [beta.level(j) for j in support]
-        key = self.cache.key
-        keys = [key(alpha, zip(support, ids))
-                for ids in itertools.product(*(quadrature.point_ids(b) for b in levels))]
+        support, points, ids, weights = quadrature.tensor_grid(beta)
+        keys = [(alpha, point_id) for point_id in ids]
         cached = self.cache.values
         values = [cached.get(k) for k in keys]
         missing = [i for i, v in enumerate(values) if v is None]
         self.cache.hits += len(keys) - len(missing)
         if missing:
-            grid = np.meshgrid(*(quadrature.cc_points(b) for b in levels), indexing="ij")
-            points = np.zeros((len(missing), support[-1]))
-            points[:, np.array(support) - 1] = np.stack(grid, axis=-1).reshape(len(keys), -1)[missing]
-            for i, value in zip(missing, self._solve(alpha, points)):
+            for i, value in zip(missing, self._solve(alpha, support, points[missing])):
                 cached[keys[i]] = values[i] = float(value)
             self.cache.misses += len(missing)
             self.solved_dof += len(missing) * pde_solver.unknowns(alpha)
-        weights = functools.reduce(np.multiply.outer, [quadrature.cc_weights(b) for b in levels])
-        return float(np.sum(weights.ravel() * values))
+        return float(np.sum(weights * values))
 
-    def _solve(self, alpha: tuple[int, ...], points: np.ndarray) -> np.ndarray:
+    def _solve(self, alpha: tuple[int, ...], support: tuple[int, ...],
+               points: np.ndarray) -> np.ndarray:
+        if not support:
+            # The y = 0 anchor alone goes through solve_qoi, the per-solve
+            # entry point that perfbench/tracer.py counts.
+            return np.array([pde_solver.solve_qoi(alpha, {}, self.field_spec, self.qoi_spec)])
+        Y = np.zeros((len(points), support[-1]))
+        Y[:, np.array(support) - 1] = points
         if self.threads > 1 and len(alpha) > 1:
             with ThreadPoolExecutor(max_workers=self.threads) as pool:
                 return np.concatenate(list(pool.map(
                     lambda row: pde_solver.solve_qoi_batch(alpha, row[None], self.field_spec,
                                                            self.qoi_spec),
-                    points,
+                    Y,
                 )))
-        return pde_solver.solve_qoi_batch(alpha, points, self.field_spec, self.qoi_spec)
+        return pde_solver.solve_qoi_batch(alpha, Y, self.field_spec, self.qoi_spec)
 
     # -- difference operators ----------------------------------------------
 
     def delta_det(self, alpha: tuple[int, ...], beta: SparseLevelVector) -> float:
-        """Spatial mixed difference: alternating sum over corner offsets,
-        with terms containing a zero level dropped."""
+        """Spatial mixed difference: alternating sum over the corners below alpha."""
         total = 0.0
-        for bits in itertools.product((0, 1), repeat=len(alpha)):
-            shifted = tuple(a - b for a, b in zip(alpha, bits))
-            if any(a == 0 for a in shifted):
-                continue
-            total += (-1) ** sum(bits) * self.tensor_value(shifted, beta)
+        for sign, lowered in corners(alpha):
+            total += sign * self.tensor_value(lowered, beta)
         return total
 
     def mixed_difference(self, index: MixedIndex) -> float:
         """First-order difference in every direction, stochastic around spatial."""
         support = index.beta.support
         total = 0.0
-        for bits in itertools.product((0, 1), repeat=len(support)):
-            beta = index.beta
-            for j, bit in zip(support, bits):
-                if bit:
-                    beta = beta.bump(j, -1)
-            total += (-1) ** sum(bits) * self.delta_det(index.alpha, beta)
+        for sign, lowered in corners(tuple(b for _, b in index.beta.items())):
+            total += sign * self.delta_det(index.alpha, SparseLevelVector(zip(support, lowered)))
         return total
 
     # -- estimator ----------------------------------------------------------
@@ -356,8 +336,6 @@ class MiscEvaluator:
         """
         if mode not in ("surplus", "combination"):
             raise ValueError(f"unknown evaluation mode {mode!r}")
-        if not is_downward_closed(index_set.members):
-            raise IndexSetError("estimator evaluation needs a downward-closed set")
         solves_before = self.cache.misses
         hits_before = self.cache.hits
         work_before = self.solved_dof
@@ -417,18 +395,13 @@ def mimc_estimate(
     total = 0.0
     for alpha, m_samples in zip(levels, counts):
         alpha = pde_solver.validate_alpha(alpha)
-        corners = []
-        for bits in itertools.product((0, 1), repeat=len(alpha)):
-            shifted = tuple(a - b for a, b in zip(alpha, bits))
-            if any(a == 0 for a in shifted):
-                continue
-            corners.append((tuple(bits), shifted))
-        corner_cost = sum(pde_solver.unknowns(a) for _, a in corners)
+        box = corners(alpha)
+        corner_cost = sum(pde_solver.unknowns(a) for _, a in box)
         # One (M, N) draw is the same stream as M draws of N.
         draws = rng.uniform(-1.0, 1.0, (m_samples, n_random_vars))
         samples = np.zeros(m_samples)
-        for bits, shifted in corners:
-            samples += (-1) ** sum(bits) * pde_solver.solve_qoi_batch(shifted, draws, field_spec, qoi_spec)
+        for sign, lowered in box:
+            samples += sign * pde_solver.solve_qoi_batch(lowered, draws, field_spec, qoi_spec)
         evaluator_cost += m_samples * corner_cost
         if np.all(samples == samples[0]):
             # Zero-variance level (e.g. no sampled variables): the mean is

@@ -12,8 +12,7 @@ their birth level inside this hierarchy rather than by coordinates.
 from __future__ import annotations
 
 import itertools
-import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -249,6 +248,27 @@ class SparseLevelVector:
         raise AttributeError("SparseLevelVector is immutable")
 
 
+def tensor_grid(beta: SparseLevelVector):
+    """The tensor-product grid of ``beta`` over its support, in row-major order.
+
+    Returns ``(support, points, ids, weights)``: the active variables,
+    a (P, k) array of their coordinates, each point's identity as the
+    ascending (variable, point id) pairs off the y = 0 anchor, and the
+    raveled outer-product weights.  An empty support is the single
+    point y = 0 with identity () and weight 1.
+    """
+    support = beta.support
+    levels = [b for _, b in beta.items()]
+    weights = reduce(np.multiply.outer, (cc_weights(b) for b in levels), np.ones(1)).ravel()
+    axes = np.meshgrid(*(cc_points(b) for b in levels), indexing="ij")
+    points = np.array(axes).reshape(len(support), len(weights)).T
+    ids = [
+        tuple((j, pid) for j, pid in zip(support, combo) if pid != ZERO_ID)
+        for combo in itertools.product(*(point_ids(b) for b in levels))
+    ]
+    return support, points, ids, weights
+
+
 def tensor_quadrature(beta: SparseLevelVector, f: Callable[[Mapping[int, float]], float]) -> float:
     """Tensor-product quadrature over the finitely many active variables.
 
@@ -257,13 +277,8 @@ def tensor_quadrature(beta: SparseLevelVector, f: Callable[[Mapping[int, float]]
     empty support reduces to the single evaluation f({}).  Points are
     traversed in a fixed order so the accumulated sum is reproducible.
     """
-    support = beta.support
-    if not support:
-        return float(f({}))
-    axes = [list(zip(cc_points(beta.level(j)), cc_weights(beta.level(j)))) for j in support]
+    support, points, _, weights = tensor_grid(beta)
     total = 0.0
-    for combo in itertools.product(*axes):
-        y = {j: pw[0] for j, pw in zip(support, combo)}
-        weight = math.prod(pw[1] for pw in combo)
-        total += weight * float(f(y))
-    return total
+    for point, weight in zip(points, weights):
+        total += weight * float(f(dict(zip(support, point))))
+    return float(total)

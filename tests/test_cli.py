@@ -120,8 +120,8 @@ class TestSmallDrivers:
             levels, counts = mimc_plan(budget, 1, 2.0)
             cost = 0
             for alpha, m in zip(levels, counts):
-                corners = cli._difference_corners(alpha)
-                cost += m * sum(cli.pde_solver.unknowns(a) for a in corners)
+                corners = cli.misc_core.corners(alpha)
+                cost += m * sum(cli.pde_solver.unknowns(a) for _, a in corners)
             assert cost <= 1.05 * budget
             assert counts[0] >= counts[-1] >= 1
 
@@ -226,6 +226,51 @@ class TestCommands:
                         "--out", str(tmp_path)) == 0
         out = capsys.readouterr().out
         assert "unknowns = 11" in out
+
+    @pytest.mark.parametrize("budgets", ["auto:x", "100,abc", "auto:0"])
+    def test_bad_budgets_exit_2(self, tmp_path, capsys, budgets):
+        cfg = write_config(tmp_path / "b.cfg", BASE_1D.replace("20,80,320", budgets))
+        assert self.run("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["2,x", "0", "2,2"])
+    def test_bad_solve_alpha_exits_2(self, tmp_path, capsys, alpha):
+        cfg = write_config(tmp_path / "s.cfg", "problem.d = 1\nproblem.nu = 2.5\n")
+        assert self.run("solve", "--config", str(cfg), "--alpha", alpha,
+                        "--out", str(tmp_path)) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_dimension_without_default_window_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "s.cfg", "problem.d = 2\nproblem.nu = 2.5\n")
+        assert self.run("solve", "--config", str(cfg), "--out", str(tmp_path)) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["{not json", "[1, 2]"])
+    def test_corrupt_reference_file_exits_2(self, tmp_path, capsys, content):
+        cfg = write_config(tmp_path / "run.cfg", BASE_1D.replace("20,80,320", "20,80"))
+        out = tmp_path / "o"
+        assert self.run("run", "--config", str(cfg), "--out", str(out)) == 0
+        (out / "reference.json").write_text(content)
+        assert self.run("run", "--config", str(cfg), "--out", str(out)) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_corrupt_explicit_reference_file_exits_2(self, tmp_path, capsys):
+        write_config(tmp_path / "ref.json", '{"value": "not a number"}')
+        cfg = write_config(tmp_path / "run.cfg", BASE_1D + "output.reference = ref.json\n")
+        assert self.run("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_corrupt_model_file_exits_2(self, tmp_path, capsys, command):
+        model = write_config(tmp_path / "model.json", '{"r_fem": 2.0}')
+        cfg = write_config(
+            tmp_path / "m.cfg",
+            "problem.d = 1\nproblem.nu = 2.5\nproblem.max_modes = 12\n"
+            f"adaptivity.mode = apriori\nadaptivity.model_file = {model}\n"
+            "adaptivity.budgets = 20,80\n",
+        )
+        assert self.run(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_compare_command_seeded(self, tmp_path):
         out = tmp_path / "o"

@@ -11,6 +11,7 @@ from miscpde.misc_core import (
     MiscEvaluator,
     MixedIndex,
     combination_coefficients,
+    corners,
     dof_work,
     downward_closure,
     is_downward_closed,
@@ -113,6 +114,27 @@ class TestIndexSet:
         assert again.to_json() == text
 
 
+def filtered_product(levels):
+    """Independent route to the signed corners: every binary offset,
+    dropping those that take a level to 0."""
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(levels)):
+        lowered = tuple(a - b for a, b in zip(levels, bits))
+        if all(v >= 1 for v in lowered):
+            out.append(((-1) ** sum(bits), lowered))
+    return out
+
+
+class TestCorners:
+    @pytest.mark.parametrize("levels", [(), (1,), (2, 2, 1), (3, 1, 2)])
+    def test_matches_filtered_product(self, levels):
+        assert corners(levels) == filtered_product(levels)
+
+    def test_base_levels_are_never_lowered(self):
+        assert corners((1, 1)) == [(1, (1, 1))]
+        assert corners((4, 1)) == [(1, (4, 1)), (-1, (3, 1))]
+
+
 class TestCombinationCoefficients:
     def test_single_member(self):
         iset = IndexSet([root_index(1)])
@@ -137,7 +159,7 @@ class TestCombinationCoefficients:
 
     def test_open_set_rejected(self):
         with pytest.raises(IndexSetError):
-            combination_coefficients(IndexSet([MixedIndex((2,), SLV())], require_closed=False))
+            combination_coefficients(IndexSet([MixedIndex((2,), SLV())]))
 
 
 class TestDifferences:
@@ -247,7 +269,7 @@ class TestEstimator:
     def test_open_set_rejected(self, field1, qoi1):
         ev = MiscEvaluator(field1, qoi1)
         with pytest.raises(IndexSetError):
-            ev.evaluate(IndexSet([MixedIndex((2,), SLV())], require_closed=False))
+            ev.evaluate(IndexSet([MixedIndex((2,), SLV())]))
 
     def test_threaded_evaluation_matches_serial(self, field1, qoi1):
         iset = IndexSet(downward_closure({MixedIndex((2,), SLV({1: 3, 2: 2}))}))

@@ -1,9 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 from scipy.integrate import quad
 
+from miscpde import cli, pde_solver
 from miscpde.pde_solver import (
     DiscreteSolution,
     QoISpec,
@@ -169,3 +172,28 @@ class TestDeterminism:
         first = solve_qoi((1, 1, 1), {}, field3, default_qoi_spec(3))
         second = solve_qoi((1, 1, 1), {}, field3, default_qoi_spec(3))
         assert first == second and math.isfinite(first)
+
+
+class TestSineTransformResidual:
+    @pytest.fixture
+    def corrupted_transform(self, monkeypatch):
+        # An inverse transform that is off by 0.1 %.
+        monkeypatch.setattr(pde_solver, "sfft", SimpleNamespace(
+            dstn=sfft.dstn, idstn=lambda x, type: 1.001 * sfft.idstn(x, type=type)))
+
+    @pytest.mark.parametrize("alpha", [(2, 1, 3), (1, 1, 10)])
+    def test_accepted_solve_meets_the_contract(self, field3, alpha):
+        # (1, 1, 10) is where rounding alone takes |1 - Au| / |1| past 1e-10.
+        u = solve(alpha, {}, field3).values
+        assert u.shape == interior_counts(alpha)
+
+    def test_corrupted_transform_raises(self, field3, corrupted_transform):
+        with pytest.raises(SolverError) as info:
+            solve((1, 1, 1), {}, field3)
+        assert info.value.residual > pde_solver.RESIDUAL_TOL
+
+    def test_corrupted_transform_exits_3(self, corrupted_transform, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("problem.d = 3\nproblem.nu = 4.5\nproblem.max_modes = 10\n")
+        assert cli.main(["solve", "--config", str(cfg), "--alpha", "1,1,1",
+                         "--out", str(tmp_path)]) == 3

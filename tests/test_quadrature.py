@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from miscpde.quadrature import (
     leb_delta,
     level_to_nodes,
     point_ids,
+    tensor_grid,
     tensor_quadrature,
 )
 
@@ -181,6 +185,61 @@ class TestTensorQuadrature:
 
         tensor_quadrature(SparseLevelVector({4: 2}), f)
         assert seen == {4}
+
+    def test_matches_pointwise_sum(self):
+        # Bit for bit: row-major points, weights multiplied left to right,
+        # accumulated one point at a time.
+        beta = SparseLevelVector({1: 3, 2: 2, 4: 2})
+
+        def f(y):
+            return math.exp(y.get(1, 0.0) - 0.5 * y.get(2, 0.0) + y.get(4, 0.0) ** 3)
+
+        axes = [list(zip(cc_points(b), cc_weights(b))) for _, b in beta.items()]
+        total = 0.0
+        for combo in itertools.product(*axes):
+            y = dict(zip(beta.support, (pw[0] for pw in combo)))
+            total += math.prod(pw[1] for pw in combo) * f(y)
+        assert tensor_quadrature(beta, f) == total
+
+
+def cache_key_ids(support, combo):
+    """Point identity as the evaluator's cache keyed it before tensor_grid:
+    (variable, id) pairs off the y = 0 anchor, sorted."""
+    return tuple(sorted((j, pid) for j, pid in zip(support, combo) if pid != q.ZERO_ID))
+
+
+GRIDS = [{1: 2}, {2: 3, 5: 2}, {1: 4, 3: 3, 4: 2}]
+
+
+class TestTensorGrid:
+    @pytest.mark.parametrize("levels", GRIDS)
+    def test_weights_sum_to_one(self, levels):
+        _, _, _, weights = tensor_grid(SparseLevelVector(levels))
+        assert abs(weights.sum() - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("levels", GRIDS)
+    def test_points_are_cc_points_per_axis(self, levels):
+        beta = SparseLevelVector(levels)
+        support, points, ids, weights = tensor_grid(beta)
+        assert support == beta.support
+        expected = list(itertools.product(*(cc_points(b) for _, b in beta.items())))
+        assert np.array_equal(points, np.array(expected))
+        assert len(ids) == len(weights) == len(points)
+
+    @pytest.mark.parametrize("levels", GRIDS)
+    def test_ids_equal_cache_keys(self, levels):
+        beta = SparseLevelVector(levels)
+        support, _, ids, _ = tensor_grid(beta)
+        combos = itertools.product(*(point_ids(b) for _, b in beta.items()))
+        assert ids == [cache_key_ids(support, combo) for combo in combos]
+        assert len(set(ids)) == len(ids)
+
+    def test_empty_support_is_one_point(self):
+        support, points, ids, weights = tensor_grid(SparseLevelVector())
+        assert support == ()
+        assert points.shape == (1, 0)
+        assert ids == [()]
+        assert weights.tolist() == [1.0]
 
 
 class TestPointIds:
