@@ -676,8 +676,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--seed", type=int, default=0, help="random seed for sampling baselines")
     common.add_argument("--threads", type=int, default=1,
-                        help="threads for the per-point solves of a d > 1 tensor grid; "
-                             "1-D grids are solved in one batch")
+                        help="threads sharing the batched solve of each tensor grid, "
+                             "one contiguous chunk of points each; results do not "
+                             "depend on it")
 
     parser = argparse.ArgumentParser(prog="miscpde",
                                      description="Multi-index stochastic collocation studies")

@@ -255,9 +255,10 @@ class MiscEvaluator:
     """Evaluates mixed differences and whole estimators with a shared cache.
 
     The uncached points of each tensor grid are solved in one batch;
-    with ``threads > 1`` the per-point solves of d > 1 grids run on a
-    thread pool.  Every solve is pure and sums are always reduced in a
-    fixed deterministic order, so results do not depend on scheduling.
+    with ``threads > 1`` the batch is split into ``threads`` contiguous
+    chunks solved on a thread pool.  Each point's value does not depend
+    on the batch around it, and sums are always reduced in a fixed
+    deterministic order, so results do not depend on the thread count.
     """
 
     def __init__(self, field_spec: FieldSpec, qoi_spec: QoISpec, threads: int = 1):
@@ -299,14 +300,14 @@ class MiscEvaluator:
             return np.array([pde_solver.solve_qoi(alpha, {}, self.field_spec, self.qoi_spec)])
         Y = np.zeros((len(points), support[-1]))
         Y[:, np.array(support) - 1] = points
-        if self.threads > 1 and len(alpha) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                return np.concatenate(list(pool.map(
-                    lambda row: pde_solver.solve_qoi_batch(alpha, row[None], self.field_spec,
-                                                           self.qoi_spec),
-                    Y,
-                )))
-        return pde_solver.solve_qoi_batch(alpha, Y, self.field_spec, self.qoi_spec)
+        if self.threads == 1:
+            return pde_solver.solve_qoi_batch(alpha, Y, self.field_spec, self.qoi_spec)
+        with ThreadPoolExecutor(max_workers=self.threads) as pool:
+            return np.concatenate(list(pool.map(
+                lambda rows: pde_solver.solve_qoi_batch(alpha, rows, self.field_spec,
+                                                        self.qoi_spec),
+                np.array_split(Y, self.threads),
+            )))
 
     # -- difference operators ----------------------------------------------
 

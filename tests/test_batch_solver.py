@@ -1,15 +1,15 @@
-"""The closed-form 1-D solve, its batching, and the per-grid evaluator built on it."""
+"""The batched solvers (closed form in 1-D, Jacobi-PCG in 3-D) and the per-grid evaluator."""
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
+from miscpde import pde_solver
 from miscpde.misc_core import IndexSet, MiscEvaluator, MixedIndex, downward_closure
 from miscpde.pde_solver import (
+    _BLOCK_ENTRIES,
     DiscreteSolution,
     SolverError,
-    _assemble_sparse,
-    _staggered_coefficients,
     qoi,
     solve,
     solve_qoi,
@@ -17,7 +17,6 @@ from miscpde.pde_solver import (
     unknowns,
 )
 from miscpde.quadrature import SparseLevelVector as SLV
-from miscpde.random_field import mode_ordering
 
 
 def random_rows(rng, count, n_vars, density=1.0):
@@ -26,10 +25,12 @@ def random_rows(rng, count, n_vars, density=1.0):
     return rows
 
 
-def sparse_solution(alpha, y, field_spec):
-    a_stag = _staggered_coefficients(alpha, y, mode_ordering(field_spec))
-    matrix, _ = _assemble_sparse(alpha, a_stag)
-    return spsolve(matrix.tocsc(), np.ones(matrix.shape[0]))
+@pytest.fixture(scope="session")
+def sparse_solution(assembled_operator):
+    def direct(alpha, y, field_spec):
+        matrix = assembled_operator(alpha, y, field_spec)
+        return spsolve(matrix.tocsc(), np.ones(matrix.shape[0]))
+    return direct
 
 
 class TestBatchInvariance:
@@ -62,7 +63,7 @@ class TestBatchInvariance:
 
 class TestClosedForm:
     @pytest.mark.parametrize("level", [1, 2, 3, 4])
-    def test_qoi_matches_sparse_direct_solve(self, field1, qoi1, level):
+    def test_qoi_matches_sparse_direct_solve(self, field1, qoi1, sparse_solution, level):
         rng = np.random.default_rng(10 + level)
         rows = random_rows(rng, 4, field1.max_modes)
         batch = solve_qoi_batch((level,), rows, field1, qoi1)
@@ -73,7 +74,7 @@ class TestClosedForm:
             assert abs(value - expected) <= 1e-12 * abs(expected)
 
     @pytest.mark.parametrize("level", [1, 2, 3, 4])
-    def test_solution_matches_sparse_direct_solve(self, field1, level):
+    def test_solution_matches_sparse_direct_solve(self, field1, sparse_solution, level):
         rng = np.random.default_rng(20 + level)
         y = {j + 1: float(v) for j, v in enumerate(rng.uniform(-1, 1, field1.max_modes))}
         values = solve((level,), y, field1).values
@@ -105,6 +106,66 @@ class TestGuards:
             solve_qoi_batch((2,), np.zeros(3), field1, qoi1)
         with pytest.raises(ValueError):
             solve_qoi_batch((2, 2, 2), np.zeros((1, 3)), field3, qoi1)
+
+
+class TestJacobiPCG:
+    """The d > 1 batch: one Jacobi-PCG over the variable-coefficient rows."""
+
+    @pytest.mark.parametrize("alpha", [(1, 1, 1), (2, 1, 3), (2, 2, 2)])
+    def test_row_value_independent_of_batch(self, field3, qoi3, alpha):
+        rng = np.random.default_rng(sum(alpha))
+        rows = random_rows(rng, 9, field3.max_modes, density=0.5)
+        rows[4] = 0.0
+        whole = solve_qoi_batch(alpha, rows, field3, qoi3)
+        split = np.concatenate([solve_qoi_batch(alpha, rows[:4], field3, qoi3),
+                                solve_qoi_batch(alpha, rows[4:], field3, qoi3)])
+        alone = np.array([solve_qoi_batch(alpha, row[None], field3, qoi3)[0] for row in rows])
+        reversed_ = solve_qoi_batch(alpha, rows[::-1], field3, qoi3)[::-1]
+        assert np.array_equal(whole, split)
+        assert np.array_equal(whole, alone)
+        assert np.array_equal(whole, reversed_)
+
+    @pytest.mark.parametrize("alpha", [(1, 1, 1), (2, 1, 1)])
+    def test_matches_sparse_direct_solve(self, field3, qoi3, sparse_solution, alpha):
+        rows = random_rows(np.random.default_rng(30), 3, field3.max_modes)
+        batch = solve_qoi_batch(alpha, rows, field3, qoi3)
+        for row, value in zip(rows, batch):
+            y = {j + 1: float(v) for j, v in enumerate(row)}
+            values = solve(alpha, y, field3).values
+            dense = sparse_solution(alpha, y, field3).reshape(values.shape)
+            assert np.abs(values - dense).max() <= 1e-10 * np.abs(dense).max()
+            expected = qoi(DiscreteSolution(alpha, dense), qoi3)
+            assert abs(value - expected) <= 1e-10 * abs(expected)
+
+    def test_zero_rows_take_the_constant_coefficient_value(self, field3, qoi3):
+        rows = random_rows(np.random.default_rng(31), 5, 4)
+        rows[[0, 3]] = 0.0
+        batch = solve_qoi_batch((2, 1, 2), rows, field3, qoi3)
+        anchor = solve_qoi((2, 1, 2), {}, field3, qoi3)
+        assert batch[0] == anchor and batch[3] == anchor
+        assert not np.any(np.delete(batch, [0, 3]) == anchor)
+
+    def test_batch_beyond_one_block_matches_row_by_row(self, field3, qoi3):
+        count = _BLOCK_ENTRIES // unknowns((1, 1, 1)) + 7
+        rows = random_rows(np.random.default_rng(32), count, 3)
+        batch = solve_qoi_batch((1, 1, 1), rows, field3, qoi3)
+        alone = [solve_qoi_batch((1, 1, 1), row[None], field3, qoi3)[0] for row in rows]
+        assert np.array_equal(batch, alone)
+
+    @pytest.mark.parametrize("y1", [1e3, -1e3, np.nan, np.inf])
+    def test_non_finite_coefficient_raises_solver_error(self, field3, qoi3, y1):
+        rows = np.array([[0.5, 0.1], [y1, 0.0]])
+        with pytest.raises(SolverError):
+            solve_qoi_batch((1, 1, 1), rows, field3, qoi3)
+        with pytest.raises(SolverError):
+            solve((1, 1, 1), {1: float(y1)}, field3)
+
+    def test_exhausted_iterations_raise_solver_error(self, field3, qoi3, monkeypatch):
+        monkeypatch.setattr(pde_solver, "CG_RTOL", -1.0)  # no row ever converges
+        # Iterating past convergence ends in 0/0; NaN never passes the stopping rule.
+        with pytest.raises(SolverError) as info, np.errstate(over="ignore", invalid="ignore"):
+            solve_qoi_batch((1, 1, 1), np.array([[0.5, 0.1]]), field3, qoi3)
+        assert "did not converge in 12500 iterations" in str(info.value)
 
 
 class TestGridEvaluation:
