@@ -10,6 +10,7 @@ from .adaptation import (
     build_set_bruteforce,
     error_contribution_model,
     fit_rates,
+    sweep_apriori,
     work_contribution,
 )
 from .misc_core import (

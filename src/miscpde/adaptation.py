@@ -1,13 +1,19 @@
 """Profit-driven construction of estimator index sets and rate fitting.
 
 A mixed index is admitted when its modeled error contribution per unit
-of modeled work clears a threshold; the threshold can be given directly
-or bisected so the set maximally fills a work budget.  Error
-contributions follow the fitted exponential decay model
-C_E * exp(-sum_j m(beta_j - 1) * g_j) * 2^(-|alpha| * r_fem); work
-contributions the geometric model C_W * 2^(sum_i gamma_i d_i alpha_i +
-|beta - 1|).  A brute-force mode computes the true difference magnitudes
-over a small universe instead, which serves as a benchmark.
+of modeled work clears a threshold.  One greedy sweep admits candidates
+best profit first, a whole profit class at a time.  Given a threshold,
+it stops at the first class below it; given a work budget, it stops at
+the first class that would take the set's exact degrees of freedom past
+the budget.  Since the order does not depend on the budget, the set of
+every budget of a study is a checkpoint of one sweep up to the largest
+(``sweep_apriori``), in the manner of dimension-adaptive quadrature
+(Gerstner & Griebel, Computing 71, 2003).  Error contributions follow
+the fitted exponential decay model C_E * exp(-sum_j m(beta_j - 1) * g_j)
+* 2^(-|alpha| * r_fem); work contributions the geometric model
+C_W * 2^(sum_i gamma_i d_i alpha_i + |beta - 1|).  A brute-force mode
+computes the true difference magnitudes over a small universe instead,
+which serves as a benchmark.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,9 +31,10 @@ from .misc_core import (
     IndexSet,
     MiscEvaluator,
     MixedIndex,
+    corners,
     dof_work,
     downward_closure,
-    is_downward_closed,
+    levels_dof_work,
     root_index,
 )
 from .pde_solver import QoISpec
@@ -117,21 +124,34 @@ class ProfitEntry:
 
 def work_contribution(index: MixedIndex, model: WorkModel) -> float:
     """C_W * 2^(sum_i gamma_i d_i alpha_i + |beta - 1|)."""
-    exponent = sum(g * d * a for g, d, a in zip(model.gamma, model.dims, index.alpha))
-    exponent += index.beta.excess()
-    return model.c_w * 2.0**exponent
+    return _work(index.alpha, index.beta.items(), model)
 
 
 def error_contribution_model(index: MixedIndex, model: ErrorModel) -> float:
     """C_E * exp(-sum_j m(beta_j - 1) g_j) * 2^(-|alpha| r_fem)."""
+    return _error(index.alpha, index.beta.items(), model)
+
+
+# The two models on plain (alpha, beta items) tuples, the form the greedy
+# sweep keeps its candidates in.
+
+def _work(alpha: tuple[int, ...], beta_items: tuple[tuple[int, int], ...],
+          model: WorkModel) -> float:
+    exponent = sum(g * d * a for g, d, a in zip(model.gamma, model.dims, alpha))
+    exponent += sum(b - 1 for _, b in beta_items)
+    return model.c_w * 2.0**exponent
+
+
+def _error(alpha: tuple[int, ...], beta_items: tuple[tuple[int, int], ...],
+           model: ErrorModel) -> float:
     decay = 0.0
-    for j, b in index.beta.items():
+    for j, b in beta_items:
         if j > len(model.g_tilde):
             raise IndexError(
                 f"variable {j} is active but only {len(model.g_tilde)} stochastic rates are fitted"
             )
         decay += quadrature.level_to_nodes(b - 1) * model.g_tilde[j - 1]
-    return model.c_e * math.exp(-decay) * 2.0 ** (-sum(index.alpha) * model.r_fem)
+    return model.c_e * math.exp(-decay) * 2.0 ** (-sum(alpha) * model.r_fem)
 
 
 def profit_entry(index: MixedIndex, work_model: WorkModel, error_model: ErrorModel) -> ProfitEntry:
@@ -151,9 +171,10 @@ class BuildResult:
     """Constructed set plus the diagnostics the builder saw."""
 
     index_set: IndexSet
-    eps: float
+    eps: float                         # smallest admitted profit
     profits: dict[MixedIndex, ProfitEntry]
-    flagged: tuple[MixedIndex, ...]    # members present only to restore closure
+    flagged: tuple[MixedIndex, ...]    # members present only to restore closure: always
+                                       # empty, the greedy sets are closed by construction
     modeled_work: float
     dof_work_total: int
     next_profit: float | None          # best rejected profit; relaxing eps past it grows the set
@@ -163,6 +184,13 @@ def _candidate_variables(active: set[int], n_rates: int, frontier_width: int) ->
     deepest = max(active, default=0)
     fresh = range(deepest + 1, min(deepest + frontier_width, n_rates) + 1)
     return sorted(set(active) | set(fresh))
+
+
+def _bump(beta_items: tuple[tuple[int, int], ...], j: int) -> tuple[tuple[int, int], ...]:
+    """``SparseLevelVector.bump(j).items()`` on plain items."""
+    levels = dict(beta_items)
+    levels[j] = levels.get(j, 1) + 1
+    return tuple(sorted(levels.items()))
 
 
 def build_set_apriori(
@@ -176,96 +204,159 @@ def build_set_apriori(
     """Profit-threshold set construction from the a-priori models.
 
     Exactly one of ``epsilon`` (threshold mode) and ``work_budget``
-    (budget mode) must be given.  Candidates are explored best-profit
-    first; because every rate is positive, profit decreases strictly
-    along every coordinate, so the threshold set is downward closed by
-    construction.  In budget mode the threshold is driven down until the
-    next whole profit class would overflow the budget, the budget being
-    accounted in exact degrees of freedom.  New stochastic variables
-    enter the candidate pool in mode order, at most ``frontier_width``
-    beyond the deepest variable activated so far.  An optional
-    ``universe`` restricts the candidates, which makes the result
-    comparable to a brute-force benchmark over the same universe.
+    (budget mode) must be given.  Candidates are admitted best-profit
+    first, one whole profit class at a time; because every rate is
+    positive, profit decreases strictly along every coordinate, so the
+    set is downward closed by construction.  Threshold mode stops at the
+    first class whose profit is below ``epsilon``.  Budget mode stops at
+    the first class that would take the exact degrees of freedom of the
+    set above the budget; nothing is bisected, and a class that fits
+    exactly is admitted.  New stochastic variables enter the candidate
+    pool in mode order, at most ``frontier_width`` beyond the deepest
+    variable activated so far.  An optional ``universe`` restricts the
+    candidates, which makes the result comparable to a brute-force
+    benchmark over the same universe.  This is the one-checkpoint case
+    of ``sweep_apriori``.
     """
     if (epsilon is None) == (work_budget is None):
         raise ValueError("give exactly one of epsilon and work_budget")
-    dim = work_model.spatial_dim
-    root = root_index(dim)
-    root_entry = profit_entry(root, work_model, error_model)
-    if work_budget is not None and dof_work(root) > work_budget:
+    if work_budget is not None:
+        return sweep_apriori(work_model, error_model, [work_budget], frontier_width, universe)[0]
+    return _sweep(work_model, error_model, [lambda profit, dof: profit < epsilon],
+                  frontier_width, universe)[0]
+
+
+def sweep_apriori(
+    work_model: WorkModel,
+    error_model: ErrorModel,
+    budgets: Sequence[float],
+    frontier_width: int = 2,
+    universe: IndexSet | None = None,
+) -> list[BuildResult]:
+    """Budget-mode sets for several strictly increasing budgets from one sweep.
+
+    The greedy order does not depend on the budget, so the set of each
+    budget is a prefix of the sweep for the largest one.  Entry k is
+    checkpointed where ``build_set_apriori(work_budget=budgets[k])``
+    stops, at the first profit class that would overflow that budget,
+    and equals its result member for member, coefficient for
+    coefficient and in every diagnostic.
+    """
+    budgets = list(budgets)
+    if not budgets or any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
+        raise ValueError(f"budgets must be non-empty and strictly increasing, got {budgets}")
+    root = root_index(work_model.spatial_dim)
+    if dof_work(root) > budgets[0]:
         raise BudgetError(
-            f"budget {work_budget} cannot hold the root index (work {dof_work(root)})"
+            f"budget {budgets[0]} cannot hold the root index (work {dof_work(root)})"
         )
+    stops = [lambda profit, dof, budget=budget: dof > budget for budget in budgets]
+    return _sweep(work_model, error_model, stops, frontier_width, universe)
 
-    admitted: dict[MixedIndex, ProfitEntry] = {}
-    spent_dof = 0
-    next_profit: float | None = None
-    seen: set[MixedIndex] = set()
+
+def _sweep(work_model: WorkModel, error_model: ErrorModel, stops: list,
+           frontier_width: int, universe: IndexSet | None) -> list[BuildResult]:
+    """The greedy profit sweep, checkpointed once per stop rule.
+
+    The root is always admitted.  Then candidates leave the heap one
+    profit class at a time, best first.  Before a class is admitted the
+    current rule ``stop(profit, dof)`` sees its profit and the degrees
+    of freedom the set would total with it; when the rule holds, the set
+    as it stands is checkpointed with ``next_profit = profit`` and the
+    next rule takes over.  When no candidate is left, every remaining
+    rule checkpoints the whole set with ``next_profit = None``.  The
+    order of admission within a class changes no result.
+
+    Candidates are plain ``(alpha, beta items)`` tuples; only admitted
+    members become ``MixedIndex`` objects.  Combination coefficients are
+    updated as members are admitted: admitting m adds (-1)^|e| to
+    c[m - e] over the binary box below m.
+    """
+    n_rates = len(error_model.g_tilde)
+    allowed = None if universe is None else {(m.alpha, m.beta.items()) for m in universe}
+    seen: set = set()
     heap: list = []
+    admitted: dict[MixedIndex, ProfitEntry] = {}   # in admission order
+    # Members and their coefficients keyed by the dense level vector
+    # alpha + (beta_1, ..., beta_n), whose binary box `corners` gives.
+    members: dict[tuple[int, ...], MixedIndex] = {}
+    coefficients: dict[tuple[int, ...], int] = {}
+    spent_dof = 0
+    eps = math.inf
     active: set[int] = set()
-    offered = _candidate_variables(active, len(error_model.g_tilde), frontier_width)
+    offered = _candidate_variables(active, n_rates, frontier_width)
 
-    def push(index: MixedIndex) -> None:
-        if index in seen or (universe is not None and index not in universe):
+    def push(alpha, items) -> None:
+        if (alpha, items) in seen or (allowed is not None and (alpha, items) not in allowed):
             return
-        seen.add(index)
-        entry = profit_entry(index, work_model, error_model)
-        heapq.heappush(heap, (-entry.profit, _tie_break(index), entry))
+        seen.add((alpha, items))
+        d_e = _error(alpha, items, error_model)
+        d_w = _work(alpha, items, work_model)
+        heapq.heappush(heap, (-(d_e / d_w), alpha, items, d_e, d_w))
 
-    def admit(entry: ProfitEntry) -> None:
-        nonlocal spent_dof, offered
-        admitted[entry.index] = entry
-        spent_dof += dof_work(entry.index)
-        for i in range(dim):
-            push(entry.index.bump_alpha(i))
+    def admit(alpha, items, d_e: float, d_w: float, dof: int) -> None:
+        nonlocal spent_dof, eps, offered
+        index = MixedIndex(alpha, SparseLevelVector(items))
+        entry = ProfitEntry(index, d_e, d_w)
+        admitted[index] = entry
+        spent_dof += dof
+        eps = min(eps, entry.profit)
+        levels = dict(items)
+        dense = alpha + tuple(levels.get(j, 1) for j in range(1, n_rates + 1))
+        members[dense] = index
+        for sign, lower in corners(dense):
+            coefficients[lower] = coefficients.get(lower, 0) + sign
+        for i in range(len(alpha)):
+            push(alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :], items)
         for j in offered:
-            push(entry.index.bump_beta(j))
-        if not set(entry.index.beta.support) <= active:
-            active.update(entry.index.beta.support)
-            grown = _candidate_variables(active, len(error_model.g_tilde), frontier_width)
+            push(alpha, _bump(items, j))
+        if not levels.keys() <= active:
+            active.update(levels)
+            grown = _candidate_variables(active, n_rates, frontier_width)
             if grown != offered:
                 # The variable frontier moved: offer the fresh directions
                 # to everything admitted so far, not just future members.
                 fresh = [j for j in grown if j not in offered]
                 offered = grown
-                for member in list(admitted):
+                for member in admitted:
                     for j in fresh:
-                        push(member.bump_beta(j))
+                        push(member.alpha, _bump(member.beta.items(), j))
 
-    # Closure floor: the root is always part of the estimator.
-    admit(root_entry)
+    def checkpoint(next_profit: float | None) -> BuildResult:
+        index_set = IndexSet(admitted, coefficients={
+            index: coefficients.get(key, 0) for key, index in members.items()
+        })
+        return BuildResult(
+            index_set=index_set,
+            eps=eps,
+            profits=dict(admitted),
+            flagged=(),
+            modeled_work=sum(entry.d_w for entry in admitted.values()),
+            dof_work_total=spent_dof,
+            next_profit=next_profit,
+        )
 
-    while heap:
-        group = [heapq.heappop(heap)]
-        while heap and heap[0][0] == group[0][0]:
-            group.append(heapq.heappop(heap))
-        profit = -group[0][0]
-        if epsilon is not None:
-            if profit < epsilon:
-                next_profit = profit
-                break
-        else:
-            group_dof = sum(dof_work(entry.index) for _, _, entry in group)
-            if spent_dof + group_dof > work_budget:
-                next_profit = profit
-                break
-        for _, _, entry in sorted(group, key=lambda g: g[1]):
-            admit(entry)
-
-    eps_effective = min(e.profit for e in admitted.values())
-    members = set(admitted)
-    closed = downward_closure(members)
-    flagged = tuple(sorted(closed - members, key=MixedIndex.sort_key))
-    index_set = IndexSet(closed)
-    return BuildResult(
-        index_set=index_set,
-        eps=eps_effective,
-        profits={m: admitted.get(m) or profit_entry(m, work_model, error_model) for m in closed},
-        flagged=flagged,
-        modeled_work=sum(work_contribution(m, work_model) for m in closed),
-        dof_work_total=index_set.nominal_work(),
-        next_profit=next_profit,
-    )
+    root = (1,) * work_model.spatial_dim
+    admit(root, (), _error(root, (), error_model), _work(root, (), work_model),
+          levels_dof_work(root, ()))
+    results: list[BuildResult] = []
+    rules = iter(stops)
+    stop = next(rules)
+    while True:
+        group = []
+        if heap:
+            group = [heapq.heappop(heap)]
+            while heap and heap[0][0] == group[0][0]:
+                group.append(heapq.heappop(heap))
+        dofs = [levels_dof_work(alpha, items) for _, alpha, items, _, _ in group]
+        profit = -group[0][0] if group else None
+        while stop is not None and (not group or stop(profit, spent_dof + sum(dofs))):
+            results.append(checkpoint(profit))
+            stop = next(rules, None)
+        if stop is None:
+            return results
+        for (_, alpha, items, d_e, d_w), dof in zip(group, dofs):
+            admit(alpha, items, d_e, d_w, dof)
 
 
 BRUTE_FORCE_CAP = 500

@@ -174,6 +174,16 @@ def budgets_from_config(cfg: Config, d: int) -> tuple[float, ...]:
         budgets = tuple(float(base * 4**t) for t in range(1, steps + 1))
     else:
         budgets = cfg.get_floats("adaptivity.budgets")
+    return check_budgets(budgets)
+
+
+def check_budgets(budgets: Sequence[float]) -> tuple[float, ...]:
+    """The budgets as a tuple; they must be finite, positive and strictly increasing."""
+    budgets = tuple(budgets)
+    if not budgets:
+        raise ConfigError("need at least one budget")
+    if not all(math.isfinite(b) and b > 0 for b in budgets):
+        raise ConfigError(f"budgets must be finite and positive, got {budgets}")
     if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ConfigError(f"budgets must be strictly increasing, got {budgets}")
     return budgets
@@ -311,18 +321,18 @@ class StudyResult:
     evaluator: MiscEvaluator
 
 
-def _build_set(mode: str, budget: float, *, work_model: WorkModel,
-               error_model: ErrorModel | None, frontier_width: int,
-               universe: IndexSet | None, field_spec, qoi_spec, evaluator):
+def _build_sets(mode: str, budgets: Sequence[float], *, work_model: WorkModel,
+                error_model: ErrorModel | None, frontier_width: int,
+                universe: IndexSet | None, field_spec, qoi_spec, evaluator) -> list[IndexSet]:
+    """The index set of each of the strictly increasing ``budgets``."""
     if mode in ("apriori", "deterministic"):
-        return adaptation.build_set_apriori(
-            work_model, error_model, work_budget=budget, frontier_width=frontier_width
-        ).index_set
+        return [result.index_set for result in adaptation.sweep_apriori(
+            work_model, error_model, budgets, frontier_width=frontier_width)]
     if mode == "bruteforce":
-        return adaptation.build_set_bruteforce(
+        return [adaptation.build_set_bruteforce(
             universe, field_spec, qoi_spec, work_budget=budget,
             evaluator=evaluator, work_model=work_model,
-        ).index_set
+        ).index_set for budget in budgets]
     raise ConfigError(f"unknown adaptivity mode {mode!r}")
 
 
@@ -355,11 +365,14 @@ def study_driver(
 ) -> StudyResult:
     """One convergence study: build, evaluate, and diff against a reference.
 
-    Budgets run in increasing order on a single evaluator, so each
-    estimator reuses every solve of the previous one.  Without an
+    Budgets must be finite, positive and strictly increasing.  Without an
     explicit reference value, a set at ``reference_factor`` times the
-    largest budget provides it.
+    largest budget provides it.  In the a-priori modes one greedy sweep
+    up to the largest budget needed yields every set.  The sets are
+    evaluated in budget order, the reference set last, on a single
+    evaluator, so each estimator reuses every solve of the previous one.
     """
+    budgets = check_budgets(budgets)
     if mode == "deterministic":
         error_model = ErrorModel(r_fem=error_model.r_fem if error_model else default_r_fem(field_spec.nu, field_spec.d),
                                  g_tilde=())
@@ -370,11 +383,17 @@ def study_driver(
     work_model = isotropic_work_model(field_spec.d, gamma)
     evaluator = MiscEvaluator(field_spec, qoi_spec, threads=threads)
 
+    reference_budget = reference_factor * budgets[-1]
+    needed = sorted(set(budgets) | ({reference_budget} if reference is None else set()))
+    built = dict(zip(needed, _build_sets(
+        mode, needed, work_model=work_model, error_model=error_model,
+        frontier_width=frontier_width, universe=universe, field_spec=field_spec,
+        qoi_spec=qoi_spec, evaluator=evaluator,
+    )))
+
     sets, estimates, works = [], [], []
     for budget in budgets:
-        index_set = _build_set(mode, budget, work_model=work_model, error_model=error_model,
-                               frontier_width=frontier_width, universe=universe,
-                               field_spec=field_spec, qoi_spec=qoi_spec, evaluator=evaluator)
+        index_set = built[budget]
         result = evaluator.evaluate(index_set, mode="combination")
         _require_finite(result.value, f"estimate at budget {budget}")
         sets.append(index_set)
@@ -382,11 +401,7 @@ def study_driver(
         works.append(result.work)
 
     if reference is None:
-        ref_set = _build_set(mode, reference_factor * budgets[-1], work_model=work_model,
-                             error_model=error_model, frontier_width=frontier_width,
-                             universe=universe, field_spec=field_spec, qoi_spec=qoi_spec,
-                             evaluator=evaluator)
-        reference = evaluator.evaluate(ref_set, mode="combination").value
+        reference = evaluator.evaluate(built[reference_budget], mode="combination").value
         _require_finite(reference, "reference estimate")
 
     records = []

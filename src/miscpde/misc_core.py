@@ -11,6 +11,7 @@ collocation point, so nested points are never solved twice.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -53,11 +54,8 @@ class MixedIndex:
 
     def parents(self) -> Iterable["MixedIndex"]:
         """Immediate predecessors: one component decremented (floor 1)."""
-        for i, a in enumerate(self.alpha):
-            if a > 1:
-                yield MixedIndex(self.alpha[:i] + (a - 1,) + self.alpha[i + 1 :], self.beta)
-        for j in self.beta.support:
-            yield MixedIndex(self.alpha, self.beta.bump(j, -1))
+        for alpha, beta_items in _parent_levels(self.alpha, self.beta.items()):
+            yield MixedIndex(alpha, SparseLevelVector(beta_items))
 
     def bump_alpha(self, i: int) -> "MixedIndex":
         return MixedIndex(self.alpha[:i] + (self.alpha[i] + 1,) + self.alpha[i + 1 :], self.beta)
@@ -70,9 +68,19 @@ def root_index(spatial_dim: int) -> MixedIndex:
     return MixedIndex((1,) * spatial_dim, SparseLevelVector())
 
 
+def _parent_levels(alpha: tuple[int, ...], beta_items: tuple[tuple[int, int], ...]):
+    """``MixedIndex.parents`` on plain (alpha, beta items) tuples."""
+    for i, a in enumerate(alpha):
+        if a > 1:
+            yield alpha[:i] + (a - 1,) + alpha[i + 1 :], beta_items
+    for k, (j, b) in enumerate(beta_items):
+        lowered = ((j, b - 1),) if b > 2 else ()
+        yield alpha, beta_items[:k] + lowered + beta_items[k + 1 :]
+
+
 def is_downward_closed(members: Iterable[MixedIndex]) -> bool:
-    mset = set(members)
-    return all(parent in mset for m in mset for parent in m.parents())
+    keys = {m.sort_key() for m in members}
+    return all(parent in keys for key in keys for parent in _parent_levels(*key))
 
 
 def corners(levels: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
@@ -82,14 +90,14 @@ def corners(levels: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
     above 1 by 0 or 1, in lexicographic bit order, with sign
     (-1)^(number lowered).  Levels at 1 are never lowered.
     """
-    free = [i for i, v in enumerate(levels) if v > 1]
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(free)):
-        lowered = list(levels)
-        for i, bit in zip(free, bits):
-            lowered[i] -= bit
-        out.append(((-1) ** sum(bits), tuple(lowered)))
-    return out
+    options = [(v, v - 1) if v > 1 else (v,) for v in levels]
+    free = sum(len(choice) - 1 for choice in options)
+    return list(zip(_corner_signs(free), itertools.product(*options)))
+
+
+@functools.lru_cache(maxsize=None)
+def _corner_signs(free: int) -> tuple[int, ...]:
+    return tuple((-1) ** sum(bits) for bits in itertools.product((0, 1), repeat=free))
 
 
 def downward_closure(members: Iterable[MixedIndex]) -> set[MixedIndex]:
@@ -106,20 +114,26 @@ def downward_closure(members: Iterable[MixedIndex]) -> set[MixedIndex]:
 def dof_work(index: MixedIndex) -> int:
     """Exact incremental cost of one mixed difference: new quadrature
     points times spatial unknowns at the index's own refinement."""
-    new_points = math.prod(
-        quadrature.new_node_count(b) for _, b in index.beta.items()
-    )
-    return new_points * pde_solver.unknowns(index.alpha)
+    return levels_dof_work(index.alpha, index.beta.items())
+
+
+def levels_dof_work(alpha: tuple[int, ...], beta_items: Iterable[tuple[int, int]]) -> int:
+    """``dof_work`` of the mixed index with these spatial levels and
+    (variable, level) quadrature items."""
+    new_points = math.prod(quadrature.new_node_count(b) for _, b in beta_items)
+    return new_points * pde_solver.unknowns(alpha)
 
 
 class IndexSet:
     """Immutable downward-closed collection of mixed indices.
 
-    Combination coefficients are computed lazily from the members and
-    always telescope to 1.
+    Combination coefficients always telescope to 1.  They are computed
+    lazily from the members, unless a builder that kept them up to date
+    while adding the members passes them in as ``coefficients``.
     """
 
-    def __init__(self, members: Iterable[MixedIndex]):
+    def __init__(self, members: Iterable[MixedIndex],
+                 coefficients: dict[MixedIndex, int] | None = None):
         members = sorted(set(members), key=MixedIndex.sort_key)
         if not members:
             raise IndexSetError("an index set needs at least one member")
@@ -130,7 +144,7 @@ class IndexSet:
             raise IndexSetError("index set is not downward closed")
         self._members = tuple(members)
         self._member_set = frozenset(members)
-        self._coefficients: dict[MixedIndex, int] | None = None
+        self._coefficients = coefficients
 
     @property
     def members(self) -> tuple[MixedIndex, ...]:

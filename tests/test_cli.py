@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from miscpde.cli import (
     parse_config_text,
     predict_report,
     read_csv,
+    study_driver,
     synthetic_fit_check,
     write_csv,
 )
@@ -125,6 +127,14 @@ class TestSmallDrivers:
             assert cost <= 1.05 * budget
             assert counts[0] >= counts[-1] >= 1
 
+    @pytest.mark.parametrize(
+        "budgets", [[], [0.0, 80.0], [-20.0, 80.0], [80.0, 20.0], [20.0, math.inf]],
+        ids=["empty", "zero", "negative", "decreasing", "infinite"],
+    )
+    def test_study_driver_rejects_bad_budgets(self, field1, qoi1, budgets):
+        with pytest.raises(ConfigError):
+            study_driver(field1, qoi1, budgets, mode="deterministic")
+
 
 class TestCommands:
     def run(self, *argv):
@@ -227,7 +237,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "unknowns = 11" in out
 
-    @pytest.mark.parametrize("budgets", ["auto:x", "100,abc", "auto:0"])
+    @pytest.mark.parametrize("budgets", ["auto:x", "100,abc", "auto:0", "0,80", "-20,80"])
     def test_bad_budgets_exit_2(self, tmp_path, capsys, budgets):
         cfg = write_config(tmp_path / "b.cfg", BASE_1D.replace("20,80,320", budgets))
         assert self.run("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2

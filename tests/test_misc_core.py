@@ -99,6 +99,20 @@ class TestIndexSet:
         assert is_downward_closed(closed)
         assert downward_closure(closed) == closed
 
+    def test_closure_check_sees_every_parent(self):
+        # Removing a member keeps the set closed exactly when no other
+        # member dominates it, in a spatial or a stochastic direction.
+        closed = {MixedIndex((a1, 1), SLV({1: b1, 4: b4}))
+                  for a1 in (1, 2) for b1 in (1, 2, 3) for b4 in (1, 2)}
+
+        def dominates(x, m):
+            return (all(a >= b for a, b in zip(x.alpha, m.alpha))
+                    and all(x.beta.level(j) >= b for j, b in m.beta.items()))
+
+        for m in closed:
+            rest = closed - {m}
+            assert is_downward_closed(rest) == (not any(dominates(x, m) for x in rest))
+
     def test_diagnostics(self):
         iset = IndexSet(downward_closure({MixedIndex((3, 1), SLV({2: 2, 5: 3}))}))
         assert iset.max_alpha_level() == 3
