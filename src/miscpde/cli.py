@@ -361,7 +361,7 @@ def study_driver(
     universe: IndexSet | None = None,
     reference: float | None = None,
     reference_factor: float = 4.0,
-    threads: int = 1,
+    threads: int = 1,  # kept only because perfbench/workloads.py passes threads=1
 ) -> StudyResult:
     """One convergence study: build, evaluate, and diff against a reference.
 
@@ -372,6 +372,8 @@ def study_driver(
     evaluated in budget order, the reference set last, on a single
     evaluator, so each estimator reuses every solve of the previous one.
     """
+    if threads != 1:
+        raise ValueError(f"the evaluator is single-threaded; threads must be 1, got {threads}")
     budgets = check_budgets(budgets)
     if mode == "deterministic":
         error_model = ErrorModel(r_fem=error_model.r_fem if error_model else default_r_fem(field_spec.nu, field_spec.d),
@@ -381,7 +383,7 @@ def study_driver(
     if mode == "bruteforce" and universe is None:
         raise ConfigError("brute-force mode needs a universe index set")
     work_model = isotropic_work_model(field_spec.d, gamma)
-    evaluator = MiscEvaluator(field_spec, qoi_spec, threads=threads)
+    evaluator = MiscEvaluator(field_spec, qoi_spec)
 
     reference_budget = reference_factor * budgets[-1]
     needed = sorted(set(budgets) | ({reference_budget} if reference is None else set()))
@@ -467,7 +469,7 @@ def compare_driver(
     gamma: float = 1.0,
     frontier_width: int = 2,
     reference: float | None = None,
-    threads: int = 1,
+    threads: int = 1,  # kept only because perfbench/workloads.py passes threads=1
 ) -> CompareResult:
     """Paired convergence curves: collocation estimator vs the Monte Carlo baseline."""
     study = study_driver(
@@ -575,8 +577,7 @@ def cmd_fit(args) -> int:
     depth = cfg.get_int("adaptivity.pilot_depth", 3)
     n_modes = cfg.get_int("adaptivity.pilot_modes", 8)
     r_fem = cfg.get_float("adaptivity.r_fem", default_r_fem(field_spec.nu, field_spec.d))
-    model = fit_driver(field_spec, qoi_spec, n_modes, depth, r_fem,
-                       evaluator=MiscEvaluator(field_spec, qoi_spec, threads=args.threads))
+    model = fit_driver(field_spec, qoi_spec, n_modes, depth, r_fem)
     out = Path(args.out) / "model.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(model.to_json())
@@ -628,7 +629,6 @@ def _study_from_config(cfg: Config, args):
         field_spec, qoi_spec, budgets, mode=mode, error_model=error_model, gamma=gamma,
         frontier_width=frontier, universe=universe, reference=reference,
         reference_factor=cfg.get_float("output.reference_factor", 4.0),
-        threads=args.threads,
     )
     if ref_raw == "auto":
         store_reference(ref_path, fingerprint, study.reference)
@@ -662,7 +662,6 @@ def cmd_compare(args) -> int:
     result = compare_driver(
         field_spec, qoi_spec, budgets, error_model, n_vars, seed=args.seed,
         gamma=gamma, frontier_width=cfg.get_int("adaptivity.frontier_width", 2),
-        threads=args.threads,
     )
     out = Path(args.out) / "compare.csv"
     write_csv(out, COMPARE_COLUMNS, result.rows, footer={"reference": result.reference})
@@ -690,10 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--seed", type=int, default=0, help="random seed for sampling baselines")
-    common.add_argument("--threads", type=int, default=1,
-                        help="threads sharing the batched solve of each tensor grid, "
-                             "one contiguous chunk of points each; results do not "
-                             "depend on it")
 
     parser = argparse.ArgumentParser(prog="miscpde",
                                      description="Multi-index stochastic collocation studies")

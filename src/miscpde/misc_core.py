@@ -4,9 +4,10 @@ A mixed index pairs a dense vector of spatial refinement levels with a
 sparse vector of quadrature levels.  The estimator over a downward
 closed set of mixed indices can be evaluated either by summing mixed
 first-order differences (surplus form) or as a signed combination of
-plain tensor approximations (combination technique); both share one
-memoization cache keyed by the hierarchical identity of each
-collocation point, so nested points are never solved twice.
+plain tensor approximations (combination technique); both go through
+``MiscEvaluator.tensor_value``, which caches the value of every tensor
+grid by its levels and of every collocation point by its coordinates,
+so no grid is reduced and no nested point is solved twice.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import functools
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -246,9 +246,11 @@ def combination_coefficients(index_set: IndexSet) -> dict[MixedIndex, int]:
 
 @dataclass
 class EvalCache:
-    """Memoized values of F^alpha at collocation points with hit/miss counters."""
+    """Memoized values of F^alpha at collocation points and of whole tensor
+    grids; the hit/miss counters count points."""
 
     values: dict = field(default_factory=dict)
+    grids: dict = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
 
@@ -268,19 +270,17 @@ class EstimatorResult:
 class MiscEvaluator:
     """Evaluates mixed differences and whole estimators with a shared cache.
 
-    The uncached points of each tensor grid are solved in one batch;
-    with ``threads > 1`` the batch is split into ``threads`` contiguous
-    chunks solved on a thread pool.  Each point's value does not depend
-    on the batch around it, and sums are always reduced in a fixed
-    deterministic order, so results do not depend on the thread count.
+    Every value goes through ``tensor_value``, which caches each tensor
+    grid's reduced value under (alpha, beta items) and each point's
+    value under (alpha, the bytes of its parameter row).  Nesting of the
+    Clenshaw-Curtis points is bit-exact, so nested grids share points.
     """
 
-    def __init__(self, field_spec: FieldSpec, qoi_spec: QoISpec, threads: int = 1):
+    def __init__(self, field_spec: FieldSpec, qoi_spec: QoISpec):
         if field_spec.d != qoi_spec.d:
             raise ValueError("field and observation window disagree on the spatial dimension")
         self.field_spec = field_spec
         self.qoi_spec = qoi_spec
-        self.threads = max(1, int(threads))
         self.cache = EvalCache()
         self.solved_dof = 0
 
@@ -289,39 +289,41 @@ class MiscEvaluator:
     def tensor_value(self, alpha: tuple[int, ...], beta: SparseLevelVector) -> float:
         """Full tensor approximation: quadrature at level beta of F^alpha.
 
-        Values are cached under (alpha, point id); the grid's uncached
-        points are solved in one batch, and the values are reduced with
-        the outer-product quadrature weights.
+        A grid evaluated before costs one lookup.  Otherwise each point
+        is keyed by its row y_1..y_J, J = max_modes, which is exactly
+        what its value depends on; the grid's uncached points are solved
+        in one batch, and the values are reduced with the outer-product
+        quadrature weights.
         """
-        support, points, ids, weights = quadrature.tensor_grid(beta)
-        keys = [(alpha, point_id) for point_id in ids]
+        grid_key = (alpha, beta.items())
+        value = self.cache.grids.get(grid_key)
+        if value is not None:
+            return value
+        support, points, weights = quadrature.tensor_grid(beta)
+        # A variable beyond max_modes widens the rows, and the solver
+        # rejects it as outside the enumerated modes.
+        Y = np.zeros((len(weights), max(self.field_spec.max_modes, beta.last_variable())))
+        Y[:, [j - 1 for j in support]] = points
+        raw, width = Y.tobytes(), Y[0].nbytes
+        keys = [(alpha, raw[i : i + width]) for i in range(0, len(raw), width)]
         cached = self.cache.values
-        values = [cached.get(k) for k in keys]
+        values = list(map(cached.get, keys))
         missing = [i for i, v in enumerate(values) if v is None]
         self.cache.hits += len(keys) - len(missing)
         if missing:
-            for i, value in zip(missing, self._solve(alpha, support, points[missing])):
-                cached[keys[i]] = values[i] = float(value)
+            if support:
+                solved = pde_solver.solve_qoi_batch(alpha, Y[missing], self.field_spec,
+                                                    self.qoi_spec)
+            else:
+                # The y = 0 anchor alone goes through solve_qoi, the
+                # per-solve entry point that perfbench/tracer.py counts.
+                solved = [pde_solver.solve_qoi(alpha, {}, self.field_spec, self.qoi_spec)]
+            for i, v in zip(missing, solved):
+                cached[keys[i]] = values[i] = float(v)
             self.cache.misses += len(missing)
             self.solved_dof += len(missing) * pde_solver.unknowns(alpha)
-        return float(np.sum(weights * values))
-
-    def _solve(self, alpha: tuple[int, ...], support: tuple[int, ...],
-               points: np.ndarray) -> np.ndarray:
-        if not support:
-            # The y = 0 anchor alone goes through solve_qoi, the per-solve
-            # entry point that perfbench/tracer.py counts.
-            return np.array([pde_solver.solve_qoi(alpha, {}, self.field_spec, self.qoi_spec)])
-        Y = np.zeros((len(points), support[-1]))
-        Y[:, np.array(support) - 1] = points
-        if self.threads == 1:
-            return pde_solver.solve_qoi_batch(alpha, Y, self.field_spec, self.qoi_spec)
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return np.concatenate(list(pool.map(
-                lambda rows: pde_solver.solve_qoi_batch(alpha, rows, self.field_spec,
-                                                        self.qoi_spec),
-                np.array_split(Y, self.threads),
-            )))
+        value = self.cache.grids[grid_key] = float(np.sum(weights * values))
+        return value
 
     # -- difference operators ----------------------------------------------
 

@@ -5,13 +5,12 @@ All rules integrate against the uniform probability measure dy/2 on
 node map m(0) = 0, m(1) = 1, m(beta) = 2^(beta-1) + 1, which makes the
 point families nested.  Points are evaluated canonically (cosine of the
 reduced angle, then symmetrized about an exact-zero midpoint) so that
-the nesting is bit-exact; downstream caches key collocation points by
-their birth level inside this hierarchy rather than by coordinates.
+the nesting is bit-exact and no point is -0.0; downstream caches key
+collocation points by their coordinates, so nested grids share them.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache, reduce
 from typing import Callable, Iterable, Mapping
 
@@ -19,9 +18,6 @@ import numpy as np
 
 # m(30) would be ~5e8 nodes, far beyond anything evaluable at desk scale.
 MAX_LEVEL = 30
-
-#: Hierarchical identity of the midpoint y = 0, born at level 1.
-ZERO_ID = (1, 0)
 
 
 class QuadratureLevelError(ValueError):
@@ -81,26 +77,6 @@ def cc_points(beta: int) -> np.ndarray:
         pts[m // 2 + 1 :] = -half[::-1]
     pts.setflags(write=False)
     return pts
-
-
-@lru_cache(maxsize=None)
-def point_ids(beta: int) -> tuple[tuple[int, int], ...]:
-    """Hierarchical identities (birth level, index at birth) aligned with cc_points."""
-    _check_level(beta)
-    if beta == 1:
-        return (ZERO_ID,)
-    if beta == 2:
-        return ((2, 0), ZERO_ID, (2, 1))
-    parent = point_ids(beta - 1)
-    ids: list[tuple[int, int]] = []
-    born = 0
-    for j in range(level_to_nodes(beta)):
-        if j % 2 == 0:
-            ids.append(parent[j // 2])
-        else:
-            ids.append((beta, born))
-            born += 1
-    return tuple(ids)
 
 
 def _weights_moment_system(points: np.ndarray) -> np.ndarray:
@@ -251,22 +227,16 @@ class SparseLevelVector:
 def tensor_grid(beta: SparseLevelVector):
     """The tensor-product grid of ``beta`` over its support, in row-major order.
 
-    Returns ``(support, points, ids, weights)``: the active variables,
-    a (P, k) array of their coordinates, each point's identity as the
-    ascending (variable, point id) pairs off the y = 0 anchor, and the
-    raveled outer-product weights.  An empty support is the single
-    point y = 0 with identity () and weight 1.
+    Returns ``(support, points, weights)``: the active variables, a
+    (P, k) array of their coordinates and the raveled outer-product
+    weights.  An empty support is the single point y = 0 with weight 1.
     """
     support = beta.support
     levels = [b for _, b in beta.items()]
     weights = reduce(np.multiply.outer, (cc_weights(b) for b in levels), np.ones(1)).ravel()
     axes = np.meshgrid(*(cc_points(b) for b in levels), indexing="ij")
     points = np.array(axes).reshape(len(support), len(weights)).T
-    ids = [
-        tuple((j, pid) for j, pid in zip(support, combo) if pid != ZERO_ID)
-        for combo in itertools.product(*(point_ids(b) for b in levels))
-    ]
-    return support, points, ids, weights
+    return support, points, weights
 
 
 def tensor_quadrature(beta: SparseLevelVector, f: Callable[[Mapping[int, float]], float]) -> float:
@@ -277,7 +247,7 @@ def tensor_quadrature(beta: SparseLevelVector, f: Callable[[Mapping[int, float]]
     empty support reduces to the single evaluation f({}).  Points are
     traversed in a fixed order so the accumulated sum is reproducible.
     """
-    support, points, _, weights = tensor_grid(beta)
+    support, points, weights = tensor_grid(beta)
     total = 0.0
     for point, weight in zip(points, weights):
         total += weight * float(f(dict(zip(support, point))))

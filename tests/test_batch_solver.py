@@ -175,12 +175,6 @@ class TestGridEvaluation:
         assert batch[0] == solve_qoi((1, 1, 1), {}, field3, qoi3)
         assert batch[1] == solve_qoi((1, 1, 1), {1: 0.4, 2: -0.3}, field3, qoi3)
 
-    def test_threaded_3d_grid_matches_serial(self, field3, qoi3):
-        beta = SLV({1: 2, 2: 2})
-        serial = MiscEvaluator(field3, qoi3).tensor_value((1, 1, 1), beta)
-        threaded = MiscEvaluator(field3, qoi3, threads=2).tensor_value((1, 1, 1), beta)
-        assert serial == threaded
-
     def test_solved_dof_counts_every_cached_point_once(self, field1, qoi1):
         ev = MiscEvaluator(field1, qoi1)
         for top in (MixedIndex((2,), SLV({1: 2, 2: 2})), MixedIndex((3,), SLV({1: 3}))):

@@ -9,6 +9,7 @@ from miscpde.cli import (
     Config,
     ConfigError,
     budgets_from_config,
+    compare_driver,
     fitted_slope,
     lebesgue_rows,
     mimc_plan,
@@ -19,6 +20,7 @@ from miscpde.cli import (
     synthetic_fit_check,
     write_csv,
 )
+from miscpde.adaptation import ErrorModel
 from miscpde.misc_core import IndexSet
 
 
@@ -135,6 +137,13 @@ class TestSmallDrivers:
         with pytest.raises(ConfigError):
             study_driver(field1, qoi1, budgets, mode="deterministic")
 
+    def test_drivers_accept_only_one_thread(self, field1, qoi1):
+        model = ErrorModel(r_fem=2.0, g_tilde=(1.0,))
+        with pytest.raises(ValueError, match="threads must be 1"):
+            study_driver(field1, qoi1, [80.0], mode="deterministic", threads=2)
+        with pytest.raises(ValueError, match="threads must be 1"):
+            compare_driver(field1, qoi1, [80.0], model, n_random_vars=1, seed=0, threads=2)
+
 
 class TestCommands:
     def run(self, *argv):
@@ -242,6 +251,13 @@ class TestCommands:
         cfg = write_config(tmp_path / "b.cfg", BASE_1D.replace("20,80,320", budgets))
         assert self.run("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_threads_option_is_gone(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "t.cfg", BASE_1D)
+        with pytest.raises(SystemExit) as exit_info:
+            self.run("run", "--config", str(cfg), "--out", str(tmp_path), "--threads", "2")
+        assert exit_info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     @pytest.mark.parametrize("alpha", ["2,x", "0", "2,2"])
     def test_bad_solve_alpha_exits_2(self, tmp_path, capsys, alpha):

@@ -245,6 +245,21 @@ class TestEstimator:
         again = ev.evaluate(iset, "surplus")
         assert again.solves == 0
 
+    def test_second_evaluation_only_looks_up_grids(self, field1, qoi1):
+        ev = MiscEvaluator(field1, qoi1)
+        iset = IndexSet(downward_closure({MixedIndex((2,), SLV({1: 3, 2: 2}))}))
+        first = ev.evaluate(iset).value
+        counts = (ev.cache.hits, ev.cache.misses)
+        assert ev.evaluate(iset).value == first
+        assert (ev.cache.hits, ev.cache.misses) == counts
+
+    def test_variable_beyond_modes_rejected(self, field1, qoi1, field3, qoi3):
+        for field_spec, qoi_spec in ((field1, qoi1), (field3, qoi3)):
+            ev = MiscEvaluator(field_spec, qoi_spec)
+            beta = SLV({field_spec.max_modes + 1: 2})
+            with pytest.raises(IndexError, match="outside the enumerated modes"):
+                ev.tensor_value((1,) * field_spec.d, beta)
+
     def test_nested_points_share_cache(self, field1, qoi1):
         ev = MiscEvaluator(field1, qoi1)
         ev.evaluate(IndexSet(downward_closure({MixedIndex((1,), SLV({1: 2}))})))
@@ -252,6 +267,10 @@ class TestEstimator:
         ev.evaluate(IndexSet(downward_closure({MixedIndex((1,), SLV({1: 3}))})))
         # Level 3 adds exactly m(3) - m(2) new abscissae.
         assert ev.cache.misses - before == level_to_nodes(3) - level_to_nodes(2)
+        # Activating y_3 keeps the y_3 = 0 row: 3 x 3 points, 3 of them cached.
+        before = ev.cache.misses
+        ev.tensor_value((1,), SLV({1: 2, 3: 2}))
+        assert ev.cache.misses - before == 6
 
     def test_work_decomposition(self, field1, qoi1):
         iset = IndexSet(downward_closure({MixedIndex((2,), SLV({1: 3, 2: 2}))}))
@@ -284,12 +303,6 @@ class TestEstimator:
         ev = MiscEvaluator(field1, qoi1)
         with pytest.raises(IndexSetError):
             ev.evaluate(IndexSet([MixedIndex((2,), SLV())]))
-
-    def test_threaded_evaluation_matches_serial(self, field1, qoi1):
-        iset = IndexSet(downward_closure({MixedIndex((2,), SLV({1: 3, 2: 2}))}))
-        serial = MiscEvaluator(field1, qoi1).evaluate(iset).value
-        threaded = MiscEvaluator(field1, qoi1, threads=4).evaluate(iset).value
-        assert serial == threaded
 
 
 class TestMimc:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from miscpde import quadrature as q
+from miscpde.misc_core import MiscEvaluator
 from miscpde.quadrature import (
     QuadratureLevelError,
     SparseLevelVector,
@@ -12,7 +12,7 @@ from miscpde.quadrature import (
     cc_weights,
     leb_delta,
     level_to_nodes,
-    point_ids,
+    new_node_count,
     tensor_grid,
     tensor_quadrature,
 )
@@ -202,61 +202,63 @@ class TestTensorQuadrature:
         assert tensor_quadrature(beta, f) == total
 
 
-def cache_key_ids(support, combo):
-    """Point identity as the evaluator's cache keyed it before tensor_grid:
-    (variable, id) pairs off the y = 0 anchor, sorted."""
-    return tuple(sorted((j, pid) for j, pid in zip(support, combo) if pid != q.ZERO_ID))
-
-
 GRIDS = [{1: 2}, {2: 3, 5: 2}, {1: 4, 3: 3, 4: 2}]
 
 
 class TestTensorGrid:
     @pytest.mark.parametrize("levels", GRIDS)
     def test_weights_sum_to_one(self, levels):
-        _, _, _, weights = tensor_grid(SparseLevelVector(levels))
+        _, _, weights = tensor_grid(SparseLevelVector(levels))
         assert abs(weights.sum() - 1.0) < 1e-14
 
     @pytest.mark.parametrize("levels", GRIDS)
     def test_points_are_cc_points_per_axis(self, levels):
         beta = SparseLevelVector(levels)
-        support, points, ids, weights = tensor_grid(beta)
+        support, points, weights = tensor_grid(beta)
         assert support == beta.support
         expected = list(itertools.product(*(cc_points(b) for _, b in beta.items())))
         assert np.array_equal(points, np.array(expected))
-        assert len(ids) == len(weights) == len(points)
+        assert len(weights) == len(points)
 
     @pytest.mark.parametrize("levels", GRIDS)
-    def test_ids_equal_cache_keys(self, levels):
+    def test_ids_equal_cache_keys(self, levels, field1, qoi1):
+        """The evaluator keys each grid point by its row y_1..y_J, J = max_modes."""
         beta = SparseLevelVector(levels)
-        support, _, ids, _ = tensor_grid(beta)
-        combos = itertools.product(*(point_ids(b) for _, b in beta.items()))
-        assert ids == [cache_key_ids(support, combo) for combo in combos]
-        assert len(set(ids)) == len(ids)
+        support, points, _ = tensor_grid(beta)
+        rows = np.zeros((len(points), field1.max_modes))
+        rows[:, [j - 1 for j in support]] = points
+        ev = MiscEvaluator(field1, qoi1)
+        ev.tensor_value((1,), beta)
+        assert set(ev.cache.values) == {((1,), row.tobytes()) for row in rows}
+        assert ev.cache.misses == len(points)
 
     def test_empty_support_is_one_point(self):
-        support, points, ids, weights = tensor_grid(SparseLevelVector())
+        support, points, weights = tensor_grid(SparseLevelVector())
         assert support == ()
         assert points.shape == (1, 0)
-        assert ids == [()]
         assert weights.tolist() == [1.0]
 
 
 class TestPointIds:
+    """A point's identity is the bytes of its coordinates, so nesting
+    must hold bit for bit and y = 0 must never appear as -0.0."""
+
     def test_base_identity(self):
-        assert point_ids(1) == (q.ZERO_ID,)
-        assert point_ids(2) == ((2, 0), (1, 0), (2, 1))
+        assert cc_points(1).tobytes() == np.zeros(1).tobytes()
+        assert cc_points(2).tobytes() == np.array([1.0, 0.0, -1.0]).tobytes()
 
     @pytest.mark.parametrize("beta", range(2, 8))
     def test_ids_follow_nesting(self, beta):
-        fine = point_ids(beta + 1)
-        coarse = point_ids(beta)
-        assert fine[::2] == coarse
-        births = [pid for pid in fine if pid[0] == beta + 1]
-        assert len(births) == level_to_nodes(beta + 1) - level_to_nodes(beta)
+        fine = cc_points(beta + 1)
+        coarse = cc_points(beta)
+        assert fine[::2].tobytes() == coarse.tobytes()
+        births = {v.tobytes() for v in fine[1::2]}
+        assert len(births) == new_node_count(beta + 1)
+        assert births.isdisjoint(v.tobytes() for v in coarse)
 
     def test_zero_has_fixed_id(self):
-        for beta in range(1, 8):
+        # -0.0 == 0.0, but its bytes would make a second cache key for y = 0.
+        for beta in range(1, 13):
             pts = cc_points(beta)
-            ids = point_ids(beta)
-            assert ids[np.where(pts == 0.0)[0][0]] == q.ZERO_ID
+            assert not np.signbit(pts[pts == 0.0]).any()
+            assert np.count_nonzero(pts == 0.0) == 1
