@@ -31,7 +31,6 @@ from .misc_core import (
     IndexSet,
     MiscEvaluator,
     MixedIndex,
-    corners,
     dof_work,
     downward_closure,
     levels_dof_work,
@@ -173,9 +172,6 @@ class BuildResult:
     index_set: IndexSet
     eps: float                         # smallest admitted profit
     profits: dict[MixedIndex, ProfitEntry]
-    flagged: tuple[MixedIndex, ...]    # members present only to restore closure: always
-                                       # empty, the greedy sets are closed by construction
-    modeled_work: float
     dof_work_total: int
     next_profit: float | None          # best rejected profit; relaxing eps past it grows the set
 
@@ -239,8 +235,7 @@ def sweep_apriori(
     budget is a prefix of the sweep for the largest one.  Entry k is
     checkpointed where ``build_set_apriori(work_budget=budgets[k])``
     stops, at the first profit class that would overflow that budget,
-    and equals its result member for member, coefficient for
-    coefficient and in every diagnostic.
+    and equals its result member for member and in every diagnostic.
     """
     budgets = list(budgets)
     if not budgets or any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
@@ -268,19 +263,13 @@ def _sweep(work_model: WorkModel, error_model: ErrorModel, stops: list,
     order of admission within a class changes no result.
 
     Candidates are plain ``(alpha, beta items)`` tuples; only admitted
-    members become ``MixedIndex`` objects.  Combination coefficients are
-    updated as members are admitted: admitting m adds (-1)^|e| to
-    c[m - e] over the binary box below m.
+    members become ``MixedIndex`` objects.
     """
     n_rates = len(error_model.g_tilde)
     allowed = None if universe is None else {(m.alpha, m.beta.items()) for m in universe}
     seen: set = set()
     heap: list = []
     admitted: dict[MixedIndex, ProfitEntry] = {}   # in admission order
-    # Members and their coefficients keyed by the dense level vector
-    # alpha + (beta_1, ..., beta_n), whose binary box `corners` gives.
-    members: dict[tuple[int, ...], MixedIndex] = {}
-    coefficients: dict[tuple[int, ...], int] = {}
     spent_dof = 0
     eps = math.inf
     active: set[int] = set()
@@ -301,17 +290,13 @@ def _sweep(work_model: WorkModel, error_model: ErrorModel, stops: list,
         admitted[index] = entry
         spent_dof += dof
         eps = min(eps, entry.profit)
-        levels = dict(items)
-        dense = alpha + tuple(levels.get(j, 1) for j in range(1, n_rates + 1))
-        members[dense] = index
-        for sign, lower in corners(dense):
-            coefficients[lower] = coefficients.get(lower, 0) + sign
         for i in range(len(alpha)):
             push(alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :], items)
         for j in offered:
             push(alpha, _bump(items, j))
-        if not levels.keys() <= active:
-            active.update(levels)
+        variables = {j for j, _ in items}
+        if not variables <= active:
+            active.update(variables)
             grown = _candidate_variables(active, n_rates, frontier_width)
             if grown != offered:
                 # The variable frontier moved: offer the fresh directions
@@ -323,15 +308,10 @@ def _sweep(work_model: WorkModel, error_model: ErrorModel, stops: list,
                         push(member.alpha, _bump(member.beta.items(), j))
 
     def checkpoint(next_profit: float | None) -> BuildResult:
-        index_set = IndexSet(admitted, coefficients={
-            index: coefficients.get(key, 0) for key, index in members.items()
-        })
         return BuildResult(
-            index_set=index_set,
+            index_set=IndexSet(admitted),
             eps=eps,
             profits=dict(admitted),
-            flagged=(),
-            modeled_work=sum(entry.d_w for entry in admitted.values()),
             dof_work_total=spent_dof,
             next_profit=next_profit,
         )
@@ -519,8 +499,6 @@ def pilot_samples(
     n_modes: int,
     depth: int,
     evaluator: MiscEvaluator | None = None,
-    include_spatial: bool | None = None,
-    include_mixed: bool | None = None,
 ) -> list[tuple[MixedIndex, float]]:
     """Pilot sweeps: per-variable quadrature levels, a spatial diagonal,
     and joint diagonals.
@@ -529,23 +507,18 @@ def pilot_samples(
     together with the shared constant; each runs at the coarsest mesh
     resolving the variable's frequency.  The spatial diagonal
     alpha = (1 + t) * 1 and the joint diagonals add rows that tie the
-    constant to the given spatial rate.  Both default to one dimension
+    constant to the given spatial rate.  Both run in one dimension
     only: in higher dimensions the product model misfits the isotropic
     spatial family badly enough to drive fitted rates negative, so the
-    minimal identifiable design is the safe default there (the joint
-    family also stays at depth 1 beyond one dimension, where its meshes
-    get expensive).  Differences that rapid decay has pushed below the
-    floating-point noise floor carry no rate information and are
-    dropped; each variable keeps at least its first sweep level.
+    minimal identifiable design is used there.  Differences that rapid
+    decay has pushed below the floating-point noise floor carry no rate
+    information and are dropped; each variable keeps at least its first
+    sweep level.
     """
     if depth < 2:
         raise ValueError("pilot depth must be at least 2 to identify rates and constant")
     if n_modes > field_spec.max_modes:
         raise ValueError("cannot sweep more variables than the field enumerates")
-    if include_spatial is None:
-        include_spatial = field_spec.d == 1
-    if include_mixed is None:
-        include_mixed = field_spec.d == 1
     evaluator = evaluator or MiscEvaluator(field_spec, qoi_spec)
     from .random_field import mode_ordering
 
@@ -571,14 +544,11 @@ def pilot_samples(
     for j in range(1, n_modes + 1):
         alpha = (pilot_level(max(modes[j - 1].k)),) * field_spec.d
         sweep(MixedIndex(alpha, SparseLevelVector({j: 1 + t})) for t in range(1, depth + 1))
-    if include_spatial:
-        sweep(MixedIndex(((1 + t),) * field_spec.d, SparseLevelVector())
-              for t in range(1, depth + 1))
-    if include_mixed:
-        mixed_depth = depth if field_spec.d == 1 else 1
+    if field_spec.d == 1:
+        sweep(MixedIndex((1 + t,), SparseLevelVector()) for t in range(1, depth + 1))
         base_level = pilot_level(max(modes[0].k))
-        sweep(MixedIndex((base_level + t,) * field_spec.d, SparseLevelVector({1: 1 + t}))
-              for t in range(1, mixed_depth + 1))
+        sweep(MixedIndex((base_level + t,), SparseLevelVector({1: 1 + t}))
+              for t in range(1, depth + 1))
     return out
 
 

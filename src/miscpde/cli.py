@@ -33,6 +33,10 @@ EXIT_NUMERICAL = 3
 RUN_COLUMNS = ("budget", "work", "estimate", "abs_error",
                "max_alpha", "max_beta", "last_var", "joint_vars")
 COMPARE_COLUMNS = ("budget", "misc_work", "misc_error", "mimc_work", "mimc_error")
+# Smoothness orders 0..R_DET_TABLE_MAX_S in prediction.json's r_det table.
+R_DET_TABLE_MAX_S = 6
+# Deepest isotropic level of the Monte Carlo baseline's hierarchy.
+MIMC_MAX_LEVEL = 12
 
 
 class ConfigError(ValueError):
@@ -244,16 +248,17 @@ def lebesgue_rows(max_beta: int) -> list[tuple[int, float]]:
     return [(beta, quadrature.leb_delta(beta)) for beta in range(1, max_beta + 1)]
 
 
-def predict_report(nu: float, d: int, gamma: float, s_table_max: int = 6) -> dict:
-    rates = theory.predict_all_variants(nu, d, gamma)
-    details = {}
-    for variant, rate in rates.items():
-        if rate is None:
-            details[variant] = None
+def predict_report(nu: float, d: int, gamma: float) -> dict:
+    rates, details = {}, {}
+    for variant in theory.VARIANTS:
+        try:
+            prediction = theory.example_prediction(nu, d, gamma, variant)
+        except theory.RateError:
+            rates[variant] = details[variant] = None
             continue
-        prediction = theory.example_prediction(nu, d, gamma, variant)
+        rates[variant] = prediction.r_misc
         details[variant] = json.loads(prediction.to_json())
-    table = {s: theory.r_det(s, (gamma,) * d, (1,) * d) for s in range(s_table_max + 1)}
+    table = {s: theory.r_det(s, (gamma,) * d, (1,) * d) for s in range(R_DET_TABLE_MAX_S + 1)}
     return {
         "nu": nu,
         "d": d,
@@ -428,8 +433,8 @@ class CompareResult:
     reference: float
 
 
-def mimc_plan(budget: float, d: int, r_fem: float, gamma: float = 1.0,
-              max_levels: int = 12) -> tuple[list[tuple[int, ...]], list[int]]:
+def mimc_plan(budget: float, d: int, r_fem: float,
+              gamma: float = 1.0) -> tuple[list[tuple[int, ...]], list[int]]:
     """Fixed level hierarchy and sample allocation for the Monte Carlo baseline.
 
     Isotropic levels 1..L with the usual variance/cost balance
@@ -438,7 +443,7 @@ def mimc_plan(budget: float, d: int, r_fem: float, gamma: float = 1.0,
     """
     levels: list[tuple[int, ...]] = []
     costs: list[float] = []
-    for level in range(1, max_levels + 1):
+    for level in range(1, MIMC_MAX_LEVEL + 1):
         alpha = (level,) * d
         cost = sum(pde_solver.unknowns(a) for _, a in misc_core.corners(alpha))
         if cost > budget / 4.0 and levels:

@@ -127,13 +127,11 @@ def levels_dof_work(alpha: tuple[int, ...], beta_items: Iterable[tuple[int, int]
 class IndexSet:
     """Immutable downward-closed collection of mixed indices.
 
-    Combination coefficients always telescope to 1.  They are computed
-    lazily from the members, unless a builder that kept them up to date
-    while adding the members passes them in as ``coefficients``.
+    Combination coefficients always telescope to 1; they are computed
+    lazily from the members.
     """
 
-    def __init__(self, members: Iterable[MixedIndex],
-                 coefficients: dict[MixedIndex, int] | None = None):
+    def __init__(self, members: Iterable[MixedIndex]):
         members = sorted(set(members), key=MixedIndex.sort_key)
         if not members:
             raise IndexSetError("an index set needs at least one member")
@@ -144,7 +142,7 @@ class IndexSet:
             raise IndexSetError("index set is not downward closed")
         self._members = tuple(members)
         self._member_set = frozenset(members)
-        self._coefficients = coefficients
+        self._coefficients: dict[MixedIndex, int] | None = None
 
     @property
     def members(self) -> tuple[MixedIndex, ...]:
@@ -168,12 +166,6 @@ class IndexSet:
 
     def __hash__(self) -> int:
         return hash(self._members)
-
-    def active_variables(self) -> tuple[int, ...]:
-        out: set[int] = set()
-        for m in self._members:
-            out.update(m.beta.support)
-        return tuple(sorted(out))
 
     @property
     def coefficients(self) -> dict[MixedIndex, int]:
@@ -214,34 +206,46 @@ class IndexSet:
 
     @classmethod
     def from_json(cls, text: str) -> "IndexSet":
+        """The set written by ``to_json``; every stored ``coeff`` must match
+        the coefficient computed from the members."""
         payload = json.loads(text)
-        members = [
+        stored = {
             MixedIndex(
                 tuple(entry["alpha"]),
                 SparseLevelVector({int(j): b for j, b in entry["beta"].items()}),
-            )
+            ): entry.get("coeff")
             for entry in payload["members"]
-        ]
-        return cls(members)
+        }
+        index_set = cls(stored)
+        for m in index_set.members:
+            if stored[m] != index_set.coefficients[m]:
+                raise IndexSetError(
+                    f"member {m} stores coefficient {stored[m]!r}, "
+                    f"the members give {index_set.coefficients[m]}"
+                )
+        return index_set
 
 
 def combination_coefficients(index_set: IndexSet) -> dict[MixedIndex, int]:
     """Signed counts c_m = sum of (-1)^|offset| over binary forward offsets
     with m + offset in the set; over any downward-closed set they sum to 1.
 
-    Computed backwards: each member distributes its sign to the members
-    it is a binary offset above, which costs 2^(number of its
-    above-base coordinates) instead of 2^(all active directions).
+    Computed backwards on dense level vectors alpha + (beta_1..beta_n),
+    n the set's last variable: each member adds its sign to every corner
+    of the binary box below it, which costs 2^(number of its above-base
+    coordinates) instead of 2^(all active directions).  Every corner of
+    a member of a downward-closed set is itself a member.
     """
-    coeffs: dict[MixedIndex, int] = {m: 0 for m in index_set.members}
-    for upper in index_set.members:
-        d = upper.spatial_dim
-        support = upper.beta.support
-        for sign, lowered in corners(upper.alpha + tuple(b for _, b in upper.beta.items())):
-            lower = MixedIndex(lowered[:d], SparseLevelVector(zip(support, lowered[d:])))
-            if lower in coeffs:
-                coeffs[lower] += sign
-    return coeffs
+    n = index_set.last_variable()
+    dense = {}
+    for m in index_set.members:
+        levels = m.beta.as_dict()
+        dense[m] = m.alpha + tuple(levels.get(j, 1) for j in range(1, n + 1))
+    counts: dict[tuple[int, ...], int] = {}
+    for levels in dense.values():
+        for sign, lowered in corners(levels):
+            counts[lowered] = counts.get(lowered, 0) + sign
+    return {m: counts[levels] for m, levels in dense.items()}
 
 
 @dataclass

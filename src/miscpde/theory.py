@@ -216,47 +216,6 @@ def r_misc(
     return RatePrediction(tag, best, best_s, dets, pbys, tuple(warnings))
 
 
-def _example_program(nu: float, d: int, gamma: float, improved: bool) -> RatePrediction:
-    # Square-summability exponents, doubled spatial rate (smooth functional
-    # of the solution), equal cost exponents on all d unit subdomains.
-    spec = FieldSpec(d=d, nu=nu, max_modes=1)
-    limit = 1.0 if improved else 0.5
-    s_max = max_order(spec, "square", limit)
-    p_of = lambda s: p_bound(s, spec, "square", limit) + P_SAFETY_OFFSET
-    det_of = lambda s: r_det(s, (gamma,) * d, (1,) * d, multiplier=2.0)
-    return r_misc(p_of(0), p_of, det_of, s_max, improved=improved,
-                  variant="improved" if improved else "square")
-
-
-def r_misc_example(nu: float, d: int, gamma: float, variant: str) -> float:
-    """Predicted work rate of the trigonometric log-uniform example.
-
-    The "theory" variant is the closed form
-    1/gamma                      if nu/d >= 1/gamma + 5/2,
-    (nu/d - 3/2) / (1 + gamma)   otherwise,
-    valid for nu >= 3d/2 (zero exactly at the boundary).  "square" and
-    "improved" rerun the max-over-s program with the squared-amplitude
-    exponents, a doubled spatial rate, and (for "improved") the sharper
-    derived exponents; their admissibility extends to nu > d/2 and
-    nu > 0 respectively.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if not gamma >= 1:
-        raise ValueError("gamma must be >= 1")
-    if variant == "theory":
-        if nu < 1.5 * d:
-            raise RateError(f"theory variant needs nu >= 3d/2 = {1.5 * d}, got nu = {nu}")
-        ratio = nu / d
-        if ratio >= 1.0 / gamma + 2.5:
-            return 1.0 / gamma
-        return (ratio - 1.5) / (1.0 + gamma)
-    try:
-        return _example_program(nu, d, gamma, improved=(variant == "improved")).r_misc
-    except SummabilityError as exc:
-        raise RateError(f"variant {variant!r} inadmissible at nu = {nu}, d = {d}: {exc}") from exc
-
-
 @dataclass
 class StochasticRateInputs:
     """Everything needed to produce theoretical per-variable rates for one field."""
@@ -282,15 +241,43 @@ def stochastic_rates(inputs: StochasticRateInputs, s: int = 0) -> tuple[float, .
 def example_prediction(nu: float, d: int, gamma: float, variant: str) -> RatePrediction:
     """Full prediction record for one variant of the shipped example.
 
-    The closed-form theory variant optimizes over a continuous
-    smoothness range, so it carries no integer maximizer.
+    The "theory" variant is the closed form
+    1/gamma                      if nu/d >= 1/gamma + 5/2,
+    (nu/d - 3/2) / (1 + gamma)   otherwise,
+    valid for nu >= 3d/2 (zero exactly at the boundary); it optimizes
+    over a continuous smoothness range, so it carries no integer
+    maximizer.  "square" and "improved" run the max-over-s program with
+    the squared-amplitude exponents, a doubled spatial rate (smooth
+    functional of the solution), equal cost exponents on all d unit
+    subdomains and (for "improved") the sharper derived exponents;
+    their admissibility extends to nu > d/2 and nu > 0 respectively.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if not gamma >= 1:
+        raise ValueError("gamma must be >= 1")
     if variant == "theory":
-        return RatePrediction("theory", r_misc_example(nu, d, gamma, "theory"), None, {}, {})
+        if nu < 1.5 * d:
+            raise RateError(f"theory variant needs nu >= 3d/2 = {1.5 * d}, got nu = {nu}")
+        ratio = nu / d
+        rate = 1.0 / gamma if ratio >= 1.0 / gamma + 2.5 else (ratio - 1.5) / (1.0 + gamma)
+        return RatePrediction("theory", rate, None, {}, {})
+    improved = variant == "improved"
+    spec = FieldSpec(d=d, nu=nu, max_modes=1)
+    limit = 1.0 if improved else 0.5
     try:
-        return _example_program(nu, d, gamma, improved=(variant == "improved"))
+        s_max = max_order(spec, "square", limit)
+        p_of = lambda s: p_bound(s, spec, "square", limit) + P_SAFETY_OFFSET
+        det_of = lambda s: r_det(s, (gamma,) * d, (1,) * d, multiplier=2.0)
+        return r_misc(p_of(0), p_of, det_of, s_max, improved=improved, variant=variant)
     except SummabilityError as exc:
         raise RateError(f"variant {variant!r} inadmissible at nu = {nu}, d = {d}: {exc}") from exc
+
+
+def r_misc_example(nu: float, d: int, gamma: float, variant: str) -> float:
+    """Predicted work rate of the trigonometric log-uniform example:
+    ``example_prediction(nu, d, gamma, variant).r_misc``."""
+    return example_prediction(nu, d, gamma, variant).r_misc
 
 
 def predict_all_variants(nu: float, d: int, gamma: float) -> dict[str, float | None]:

@@ -28,6 +28,15 @@ def qoi3():
 
 
 @pytest.fixture(scope="session")
+def oracle_coefficients():
+    """The forward-offset combination coefficients of ``test_misc_core``,
+    an independent route for tests of other modules."""
+    from test_misc_core import oracle_coefficients
+
+    return oracle_coefficients
+
+
+@pytest.fixture(scope="session")
 def shared_evaluator1(field1, qoi1):
     """One warm cache for tests that only read estimator values."""
     return MiscEvaluator(field1, qoi1)

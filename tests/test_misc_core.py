@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -127,6 +128,19 @@ class TestIndexSet:
         assert again == iset
         assert again.to_json() == text
 
+    @pytest.mark.parametrize("stored", [0, None])
+    def test_read_back_checks_coefficients(self, stored):
+        iset = IndexSet(downward_closure({MixedIndex((2, 2), SLV({1: 2, 4: 3}))}))
+        payload = json.loads(iset.to_json())
+        # The full tensor box: only its top member has a nonzero coefficient.
+        top = next(m for m in payload["members"] if m["coeff"] == 1)
+        if stored is None:
+            del top["coeff"]
+        else:
+            top["coeff"] = stored
+        with pytest.raises(IndexSetError, match=r"alpha=\(2, 2\)"):
+            IndexSet.from_json(json.dumps(payload))
+
 
 def filtered_product(levels):
     """Independent route to the signed corners: every binary offset,
@@ -159,10 +173,12 @@ class TestCombinationCoefficients:
         assert iset.coefficients[MixedIndex((1,), SLV())] == 0
         assert iset.coefficients[MixedIndex((2,), SLV())] == 1
 
-    def test_against_forward_oracle_random(self):
+    @pytest.mark.parametrize("spatial_dim", [1, 3])
+    def test_against_forward_oracle_random(self, spatial_dim):
         rng = np.random.default_rng(99)
-        for _ in range(20):
-            iset = random_closed_set(rng)
+        # Only y_2 and y_4 active: the dense level vectors pad y_1 and y_3.
+        gap = IndexSet(downward_closure({MixedIndex((2,) * spatial_dim, SLV({2: 3, 4: 2}))}))
+        for iset in [gap] + [random_closed_set(rng, spatial_dim) for _ in range(20)]:
             assert iset.coefficients == oracle_coefficients(iset.members)
 
     def test_telescoping_sum(self):

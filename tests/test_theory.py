@@ -10,6 +10,7 @@ from miscpde.theory import (
     StochasticRateInputs,
     e_delta_equation,
     ellipse_radii,
+    example_prediction,
     g_rates,
     predict_all_variants,
     r_det,
@@ -159,6 +160,8 @@ class TestClosedForm:
             r_misc_example(0.4, 1, 1.0, "square")
         with pytest.raises(ValueError):
             r_misc_example(2.5, 1, 1.0, "cubic")
+        with pytest.raises(ValueError):
+            example_prediction(2.5, 1, 1.0, "cubic")
         with pytest.raises(ValueError):
             r_misc_example(2.5, 1, 0.5, "theory")
 
