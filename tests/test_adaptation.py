@@ -22,7 +22,6 @@ from miscpde.adaptation import (
     work_contribution,
 )
 from miscpde.misc_core import (
-    IndexSet,
     MiscEvaluator,
     MixedIndex,
     is_downward_closed,
