@@ -146,13 +146,21 @@ class Config:
         return path
 
 
+def gamma_from_config(cfg: Config) -> float:
+    """The solver cost exponent: work per solve grows as unknowns ** gamma."""
+    gamma = cfg.get_float("solver.gamma", 1.0)
+    if not (math.isfinite(gamma) and gamma >= 1):
+        raise ConfigError(f"config key 'solver.gamma': expected a finite number >= 1, got {gamma}")
+    return gamma
+
+
 def problem_from_config(cfg: Config) -> tuple[FieldSpec, QoISpec, float]:
     d = cfg.get_int("problem.d", required=True)
     nu = cfg.get_float("problem.nu", required=True)
     max_modes = cfg.get_int("problem.max_modes", 32)
     sigma = cfg.get_float("problem.sigma", 0.2)
     x0 = cfg.get_floats("problem.x0")
-    gamma = cfg.get_float("solver.gamma", 1.0)
+    gamma = gamma_from_config(cfg)
     try:
         field_spec = FieldSpec(d=d, nu=nu, max_modes=max_modes)
         if x0 is None:
@@ -439,13 +447,15 @@ def mimc_plan(budget: float, d: int, r_fem: float,
 
     Isotropic levels 1..L with the usual variance/cost balance
     M_l ~ sqrt(V_l / c_l); L is the deepest level whose per-sample cost
-    stays within a quarter of the budget.
+    stays within a quarter of the budget.  A sample costs
+    sum(unknowns ** gamma) over the level's corners, the work model of
+    ``isotropic_work_model``.
     """
     levels: list[tuple[int, ...]] = []
     costs: list[float] = []
     for level in range(1, MIMC_MAX_LEVEL + 1):
         alpha = (level,) * d
-        cost = sum(pde_solver.unknowns(a) for _, a in misc_core.corners(alpha))
+        cost = sum(pde_solver.unknowns(a) ** gamma for _, a in misc_core.corners(alpha))
         if cost > budget / 4.0 and levels:
             break
         levels.append(alpha)
@@ -559,7 +569,7 @@ def cmd_predict(args) -> int:
     cfg = Config(parse_config(args.config), Path(args.config).parent)
     d = cfg.get_int("problem.d", required=True)
     nu = cfg.get_float("problem.nu", required=True)
-    gamma = cfg.get_float("solver.gamma", 1.0)
+    gamma = gamma_from_config(cfg)
     report = predict_report(nu, d, gamma)
     out = Path(args.out) / "prediction.json"
     out.parent.mkdir(parents=True, exist_ok=True)

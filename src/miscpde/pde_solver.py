@@ -20,16 +20,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-# Unused here; kept as a module attribute because perfbench/tracer.py wraps spla.cg.
-import scipy.sparse.linalg as spla  # noqa: F401
-from scipy import fft as sfft
 
 # a_on_axes is unused here; perfbench/tracer.py wraps it by the name pde_solver.a_on_axes.
 from .random_field import FieldSpec, Mode, _check_active, a_on_axes, mode_ordering  # noqa: F401
+
+# scipy is imported only by the d > 1 paths that use it, so that importing
+# the package, and any 1-D run, loads numpy alone.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+
+def __getattr__(name: str):
+    # perfbench/tracer.py wraps pde_solver.spla.cg by name; this shim goes
+    # away with the tracer's rewrite (ROADMAP item 1).
+    if name == "spla":
+        import scipy.sparse.linalg
+
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 H0 = 1.0 / 3.0
 
@@ -232,13 +243,15 @@ def _solve_constant_dst(alpha: Sequence[int]) -> np.ndarray:
     # diagonalization, a direct method, and check the solution with one
     # matrix-free matvec (2u - u_+ - u_-) / h_i^2 per axis.  |A| is
     # max(denom), the operator's largest eigenvalue.
+    from scipy import fft
+
     counts = interior_counts(alpha)
     hs = mesh_sizes(alpha)
     lams = [(2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))) / h**2
             for n, h in zip(counts, hs)]
     denom = reduce_outer_sum(lams)
-    coeffs = sfft.dstn(np.ones(counts), type=1)
-    u = sfft.idstn(coeffs / denom, type=1)
+    coeffs = fft.dstn(np.ones(counts), type=1)
+    u = fft.idstn(coeffs / denom, type=1)
     au = np.zeros(counts)
     for i, h in enumerate(hs):
         pad = [(1, 1) if k == i else (0, 0) for k in range(len(counts))]
@@ -313,6 +326,8 @@ def _assemble_sparse(alpha, a_stag) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 
 def _block_diagonal(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
     """One CSR matrix with the block of each row of ``values`` on its diagonal."""
+    import scipy.sparse as sp
+
     rows, nnz = values.shape
     size = len(indptr) - 1
     shift = np.arange(rows)[:, None]

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .quadrature import max_leb_delta
 from .random_field import BSequence, FieldSpec, SummabilityError, b_sequence, max_order, p_bound
@@ -79,6 +78,8 @@ def solve_E_delta(b0_l1_norm: float, delta: float) -> float:
     exp(-|b_0|_1); larger delta leaves no admissible ellipse scaling.
     The residual of the returned root is below 1e-10.
     """
+    from scipy.optimize import brentq  # imported here so the package loads numpy only
+
     if not delta > 0:
         raise ValueError("delta must be positive")
     ceiling = -b0_l1_norm - math.log(delta)

@@ -129,6 +129,36 @@ class TestSmallDrivers:
             assert cost <= 1.05 * budget
             assert counts[0] >= counts[-1] >= 1
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("budget", [200.0, 5000.0, 80000.0, 2.0e6])
+    def test_mimc_plan_gamma_1_matches_integer_costs(self, budget, d):
+        # The plan as computed with integer level costs, before gamma was read.
+        levels, costs = [], []
+        for level in range(1, cli.MIMC_MAX_LEVEL + 1):
+            cost = sum(cli.pde_solver.unknowns(a) for _, a in cli.misc_core.corners((level,) * d))
+            if cost > budget / 4.0 and levels:
+                break
+            levels.append((level,) * d)
+            costs.append(cost)
+        while len(levels) > 1:
+            weights = [2.0 ** (-2.0 * ell) / math.sqrt(c) for ell, c in enumerate(costs)]
+            norm = sum(w * c for w, c in zip(weights, costs))
+            counts = [int(budget * w / norm) for w in weights]
+            if counts[-1] >= 1:
+                break
+            levels.pop()
+            costs.pop()
+        counts = [max(1, c) for c in counts] if len(levels) > 1 else [max(1, int(budget / costs[0]))]
+        assert mimc_plan(budget, d, 2.0, 1.0) == mimc_plan(budget, d, 2.0) == (levels, counts)
+
+    def test_mimc_plan_costs_unknowns_to_the_gamma(self):
+        # d = 1 levels 1..4 have 5, 11, 23, 47 unknowns, and level l > 1 has
+        # corners l and l - 1, so at gamma = 2 a sample costs 25, 146, 650,
+        # 2738.  Level 4 exceeds 4000 / 4.  With r_fem = 2 the weights
+        # 4^-ell / sqrt(c) times 4000 / sum(4^-ell sqrt(c)) give 83.2, 8.6, 1.02.
+        assert mimc_plan(4000.0, 1, 2.0, 2.0) == ([(1,), (2,), (3,)], [83, 8, 1])
+        assert mimc_plan(4000.0, 1, 2.0, 1.0) == ([(1,), (2,), (3,), (4,)], [479, 67, 11, 2])
+
     @pytest.mark.parametrize(
         "budgets", [[], [0.0, 80.0], [-20.0, 80.0], [80.0, 20.0], [20.0, math.inf]],
         ids=["empty", "zero", "negative", "decreasing", "infinite"],
@@ -164,6 +194,14 @@ class TestCommands:
     def test_missing_config_key_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "bad.cfg", "problem.d = 1\n")
         assert self.run("predict", "--config", str(cfg), "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("command", ["predict", "run"])
+    @pytest.mark.parametrize("gamma", ["0.5", "nan"])
+    def test_bad_gamma_exits_2(self, tmp_path, capsys, command, gamma):
+        cfg = write_config(tmp_path / "g.cfg", BASE_1D.replace("solver.gamma = 1.0",
+                                                               f"solver.gamma = {gamma}"))
+        assert self.run(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "solver.gamma" in capsys.readouterr().err
 
     def test_infeasible_budget_exits_3(self, tmp_path):
         cfg = write_config(

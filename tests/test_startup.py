@@ -1,0 +1,48 @@
+"""Importing the package and any 1-D run load numpy alone; scipy loads on demand."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = """
+import json
+import math
+import sys
+
+from miscpde import cli, pde_solver
+from miscpde.random_field import FieldSpec
+
+field, qoi = FieldSpec(1, 2.5, 6), pde_solver.default_qoi_spec(1)
+model = cli.fit_driver(field, qoi, 3, 2, 2.0)
+cli.study_driver(field, qoi, [20.0, 80.0], mode="apriori", error_model=model)
+cli.study_driver(field, qoi, [20.0, 80.0], mode="deterministic")
+cli.compare_driver(field, qoi, [20.0, 80.0], model, n_random_vars=3, seed=0)
+after_1d = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+field3, qoi3 = FieldSpec(3, 4.5, 4), pde_solver.default_qoi_spec(3)
+values = [pde_solver.solve_qoi((1, 1, 1), y, field3, qoi3) for y in ({}, {1: 0.5})]
+
+import scipy.sparse.linalg
+
+print(json.dumps({
+    "after_1d": after_1d,
+    "finite_3d": all(math.isfinite(v) for v in values),
+    "spla": pde_solver.spla is scipy.sparse.linalg,
+}))
+"""
+
+
+def test_1d_runs_load_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["after_1d"] == []
+    # The d = 3 sine-transform and PCG paths load scipy when they run.
+    assert result["finite_3d"] is True
+    assert result["spla"] is True
