@@ -10,9 +10,10 @@ discretized with the tensor trapezoidal rule on the solution's own grid.
 other entry point is a one-row batch.  In 1-D the flux a u' is affine
 across the cells, so the system has an exact O(n) solution.  In d > 1
 the constant-coefficient rows share one sine-transform solve, and the
-other rows run one Jacobi-preconditioned conjugate-gradient iteration
-over a block-diagonal matrix, with separate scalars per row.  Each
-row's value is bit-identical whatever the batch around it.
+other rows run one conjugate-gradient iteration over a block-diagonal
+matrix, with separate scalars per row, preconditioned by the same
+sine-transform solve with diagonal scaling around it.  Each row's value
+is bit-identical whatever the batch around it.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ def _check_backward_error(what: str, au: np.ndarray, u: np.ndarray, norm_a) -> N
     |1 - Au| / (|A| |u| + |1|) is at most RESIDUAL_TOL, row by row.
 
     The plain relative residual |1 - Au| / |1| would not do: rounding
-    alone takes it past 1e-10 on grids as anisotropic as alpha = (1, 1, 9).
+    alone takes it past 1e-10 on grids as anisotropic as alpha = (1, 1, 10).
     """
     rhs = np.ones_like(au)
     error = _row_norms(rhs - au) / (norm_a * _row_norms(u) + _row_norms(rhs))
@@ -238,34 +239,45 @@ def _check_backward_error(what: str, au: np.ndarray, u: np.ndarray, norm_a) -> N
         raise SolverError(f"{what} has backward error {worst:.3e}", residual=worst)
 
 
-def _solve_constant_dst(alpha: Sequence[int]) -> np.ndarray:
-    # a == 1 makes the operator separable; solve by sine-transform
-    # diagonalization, a direct method, and check the solution with one
-    # matrix-free matvec (2u - u_+ - u_-) / h_i^2 per axis.  |A| is
-    # max(denom), the operator's largest eigenvalue.
+@lru_cache(maxsize=8)
+def _laplacian_eigenvalues(alpha: tuple[int, ...]) -> np.ndarray:
+    """Eigenvalues sum_i (2 - 2 cos(pi k_i / (n_i + 1))) / h_i^2 of the a == 1
+    operator, one per sine mode k, shaped like the grid."""
+    lams = [(2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))) / h**2
+            for n, h in zip(interior_counts(alpha), mesh_sizes(alpha))]
+    return _frozen(reduce(np.add.outer, lams))
+
+
+def _sine_solve(alpha: tuple[int, ...], r: np.ndarray) -> np.ndarray:
+    """L^-1 r for every row of ``r``, a (P, N) array, with L the a == 1 operator.
+
+    L is separable, so the type-I sine transform along each axis
+    diagonalizes it (a direct method).  The transforms act on the grid
+    axes only, so each row's result does not depend on the other rows.
+    """
     from scipy import fft
 
     counts = interior_counts(alpha)
-    hs = mesh_sizes(alpha)
-    lams = [(2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))) / h**2
-            for n, h in zip(counts, hs)]
-    denom = reduce_outer_sum(lams)
-    coeffs = fft.dstn(np.ones(counts), type=1)
-    u = fft.idstn(coeffs / denom, type=1)
+    axes = tuple(range(1, len(counts) + 1))
+    coeffs = fft.dstn(r.reshape(len(r), *counts), type=1, axes=axes)
+    return fft.idstn(coeffs / _laplacian_eigenvalues(alpha), type=1, axes=axes).reshape(r.shape)
+
+
+def _solve_constant(alpha: tuple[int, ...]) -> np.ndarray:
+    """The a == 1 solution, the sine-transform solve of a row of ones.
+
+    It is checked with one matrix-free matvec (2u - u_+ - u_-) / h_i^2
+    per axis; |A| is the operator's largest eigenvalue.
+    """
+    counts = interior_counts(alpha)
+    u = _sine_solve(alpha, np.ones((1, math.prod(counts))))[0].reshape(counts)
     au = np.zeros(counts)
-    for i, h in enumerate(hs):
+    for i, h in enumerate(mesh_sizes(alpha)):
         pad = [(1, 1) if k == i else (0, 0) for k in range(len(counts))]
         au -= np.diff(np.pad(u, pad), n=2, axis=i) / h**2
-    _check_backward_error(f"sine-transform solve at alpha = {tuple(alpha)}",
-                          au.ravel(), u.ravel(), denom.max())
+    _check_backward_error(f"sine-transform solve at alpha = {alpha}",
+                          au.ravel(), u.ravel(), _laplacian_eigenvalues(alpha).max())
     return u
-
-
-def reduce_outer_sum(vectors: list[np.ndarray]) -> np.ndarray:
-    out = vectors[0]
-    for v in vectors[1:]:
-        out = out[..., None] + v
-    return out
 
 
 def _staggered_coefficients(alpha, Y: np.ndarray, modes) -> list[np.ndarray]:
@@ -339,7 +351,13 @@ def _block_diagonal(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray)
 
 
 def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
-    """Solutions of A(y) u = 1, one row per row of ``Y``, by Jacobi-preconditioned CG.
+    """Solutions of A(y) u = 1, one row per row of ``Y``, by preconditioned CG.
+
+    The preconditioner is z = S L^-1 (S r): L^-1 is the a == 1
+    sine-transform solve and S = sqrt(c / diag(A)) the symmetric
+    scaling by the diagonal, c = sum_i 2 / h_i^2 being the diagonal of L
+    (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  It is spectrally
+    equivalent to A, so the iteration count does not grow with N.
 
     All rows advance together through one block-diagonal matvec, each
     with its own step lengths.  A row stops at |r| <= CG_RTOL |b| and
@@ -352,7 +370,7 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
     for a in a_stag:
         bad = ~(np.isfinite(a) & (a > 0)).reshape(len(a), -1).all(axis=1)
         if bad.any():
-            raise SolverError(f"coefficient exp(kappa) at alpha = {tuple(alpha)} is not finite "
+            raise SolverError(f"coefficient exp(kappa) at alpha = {alpha} is not finite "
                               f"and positive (row {int(np.argmax(bad))})")
     values, indptr, indices, diag = _assemble_sparse(alpha, a_stag)
     # |A| is the infinity norm, the largest absolute row sum of each block.
@@ -360,15 +378,16 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
     matrix = full = _block_diagonal(values, indptr, indices)
     rows, size = diag.shape
     tol = CG_RTOL * math.sqrt(size)
+    scale = np.sqrt(sum(2.0 / h**2 for h in mesh_sizes(alpha)) / diag)
     u = np.empty((rows, size))
     work = np.arange(rows)                  # the row of Y behind each working row
     x = np.zeros((rows, size))
     r = np.ones((rows, size))
-    p = r / diag
+    p = scale * _sine_solve(alpha, scale * r)
     rz = np.sum(r * p, axis=1)
-    # The vector updates write into z and tmp, which is about a tenth
-    # faster than fresh temporaries on batches of 1e4 to 1e5 entries.
-    z, tmp = np.empty_like(x), np.empty_like(x)
+    # The vector updates write into tmp, which is about a tenth faster
+    # than fresh temporaries on batches of 1e4 to 1e5 entries.
+    tmp = np.empty_like(x)
     for _ in range(100 * size):
         q = (matrix @ p.ravel()).reshape(p.shape)
         step = (rz / np.sum(np.multiply(p, q, out=tmp), axis=1))[:, None]
@@ -380,21 +399,21 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
             keep = ~done
             if not keep.any():
                 break
-            work, x, r, p, rz, diag, values = (
-                a[keep] for a in (work, x, r, p, rz, diag, values))
-            z, tmp = np.empty_like(x), np.empty_like(x)
+            work, x, r, p, rz, scale, values = (
+                a[keep] for a in (work, x, r, p, rz, scale, values))
+            tmp = np.empty_like(x)
             matrix = _block_diagonal(values, indptr, indices)
-        np.divide(r, diag, out=z)
+        z = scale * _sine_solve(alpha, scale * r)
         rz_next = np.sum(np.multiply(r, z, out=tmp), axis=1)
         p *= (rz_next / rz)[:, None]
         p += z
         rz = rz_next
     else:
         worst = float(np.max(_row_norms(r))) / math.sqrt(size)
-        raise SolverError(f"Jacobi-PCG at alpha = {tuple(alpha)} did not converge in "
+        raise SolverError(f"PCG at alpha = {alpha} did not converge in "
                           f"{100 * size} iterations", residual=worst)
     au = (full @ u.ravel()).reshape(u.shape)
-    _check_backward_error(f"Jacobi-PCG solve at alpha = {tuple(alpha)}", au, u, norm_a)
+    _check_backward_error(f"PCG solve at alpha = {alpha}", au, u, norm_a)
     return u
 
 
@@ -403,9 +422,10 @@ def solve(alpha: Sequence[int], y: Mapping[int, float], field_spec: FieldSpec) -
 
     In 1-D the flux-form system is solved in closed form.  In higher
     dimensions constant coefficients (y = 0) are solved by sine-transform
-    diagonalization and variable ones by diagonally preconditioned
-    conjugate gradients; both are accepted only with normwise backward
-    error |1 - Au| / (|A| |u| + |1|) below 1e-10.
+    diagonalization and variable ones by conjugate gradients
+    preconditioned with the scaled sine-transform solve; both are
+    accepted only with normwise backward error
+    |1 - Au| / (|A| |u| + |1|) below 1e-10.
     """
     alpha = validate_alpha(alpha)
     if len(alpha) != field_spec.d:
@@ -418,7 +438,7 @@ def solve(alpha: Sequence[int], y: Mapping[int, float], field_spec: FieldSpec) -
         values = np.cumsum(h * (flux[0] - _midpoints(level)) * b[0])[:-1]
         return DiscreteSolution(alpha, values)
     if not row.any():
-        return DiscreteSolution(alpha, _solve_constant_dst(alpha))
+        return DiscreteSolution(alpha, _solve_constant(alpha))
     return DiscreteSolution(alpha, _solve_pcg(alpha, row, modes)[0].reshape(interior_counts(alpha)))
 
 
@@ -446,8 +466,9 @@ def solve_qoi_batch(alpha, Y, field_spec: FieldSpec, qoi_spec: QoISpec) -> np.nd
     In 1-D the observation of the closed-form solution is
     scale h^2 (C sum_m b_m R_m - sum_m x_m b_m R_m), with R_m the window
     summed over the nodes right of x_m.  In d > 1 the all-zero rows share
-    one sine-transform solve and the others are solved by Jacobi-PCG, in
-    blocks of at most _BLOCK_ENTRIES // N rows of N unknowns.  Each row's
+    one sine-transform solve and the others are solved by sine-transform
+    preconditioned CG, in blocks of at most _BLOCK_ENTRIES // N rows of
+    N unknowns.  Each row's
     value is bit-identical whatever the batch around it.
     """
     alpha = validate_alpha(alpha)
@@ -462,7 +483,7 @@ def solve_qoi_batch(alpha, Y, field_spec: FieldSpec, qoi_spec: QoISpec) -> np.nd
         out = np.empty(len(Y))
         varying = Y.any(axis=1)
         if not varying.all():
-            out[~varying] = np.sum(_solve_constant_dst(alpha).ravel() * window)
+            out[~varying] = np.sum(_solve_constant(alpha).ravel() * window)
         todo = np.flatnonzero(varying)
         rows = max(1, _BLOCK_ENTRIES // len(window))
         for start in range(0, len(todo), rows):

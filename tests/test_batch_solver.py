@@ -1,4 +1,5 @@
-"""The batched solvers (closed form in 1-D, Jacobi-PCG in 3-D) and the per-grid evaluator."""
+"""The batched solvers (closed form in 1-D, sine-transform preconditioned CG in 3-D)
+and the per-grid evaluator."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from miscpde import pde_solver
 from miscpde.misc_core import IndexSet, MiscEvaluator, MixedIndex, downward_closure
 from miscpde.pde_solver import (
     _BLOCK_ENTRIES,
+    _sine_solve,
     DiscreteSolution,
     SolverError,
     qoi,
@@ -109,7 +111,7 @@ class TestGuards:
 
 
 class TestJacobiPCG:
-    """The d > 1 batch: one Jacobi-PCG over the variable-coefficient rows."""
+    """The d > 1 batch: one preconditioned CG over the variable-coefficient rows."""
 
     @pytest.mark.parametrize("alpha", [(1, 1, 1), (2, 1, 3), (2, 2, 2)])
     def test_row_value_independent_of_batch(self, field3, qoi3, alpha):
@@ -125,7 +127,7 @@ class TestJacobiPCG:
         assert np.array_equal(whole, alone)
         assert np.array_equal(whole, reversed_)
 
-    @pytest.mark.parametrize("alpha", [(1, 1, 1), (2, 1, 1)])
+    @pytest.mark.parametrize("alpha", [(1, 1, 1), (2, 1, 1), (2, 1, 3), (1, 1, 6)])
     def test_matches_sparse_direct_solve(self, field3, qoi3, sparse_solution, alpha):
         rows = random_rows(np.random.default_rng(30), 3, field3.max_modes)
         batch = solve_qoi_batch(alpha, rows, field3, qoi3)
@@ -166,6 +168,68 @@ class TestJacobiPCG:
         with pytest.raises(SolverError) as info, np.errstate(over="ignore", invalid="ignore"):
             solve_qoi_batch((1, 1, 1), np.array([[0.5, 0.1]]), field3, qoi3)
         assert "did not converge in 12500 iterations" in str(info.value)
+
+
+class TestSineTransformPreconditioner:
+    """z = S L^-1 (S r): the a == 1 sine-transform solve with diagonal scaling."""
+
+    @pytest.mark.parametrize("alpha", [(1, 1, 1), (2, 2, 2), (3, 3, 3), (1, 1, 6), (1, 1, 10)])
+    def test_iterations_per_row_do_not_grow_with_the_grid(self, field3, monkeypatch, alpha):
+        # Counts the matvecs of the block-diagonal matrix, which every CG
+        # iteration makes once, whatever its preconditioner.
+        matvecs = 0
+        assemble = pde_solver._block_diagonal
+
+        class Counting:
+            def __init__(self, matrix):
+                self.matrix = matrix
+
+            def __matmul__(self, vector):
+                nonlocal matvecs
+                matvecs += 1
+                return self.matrix @ vector
+
+        monkeypatch.setattr(pde_solver, "_block_diagonal", lambda *args: Counting(assemble(*args)))
+        rng = np.random.default_rng(40)
+        for _ in range(3):
+            matvecs = 0
+            y = {j + 1: float(v) for j, v in enumerate(rng.uniform(-1.0, 1.0, field3.max_modes))}
+            solve(alpha, y, field3)
+            # One more matvec checks the backward error of the solution.
+            assert matvecs - 1 <= 15
+
+    @pytest.mark.parametrize("alpha", [(1, 1, 4), (3, 2, 1), (2, 2, 2)])
+    def test_transform_row_independent_of_batch(self, alpha):
+        rng = np.random.default_rng(sum(alpha))
+        size = unknowns(alpha)
+        for count in range(1, 10):
+            r = rng.uniform(-1.0, 1.0, (count, size))
+            r[count // 2] = 0.0
+            whole = _sine_solve(alpha, r)
+            alone = np.array([_sine_solve(alpha, row[None])[0] for row in r])
+            reversed_ = _sine_solve(alpha, r[::-1])[::-1]
+            assert np.array_equal(whole, alone)
+            assert np.array_equal(whole, reversed_)
+            assert not whole[count // 2].any()
+
+    @pytest.mark.parametrize("alpha", [(1, 1, 4), (3, 2, 1), (2, 2, 2)])
+    def test_solve_row_independent_of_batch(self, field3, qoi3, alpha):
+        rng = np.random.default_rng(50 + sum(alpha))
+        for count in range(1, 10):
+            rows = random_rows(rng, count, field3.max_modes)
+            rows[count // 2] = 0.0
+            whole = solve_qoi_batch(alpha, rows, field3, qoi3)
+            alone = np.array([solve_qoi_batch(alpha, row[None], field3, qoi3)[0] for row in rows])
+            reversed_ = solve_qoi_batch(alpha, rows[::-1], field3, qoi3)[::-1]
+            assert np.array_equal(whole, alone)
+            assert np.array_equal(whole, reversed_)
+
+    def test_transform_solves_the_constant_coefficient_operator(self, field3, assembled_operator):
+        alpha = (2, 1, 3)
+        r = np.random.default_rng(60).uniform(-1.0, 1.0, (2, unknowns(alpha)))
+        matrix = assembled_operator(alpha, {}, field3)
+        for row, solution in zip(r, _sine_solve(alpha, r)):
+            assert np.abs(matrix @ solution - row).max() <= 1e-10 * np.abs(row).max()
 
 
 class TestGridEvaluation:
