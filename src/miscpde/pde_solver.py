@@ -10,10 +10,11 @@ discretized with the tensor trapezoidal rule on the solution's own grid.
 other entry point is a one-row batch.  In 1-D the flux a u' is affine
 across the cells, so the system has an exact O(n) solution.  In d > 1
 the constant-coefficient rows share one sine-transform solve, and the
-other rows run one conjugate-gradient iteration over a block-diagonal
-matrix, with separate scalars per row, preconditioned by the same
-sine-transform solve with diagonal scaling around it.  Each row's value
-is bit-identical whatever the batch around it.
+other rows run one conjugate-gradient iteration with separate scalars
+per row, preconditioned by the same sine-transform solve with diagonal
+scaling around it.  The operators are applied matrix-free, as flux
+differences of the staggered coefficients; no matrix is assembled.
+Each row's value is bit-identical whatever the batch around it.
 """
 
 from __future__ import annotations
@@ -21,17 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 # a_on_axes is unused here; perfbench/tracer.py wraps it by the name pde_solver.a_on_axes.
 from .random_field import FieldSpec, Mode, _check_active, a_on_axes, mode_ordering  # noqa: F401
 
-# scipy is imported only by the d > 1 paths that use it, so that importing
-# the package, and any 1-D run, loads numpy alone.
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+# scipy.fft is imported only by the d > 1 paths that use it, so that
+# importing the package, and any 1-D run, loads numpy alone.
 
 
 def __getattr__(name: str):
@@ -50,8 +49,10 @@ RESIDUAL_TOL = 1e-10
 # Conjugate gradients stop a row at |r| <= CG_RTOL |b|.
 CG_RTOL = 1e-12
 
-# Rows x unknowns (midpoints in 1-D) held in one batch temporary (512 KiB of float64).
-_BLOCK_ENTRIES = 1 << 16
+# Rows x unknowns (midpoints in 1-D) held in one batch temporary (128 KiB
+# of float64).  The d > 1 CG holds about twenty such arrays, so blocks four
+# times larger raised the 3-D benchmark's peak RSS by 2 MB, for no speedup.
+_BLOCK_ENTRIES = 1 << 14
 
 
 class SolverError(RuntimeError):
@@ -266,18 +267,20 @@ def _sine_solve(alpha: tuple[int, ...], r: np.ndarray) -> np.ndarray:
 def _solve_constant(alpha: tuple[int, ...]) -> np.ndarray:
     """The a == 1 solution, the sine-transform solve of a row of ones.
 
-    It is checked with one matrix-free matvec (2u - u_+ - u_-) / h_i^2
-    per axis; |A| is the operator's largest eigenvalue.
+    It is checked with one matrix-free apply of the a == 1 operator;
+    |A| is the operator's largest eigenvalue.
     """
     counts = interior_counts(alpha)
-    u = _sine_solve(alpha, np.ones((1, math.prod(counts))))[0].reshape(counts)
-    au = np.zeros(counts)
-    for i, h in enumerate(mesh_sizes(alpha)):
-        pad = [(1, 1) if k == i else (0, 0) for k in range(len(counts))]
-        au -= np.diff(np.pad(u, pad), n=2, axis=i) / h**2
+    u = _sine_solve(alpha, np.ones((1, math.prod(counts))))
+    faces = [np.full((1, *_face_shape(counts, i)), h**-2) for i, h in enumerate(mesh_sizes(alpha))]
     _check_backward_error(f"sine-transform solve at alpha = {alpha}",
-                          au.ravel(), u.ravel(), _laplacian_eigenvalues(alpha).max())
-    return u
+                          _apply_flux(faces, u), u, _laplacian_eigenvalues(alpha).max())
+    return u[0].reshape(counts)
+
+
+def _face_shape(counts: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The dim-i staggered grid: midpoints along axis i, interior nodes elsewhere."""
+    return counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
 
 
 def _staggered_coefficients(alpha, Y: np.ndarray, modes) -> list[np.ndarray]:
@@ -291,7 +294,7 @@ def _staggered_coefficients(alpha, Y: np.ndarray, modes) -> list[np.ndarray]:
     active = _active_columns(Y, modes)
     staggered = []
     for i in range(len(alpha)):
-        shape = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
+        shape = _face_shape(counts, i)
         kappa = np.zeros((len(Y), math.prod(shape)))
         for j in active:
             mode = modes[j]
@@ -303,51 +306,72 @@ def _staggered_coefficients(alpha, Y: np.ndarray, modes) -> list[np.ndarray]:
     return staggered
 
 
-def _assemble_sparse(alpha, a_stag) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The flux-form operators of a batch as CSR blocks sharing one pattern.
+def _face_coefficients(alpha, Y: np.ndarray, modes) -> list[np.ndarray]:
+    """The staggered coefficients a / h_i^2 of the flux-form operators A(y).
 
-    ``a_stag`` holds the staggered coefficients with one leading row per
-    operator.  Returns each operator's (P, nnz) CSR values, the shared
-    N x N block's indptr and indices (columns ascending within a row:
-    -s_0 .. -s_{d-1}, 0, +s_{d-1} .. +s_0 for axis strides s_i), and the
-    (P, N) diagonal.
+    Raises ``SolverError`` when a coefficient is not finite and positive.
     """
-    counts = interior_counts(alpha)
-    hs = mesh_sizes(alpha)
-    d, total, rows = len(counts), math.prod(counts), len(a_stag[0])
-    strides = [math.prod(counts[i + 1 :]) for i in range(d)]
-    node = np.indices(counts).reshape(d, total)
+    faces = []
+    for a, h in zip(_staggered_coefficients(alpha, Y, modes), mesh_sizes(alpha)):
+        bad = ~(np.isfinite(a) & (a > 0)).reshape(len(a), -1).all(axis=1)
+        if bad.any():
+            raise SolverError(f"coefficient exp(kappa) at alpha = {alpha} is not finite "
+                              f"and positive (row {int(np.argmax(bad))})")
+        faces.append(a / h**2)
+    return faces
+
+
+def _grid_shape(faces: list[np.ndarray]) -> tuple[int, ...]:
+    """The interior grid behind a list of staggered coefficients."""
+    return (faces[0].shape[1] - 1,) + faces[0].shape[2:]
+
+
+def _axis_slice(axis: int, start, stop) -> tuple[slice, ...]:
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
+def _apply_flux(faces: list[np.ndarray], u: np.ndarray) -> np.ndarray:
+    """A u for every row of ``u``, a (P, N) array, matrix-free.
+
+    ``faces`` holds each axis's staggered coefficients a / h_i^2, one
+    leading row per operator.  Along axis i the flux c (u_m - u_{m-1})
+    sits on the cell faces m = 0..n_i, with u zero outside the grid, and
+    A u gains the flux difference c_m (u_m - u_{m-1}) - c_{m+1} (u_{m+1} - u_m).
+    Every operation is elementwise within a row.
+    """
+    counts = _grid_shape(faces)
+    grid = u.reshape(len(u), *counts)
+    au = np.zeros_like(grid)
+    for axis, (c, n) in enumerate(zip(faces, counts), start=1):
+        flux = np.empty(c.shape)
+        np.subtract(grid[_axis_slice(axis, 1, None)], grid[_axis_slice(axis, None, -1)],
+                    out=flux[_axis_slice(axis, 1, n)])
+        flux[_axis_slice(axis, 0, 1)] = grid[_axis_slice(axis, 0, 1)]
+        np.negative(grid[_axis_slice(axis, n - 1, n)], out=flux[_axis_slice(axis, n, n + 1)])
+        flux *= c
+        au += flux[_axis_slice(axis, 0, n)]
+        au -= flux[_axis_slice(axis, 1, n + 1)]
+    return au.reshape(u.shape)
+
+
+def _diagonal_and_norm(faces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Each operator's (P, N) diagonal and its infinity norm, the largest
+    absolute row sum.
+
+    The diagonal gains both faces around a node along every axis; the
+    off-diagonal magnitudes are the same faces except those on the
+    boundary, where the neighbour is a Dirichlet value.
+    """
+    rows, counts = len(faces[0]), _grid_shape(faces)
     diag = np.zeros((rows, *counts))
-    minus, plus = [], []
-    valid = np.ones((total, 2 * d + 1), dtype=bool)
-    for i, (h, n) in enumerate(zip(hs, counts)):
-        cut = (slice(None),) * (i + 1)
-        lo = a_stag[i][cut + (slice(0, n),)]
-        hi = a_stag[i][cut + (slice(1, n + 1),)]
-        diag += (lo + hi) / h**2
-        minus.append(-lo / h**2)
-        plus.append(-hi / h**2)
-        valid[:, i] = node[i] > 0
-        valid[:, 2 * d - i] = node[i] < n - 1
-    stencil = np.stack([c.reshape(rows, total) for c in minus + [diag] + plus[::-1]], axis=2)
-    offsets = [-s for s in strides] + [0] + strides[::-1]
-    indices = (np.arange(total)[:, None] + offsets)[valid]
-    indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
-    return stencil[:, valid], indptr, indices, diag.reshape(rows, total)
-
-
-def _block_diagonal(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
-    """One CSR matrix with the block of each row of ``values`` on its diagonal."""
-    import scipy.sparse as sp
-
-    rows, nnz = values.shape
-    size = len(indptr) - 1
-    shift = np.arange(rows)[:, None]
-    return sp.csr_matrix(
-        (values.ravel(), (indices + size * shift).ravel(),
-         np.append((indptr[:-1] + nnz * shift).ravel(), rows * nnz)),
-        shape=(rows * size, rows * size),
-    )
+    off = np.zeros((rows, *counts))
+    for axis, (c, n) in enumerate(zip(faces, counts), start=1):
+        diag += c[_axis_slice(axis, 0, n)]
+        diag += c[_axis_slice(axis, 1, n + 1)]
+        inner = c[_axis_slice(axis, 1, n)]
+        off[_axis_slice(axis, 1, n)] += inner
+        off[_axis_slice(axis, 0, n - 1)] += inner
+    return diag.reshape(rows, -1), (diag + off).reshape(rows, -1).max(axis=1)
 
 
 def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
@@ -359,23 +383,16 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
     (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  It is spectrally
     equivalent to A, so the iteration count does not grow with N.
 
-    All rows advance together through one block-diagonal matvec, each
-    with its own step lengths.  A row stops at |r| <= CG_RTOL |b| and
-    then leaves the working set, so its iterates and its result do not
-    depend on the other rows.  Raises ``SolverError`` when a coefficient
-    is not finite and positive, when a row is still running after 100 N
-    iterations, or when a solution's backward error exceeds RESIDUAL_TOL.
+    All rows advance together through one matrix-free apply of their
+    operators (``_apply_flux``), each with its own step lengths.  A row
+    stops at |r| <= CG_RTOL |b| and then leaves the working set, so its
+    iterates and its result do not depend on the other rows.  Raises
+    ``SolverError`` when a coefficient is not finite and positive, when a
+    row is still running after 100 N iterations, or when a solution's
+    backward error exceeds RESIDUAL_TOL.
     """
-    a_stag = _staggered_coefficients(alpha, Y, modes)
-    for a in a_stag:
-        bad = ~(np.isfinite(a) & (a > 0)).reshape(len(a), -1).all(axis=1)
-        if bad.any():
-            raise SolverError(f"coefficient exp(kappa) at alpha = {alpha} is not finite "
-                              f"and positive (row {int(np.argmax(bad))})")
-    values, indptr, indices, diag = _assemble_sparse(alpha, a_stag)
-    # |A| is the infinity norm, the largest absolute row sum of each block.
-    norm_a = np.add.reduceat(np.abs(values), indptr[:-1], axis=1).max(axis=1)
-    matrix = full = _block_diagonal(values, indptr, indices)
+    faces = full = _face_coefficients(alpha, Y, modes)
+    diag, norm_a = _diagonal_and_norm(faces)
     rows, size = diag.shape
     tol = CG_RTOL * math.sqrt(size)
     scale = np.sqrt(sum(2.0 / h**2 for h in mesh_sizes(alpha)) / diag)
@@ -389,7 +406,7 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
     # than fresh temporaries on batches of 1e4 to 1e5 entries.
     tmp = np.empty_like(x)
     for _ in range(100 * size):
-        q = (matrix @ p.ravel()).reshape(p.shape)
+        q = _apply_flux(faces, p)
         step = (rz / np.sum(np.multiply(p, q, out=tmp), axis=1))[:, None]
         x += np.multiply(step, p, out=tmp)
         r -= np.multiply(step, q, out=tmp)
@@ -399,10 +416,9 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
             keep = ~done
             if not keep.any():
                 break
-            work, x, r, p, rz, scale, values = (
-                a[keep] for a in (work, x, r, p, rz, scale, values))
+            work, x, r, p, rz, scale = (a[keep] for a in (work, x, r, p, rz, scale))
+            faces = [c[keep] for c in faces]
             tmp = np.empty_like(x)
-            matrix = _block_diagonal(values, indptr, indices)
         z = scale * _sine_solve(alpha, scale * r)
         rz_next = np.sum(np.multiply(r, z, out=tmp), axis=1)
         p *= (rz_next / rz)[:, None]
@@ -412,8 +428,7 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
         worst = float(np.max(_row_norms(r))) / math.sqrt(size)
         raise SolverError(f"PCG at alpha = {alpha} did not converge in "
                           f"{100 * size} iterations", residual=worst)
-    au = (full @ u.ravel()).reshape(u.shape)
-    _check_backward_error(f"PCG solve at alpha = {alpha}", au, u, norm_a)
+    _check_backward_error(f"PCG solve at alpha = {alpha}", _apply_flux(full, u), u, norm_a)
     return u
 
 
@@ -468,8 +483,8 @@ def solve_qoi_batch(alpha, Y, field_spec: FieldSpec, qoi_spec: QoISpec) -> np.nd
     summed over the nodes right of x_m.  In d > 1 the all-zero rows share
     one sine-transform solve and the others are solved by sine-transform
     preconditioned CG, in blocks of at most _BLOCK_ENTRIES // N rows of
-    N unknowns.  Each row's
-    value is bit-identical whatever the batch around it.
+    N unknowns.  Each row's value is bit-identical whatever the batch
+    around it.
     """
     alpha = validate_alpha(alpha)
     Y = np.asarray(Y, dtype=float)

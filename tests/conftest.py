@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from miscpde import FieldSpec, default_qoi_spec
 from miscpde.misc_core import MiscEvaluator
-from miscpde.pde_solver import _assemble_sparse, _block_diagonal, interior_axes, mesh_sizes
+from miscpde.pde_solver import interior_axes, mesh_sizes
 from miscpde.random_field import a_on_axes, mode_ordering
 
 
@@ -44,17 +46,35 @@ def shared_evaluator1(field1, qoi1):
 
 @pytest.fixture(scope="session")
 def assembled_operator():
-    """Builds the flux-form matrix of one parameter vector, with its
-    staggered coefficients taken from ``random_field.a_on_axes``."""
+    """Builds the flux-form CSR matrix of one parameter vector, entry by
+    entry from ``random_field.a_on_axes`` on each staggered grid, as an
+    oracle independent of the solver's own operator."""
+    import scipy.sparse as sp
 
     def build(alpha, y, field_spec):
         modes = mode_ordering(field_spec)
-        a_stag = []
-        for i, (h, axis) in enumerate(zip(mesh_sizes(alpha), interior_axes(alpha))):
-            axes = list(interior_axes(alpha))
-            axes[i] = h * (np.arange(len(axis) + 1) + 0.5)
-            a_stag.append(a_on_axes(axes, y, modes)[None])
-        values, indptr, indices, _ = _assemble_sparse(alpha, a_stag)
-        return _block_diagonal(values, indptr, indices)
+        nodes = interior_axes(alpha)
+        counts = tuple(len(axis) for axis in nodes)
+        node = np.arange(math.prod(counts)).reshape(counts)
+        diag = np.zeros(counts)
+        rows, cols, values = [], [], []
+        for i, (h, n) in enumerate(zip(mesh_sizes(alpha), counts)):
+            axes = list(nodes)
+            axes[i] = h * (np.arange(n + 1) + 0.5)
+            a = a_on_axes(axes, y, modes) / h**2      # a on faces 0..n along axis i
+            diag += np.take(a, range(n), axis=i) + np.take(a, range(1, n + 1), axis=i)
+            # Nodes m and m + e_i couple through face m + 1.
+            left = np.take(node, range(n - 1), axis=i).ravel()
+            right = np.take(node, range(1, n), axis=i).ravel()
+            face = np.take(a, range(1, n), axis=i).ravel()
+            rows += [left, right]
+            cols += [right, left]
+            values += [-face, -face]
+        rows.append(node.ravel())
+        cols.append(node.ravel())
+        values.append(diag.ravel())
+        size = node.size
+        return sp.csr_matrix((np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(size, size))
 
     return build

@@ -1,14 +1,17 @@
 """The batched solvers (closed form in 1-D, sine-transform preconditioned CG in 3-D)
-and the per-grid evaluator."""
+and the evaluator's batches per spatial level."""
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
-from miscpde import pde_solver
-from miscpde.misc_core import IndexSet, MiscEvaluator, MixedIndex, downward_closure
+from miscpde import misc_core, pde_solver
+from miscpde.misc_core import IndexSet, MiscEvaluator, MixedIndex, corners, downward_closure
 from miscpde.pde_solver import (
     _BLOCK_ENTRIES,
+    _apply_flux,
+    _diagonal_and_norm,
+    _face_coefficients,
     _sine_solve,
     DiscreteSolution,
     SolverError,
@@ -19,6 +22,7 @@ from miscpde.pde_solver import (
     unknowns,
 )
 from miscpde.quadrature import SparseLevelVector as SLV
+from miscpde.random_field import mode_ordering
 
 
 def random_rows(rng, count, n_vars, density=1.0):
@@ -170,32 +174,49 @@ class TestJacobiPCG:
         assert "did not converge in 12500 iterations" in str(info.value)
 
 
+class TestMatrixFreeOperator:
+    """The flux-form operator applied matrix-free, against an assembled CSR matrix."""
+
+    @pytest.mark.parametrize("alpha", [(1, 1, 1), (2, 1, 3), (1, 1, 6)])
+    def test_apply_and_norm_match_the_assembled_operator(self, field3, assembled_operator, alpha):
+        rng = np.random.default_rng(70 + sum(alpha))
+        rows = random_rows(rng, 3, field3.max_modes)
+        u = rng.uniform(-1.0, 1.0, (3, unknowns(alpha)))
+        faces = _face_coefficients(alpha, rows, mode_ordering(field3))
+        applied = _apply_flux(faces, u)
+        diagonals, norms = _diagonal_and_norm(faces)
+        for row, vector, got, diagonal, norm in zip(rows, u, applied, diagonals, norms):
+            matrix = assembled_operator(alpha, {j + 1: float(v) for j, v in enumerate(row)}, field3)
+            expected = matrix @ vector
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+            assert np.abs(diagonal - matrix.diagonal()).max() <= 1e-13 * matrix.diagonal().max()
+            expected_norm = abs(matrix).sum(axis=1).max()
+            assert abs(norm - expected_norm) <= 1e-13 * expected_norm
+
+
 class TestSineTransformPreconditioner:
     """z = S L^-1 (S r): the a == 1 sine-transform solve with diagonal scaling."""
 
     @pytest.mark.parametrize("alpha", [(1, 1, 1), (2, 2, 2), (3, 3, 3), (1, 1, 6), (1, 1, 10)])
     def test_iterations_per_row_do_not_grow_with_the_grid(self, field3, monkeypatch, alpha):
-        # Counts the matvecs of the block-diagonal matrix, which every CG
+        # Counts the applies of the matrix-free operator, which every CG
         # iteration makes once, whatever its preconditioner.
         matvecs = 0
-        assemble = pde_solver._block_diagonal
+        apply = pde_solver._apply_flux
 
-        class Counting:
-            def __init__(self, matrix):
-                self.matrix = matrix
+        def counting(faces, u):
+            nonlocal matvecs
+            matvecs += 1
+            return apply(faces, u)
 
-            def __matmul__(self, vector):
-                nonlocal matvecs
-                matvecs += 1
-                return self.matrix @ vector
-
-        monkeypatch.setattr(pde_solver, "_block_diagonal", lambda *args: Counting(assemble(*args)))
+        monkeypatch.setattr(pde_solver, "_apply_flux", counting)
         rng = np.random.default_rng(40)
         for _ in range(3):
             matvecs = 0
             y = {j + 1: float(v) for j, v in enumerate(rng.uniform(-1.0, 1.0, field3.max_modes))}
             solve(alpha, y, field3)
-            # One more matvec checks the backward error of the solution.
+            assert matvecs > 0
+            # One more apply checks the backward error of the solution.
             assert matvecs - 1 <= 15
 
     @pytest.mark.parametrize("alpha", [(1, 1, 4), (3, 2, 1), (2, 2, 2)])
@@ -253,3 +274,113 @@ class TestGridEvaluation:
         warmed.tensor_value((2,), SLV({2: 2}))
         warmed.tensor_value((1,), SLV({1: 3, 2: 2}))
         assert warmed.evaluate(iset).value == fresh
+
+
+def grid_by_grid(ev, iset, mode):
+    """The estimator from one-grid ``tensor_value`` calls, summed in the
+    order that ``evaluate`` sums."""
+    value = 0.0
+    for m in iset.members:
+        if mode == "combination":
+            c = iset.coefficients[m]
+            if c != 0:
+                value += c * ev.tensor_value(m.alpha, m.beta)
+            continue
+        support, total = m.beta.support, 0.0
+        for sign, lowered in corners(tuple(b for _, b in m.beta.items())):
+            beta, inner = SLV(zip(support, lowered)), 0.0
+            for corner_sign, alpha in corners(m.alpha):
+                inner += corner_sign * ev.tensor_value(alpha, beta)
+            total += sign * inner
+        value += total
+    return value
+
+
+BATCHED_SETS = {
+    "d1": (1, [MixedIndex((3,), SLV({1: 4, 2: 3})), MixedIndex((2,), SLV({1: 2, 3: 2, 4: 2}))]),
+    "d3": (3, [MixedIndex((2, 1, 2), SLV({1: 3, 2: 2})), MixedIndex((1, 2, 1), SLV({1: 2, 3: 2})),
+               MixedIndex((1, 1, 1), SLV({4: 3}))]),
+}
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Records each ``solve_qoi_batch`` call as (flush number or None, alpha, rows)."""
+    calls, flushes = [], []
+    solve_batch, solve_pending = pde_solver.solve_qoi_batch, MiscEvaluator._solve_pending
+
+    def batch(alpha, Y, *args):
+        calls.append((flushes[-1] if flushes else None, tuple(alpha), len(Y)))
+        return solve_batch(alpha, Y, *args)
+
+    def pending(evaluator, *args):
+        flushes.append(len(calls))
+        try:
+            solve_pending(evaluator, *args)
+        finally:
+            flushes.append(None)
+
+    monkeypatch.setattr(pde_solver, "solve_qoi_batch", batch)
+    monkeypatch.setattr(MiscEvaluator, "_solve_pending", pending)
+    return calls
+
+
+def check_batches(ev, iset, mode, calls):
+    """A fresh ``evaluate`` against one-grid evaluation; returns the alphas
+    solved in each flush, after checking there is one call per alpha."""
+    value = ev.evaluate(iset, mode).value
+    calls = list(calls)
+    single = MiscEvaluator(ev.field_spec, ev.qoi_spec)
+    assert value == grid_by_grid(single, iset, mode)
+    assert (ev.cache.misses, ev.cache.hits) == (single.cache.misses, single.cache.hits)
+    assert ev.solved_dof == single.solved_dof
+    assert ev.cache.values == single.cache.values
+    assert ev.cache.grids == single.cache.grids
+    assert sum(rows for _, _, rows in calls) == ev.cache.misses
+    flushes = {}
+    for flush, alpha, rows in calls:
+        if flush is None:
+            assert rows == 1          # the y = 0 anchor, through solve_qoi
+        else:
+            flushes.setdefault(flush, []).append(alpha)
+    assert all(len(alphas) == len(set(alphas)) for alphas in flushes.values())
+    return list(flushes.values())
+
+
+class TestBatchedEvaluation:
+    """``evaluate`` solves each evaluation's new points in one batch per alpha."""
+
+    @pytest.mark.parametrize("bound", [None, 8])
+    @pytest.mark.parametrize("mode", ["combination", "surplus"])
+    @pytest.mark.parametrize("name", sorted(BATCHED_SETS))
+    def test_fresh_evaluate_matches_grid_by_grid(self, field1, qoi1, field3, qoi3, recorded,
+                                                 monkeypatch, name, mode, bound):
+        d, tops = BATCHED_SETS[name]
+        field_spec, qoi_spec = (field1, qoi1) if d == 1 else (field3, qoi3)
+        if bound is not None:
+            monkeypatch.setattr(misc_core, "_FLUSH_POINTS", bound)
+        ev = MiscEvaluator(field_spec, qoi_spec)
+        flushes = check_batches(ev, IndexSet(downward_closure(set(tops))), mode, recorded)
+        if bound is None:
+            assert ev.cache.misses < misc_core._FLUSH_POINTS
+            assert len(flushes) == 1
+        else:
+            assert len(flushes) > 1
+
+    def test_default_bound_is_crossed(self, field1, qoi1, recorded):
+        tops = [MixedIndex((3,), SLV({1: 5, 2: 4, 3: 2})),
+                MixedIndex((2,), SLV({1: 4, 2: 2, 3: 3, 4: 2})),
+                MixedIndex((1,), SLV({1: 3, 2: 3, 4: 3, 5: 2}))]
+        ev = MiscEvaluator(field1, qoi1)
+        flushes = check_batches(ev, IndexSet(downward_closure(set(tops))), "surplus", recorded)
+        assert ev.cache.misses > misc_core._FLUSH_POINTS
+        assert len(flushes) > 1
+
+    def test_repeated_and_cached_grids_cost_lookups(self, field3, qoi3):
+        ev = MiscEvaluator(field3, qoi3)
+        grids = [((1, 1, 2), SLV({1: 2})), ((1, 1, 1), SLV({1: 2})), ((1, 1, 2), SLV({1: 2}))]
+        values = ev.tensor_values(grids)
+        assert values[0] == values[2] == ev.tensor_value(*grids[0])
+        assert (ev.cache.misses, ev.cache.hits) == (6, 0)
+        assert ev.tensor_values(grids[::-1]) == values[::-1]
+        assert (ev.cache.misses, ev.cache.hits) == (6, 0)

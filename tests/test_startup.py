@@ -1,4 +1,5 @@
-"""Importing the package and any 1-D run load numpy alone; scipy loads on demand."""
+"""Importing the package and any 1-D run load numpy alone; scipy loads on demand,
+and no solve loads scipy.sparse."""
 
 import json
 import os
@@ -25,12 +26,14 @@ after_1d = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
 field3, qoi3 = FieldSpec(3, 4.5, 4), pde_solver.default_qoi_spec(3)
 values = [pde_solver.solve_qoi((1, 1, 1), y, field3, qoi3) for y in ({}, {1: 0.5})]
+sparse_after_3d = "scipy.sparse" in sys.modules
 
 import scipy.sparse.linalg
 
 print(json.dumps({
     "after_1d": after_1d,
     "finite_3d": all(math.isfinite(v) for v in values),
+    "sparse_after_3d": sparse_after_3d,
     "spla": pde_solver.spla is scipy.sparse.linalg,
 }))
 """
@@ -43,6 +46,8 @@ def test_1d_runs_load_no_scipy():
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["after_1d"] == []
-    # The d = 3 sine-transform and PCG paths load scipy when they run.
+    # The d = 3 sine-transform and PCG paths load scipy.fft when they run;
+    # the PCG applies its operator matrix-free, without scipy.sparse.
     assert result["finite_3d"] is True
+    assert result["sparse_after_3d"] is False
     assert result["spla"] is True
