@@ -28,7 +28,6 @@ from .quadrature import (
     cc_weights,
     leb_delta,
     level_to_nodes,
-    tensor_quadrature,
 )
 from .random_field import (
     BSequence,

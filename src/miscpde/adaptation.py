@@ -153,14 +153,6 @@ def _error(alpha: tuple[int, ...], beta_items: tuple[tuple[int, int], ...],
     return model.c_e * math.exp(-decay) * 2.0 ** (-sum(alpha) * model.r_fem)
 
 
-def profit_entry(index: MixedIndex, work_model: WorkModel, error_model: ErrorModel) -> ProfitEntry:
-    return ProfitEntry(
-        index,
-        error_contribution_model(index, error_model),
-        work_contribution(index, work_model),
-    )
-
-
 def _tie_break(index: MixedIndex):
     return (sum(index.alpha) + index.beta.excess(), index.alpha, index.beta.items())
 
@@ -183,7 +175,7 @@ def _candidate_variables(active: set[int], n_rates: int, frontier_width: int) ->
 
 
 def _bump(beta_items: tuple[tuple[int, int], ...], j: int) -> tuple[tuple[int, int], ...]:
-    """``SparseLevelVector.bump(j).items()`` on plain items."""
+    """``beta_items`` with variable j raised one level."""
     levels = dict(beta_items)
     levels[j] = levels.get(j, 1) + 1
     return tuple(sorted(levels.items()))
@@ -347,7 +339,6 @@ class BruteForceResult:
     index_set: IndexSet
     eps: float
     profits: dict[MixedIndex, ProfitEntry]   # actual |difference| over actual work
-    modeled_profits: dict[MixedIndex, float]  # same numerator over the geometric work model
     flagged: tuple[MixedIndex, ...]
     dof_work_total: int
 
@@ -359,7 +350,6 @@ def build_set_bruteforce(
     epsilon: float | None = None,
     work_budget: float | None = None,
     evaluator: MiscEvaluator | None = None,
-    work_model: WorkModel | None = None,
 ) -> BruteForceResult:
     """Benchmark construction from exact difference magnitudes.
 
@@ -375,13 +365,9 @@ def build_set_bruteforce(
     if len(universe) > BRUTE_FORCE_CAP:
         raise ValueError(f"universe has {len(universe)} members, cap is {BRUTE_FORCE_CAP}")
     evaluator = evaluator or MiscEvaluator(field_spec, qoi_spec)
-    work_model = work_model or isotropic_work_model(universe.spatial_dim)
     entries: dict[MixedIndex, ProfitEntry] = {}
-    modeled: dict[MixedIndex, float] = {}
     for m in universe.members:
-        d_e = abs(evaluator.mixed_difference(m))
-        entries[m] = ProfitEntry(m, d_e, float(dof_work(m)))
-        modeled[m] = d_e / work_contribution(m, work_model)
+        entries[m] = ProfitEntry(m, abs(evaluator.mixed_difference(m)), float(dof_work(m)))
 
     root = root_index(universe.spatial_dim)
     if epsilon is not None:
@@ -414,7 +400,6 @@ def build_set_bruteforce(
         index_set=index_set,
         eps=eps_effective,
         profits=entries,
-        modeled_profits=modeled,
         flagged=flagged,
         dof_work_total=index_set.nominal_work(),
     )

@@ -344,7 +344,7 @@ def _build_sets(mode: str, budgets: Sequence[float], *, work_model: WorkModel,
     if mode == "bruteforce":
         return [adaptation.build_set_bruteforce(
             universe, field_spec, qoi_spec, work_budget=budget,
-            evaluator=evaluator, work_model=work_model,
+            evaluator=evaluator,
         ).index_set for budget in budgets]
     raise ConfigError(f"unknown adaptivity mode {mode!r}")
 

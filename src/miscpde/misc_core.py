@@ -6,10 +6,11 @@ closed set of mixed indices can be evaluated either by summing mixed
 first-order differences (surplus form) or as a signed combination of
 plain tensor approximations (combination technique); both go through
 ``MiscEvaluator.tensor_values``, which caches the value of every tensor
-grid by its levels and of every collocation point by its coordinates,
-so no grid is reduced and no nested point is solved twice, and which
-solves the new points of all the grids an evaluation needs in one
-batch per spatial level.
+grid by its levels and the values of every nested point block (the
+points first present at one level vector, see
+``quadrature.tensor_blocks``) by that vector, so no grid is reduced and
+no nested point is solved twice, and which solves the new blocks of all
+the grids an evaluation needs in one batch per spatial level.
 """
 
 from __future__ import annotations
@@ -58,12 +59,6 @@ class MixedIndex:
         """Immediate predecessors: one component decremented (floor 1)."""
         for alpha, beta_items in _parent_levels(self.alpha, self.beta.items()):
             yield MixedIndex(alpha, SparseLevelVector(beta_items))
-
-    def bump_alpha(self, i: int) -> "MixedIndex":
-        return MixedIndex(self.alpha[:i] + (self.alpha[i] + 1,) + self.alpha[i + 1 :], self.beta)
-
-    def bump_beta(self, j: int) -> "MixedIndex":
-        return MixedIndex(self.alpha, self.beta.bump(j))
 
 
 def root_index(spatial_dim: int) -> MixedIndex:
@@ -258,10 +253,11 @@ _FLUSH_POINTS = 1024
 
 @dataclass
 class EvalCache:
-    """Memoized values of F^alpha at collocation points and of whole tensor
-    grids; the hit/miss counters count points."""
+    """Memoized values of F^alpha on nested point blocks, one array per
+    (alpha, block beta items), and of whole tensor grids; the hit/miss
+    counters count points."""
 
-    values: dict = field(default_factory=dict)
+    blocks: dict = field(default_factory=dict)
     grids: dict = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
@@ -279,17 +275,9 @@ class EstimatorResult:
     mode: str
 
 
-def _point_keys(alpha: tuple[int, ...], Y: np.ndarray) -> list[tuple]:
-    """(alpha, bytes of each row of ``Y`` up to its last nonzero column).
-
-    A row's value depends on y_1..y_J and on nothing else, and two rows
-    with equal keys end at the same nonzero column, so the key is exact
-    whatever the width of ``Y``.
-    """
-    width = Y.shape[1]
-    ends = ((Y != 0) * np.arange(1, width + 1)).max(axis=1, initial=0) * Y.itemsize
-    raw, stride = Y.tobytes(), width * Y.itemsize
-    return [(alpha, raw[i * stride : i * stride + end]) for i, end in enumerate(ends.tolist())]
+def _grid_value(blocks: dict, keys: list, order: np.ndarray, weights: np.ndarray) -> float:
+    """The quadrature sum of one grid over its cached blocks, in row-major order."""
+    return float(np.sum(weights * np.concatenate([blocks[key] for key in keys])[order]))
 
 
 def _difference_terms(index: MixedIndex) -> list[tuple[int, SparseLevelVector, list]]:
@@ -321,11 +309,11 @@ class MiscEvaluator:
     """Evaluates mixed differences and whole estimators with a shared cache.
 
     Every value goes through ``tensor_values``, which caches each tensor
-    grid's reduced value under (alpha, beta items) and each point's
-    value under (alpha, the bytes of its parameter row up to its last
-    nonzero column), and solves the new points of all the grids it is
-    given in one batch per spatial level.  Nesting of the
-    Clenshaw-Curtis points is bit-exact, so nested grids share points.
+    grid's reduced value under (alpha, beta items) and the values of
+    each nested point block under (alpha, the block's beta items), and
+    solves the new blocks of all the grids it is given in one batch per
+    spatial level.  Every block of a grid is a grid of its own levels,
+    so nested grids share blocks.
     """
 
     def __init__(self, field_spec: FieldSpec, qoi_spec: QoISpec):
@@ -346,14 +334,15 @@ class MiscEvaluator:
         """Full tensor approximations of every (alpha, beta) in ``grids``.
 
         A grid evaluated before costs one lookup.  For the others, every
-        point neither cached nor already pending waits, de-duplicated
+        block neither cached nor already pending waits, de-duplicated
         across grids, in its spatial level's batch.  Whenever
         _FLUSH_POINTS points are pending, and at the end, each level's
         batch goes to one ``solve_qoi_batch`` call, and the grids waiting
-        on it are reduced with their outer-product quadrature weights.
-        The one-point y = 0 grid is solved on its own through
-        ``solve_qoi`` when its point is new.  Values do not depend on the
-        batching, since each solved row does not depend on its batch.
+        on it are reduced with their outer-product quadrature weights in
+        row-major order.  The one-point y = 0 grid is solved on its own
+        through ``solve_qoi`` when its point is new.  Values do not
+        depend on the batching, since each solved row does not depend on
+        its batch.
         """
         grids = list(grids)
         keys = [(alpha, beta.items()) for alpha, beta in grids]
@@ -362,39 +351,36 @@ class MiscEvaluator:
         for key, grid in zip(keys, grids):
             if key not in known:
                 todo.setdefault(key, grid)
-        cached = self.cache.values
-        pending: dict[tuple[int, ...], tuple[dict, list]] = {}   # alpha -> (keys, row blocks)
-        waiting = []       # (grid key, weights, point keys, values, missing) per grid
+        cached = self.cache.blocks
+        pending: dict[tuple[int, ...], dict] = {}   # alpha -> {block key: points}
+        waiting = []       # (grid key, block keys, order, weights) per grid
         count = 0
         for grid_key, (alpha, beta) in todo.items():
-            support, points, weights = quadrature.tensor_grid(beta)
-            # Rows end at the grid's last variable; the solver rejects one
-            # beyond max_modes as outside the enumerated modes.
-            Y = np.zeros((len(weights), beta.last_variable()))
-            Y[:, [j - 1 for j in support]] = points
-            point_keys = _point_keys(alpha, Y)
-            values = list(map(cached.get, point_keys))
-            missing = [i for i, v in enumerate(values) if v is None]
-            batch = pending.get(alpha)
-            new = missing if batch is None else [i for i in missing if point_keys[i] not in batch[0]]
-            self.cache.hits += len(point_keys) - len(new)
-            if new and not support:
+            blocks, order, weights = quadrature.tensor_blocks(tuple(b for _, b in beta.items()))
+            batch = pending.get(alpha, {})
+            # A block's key is alpha and its (variable, level) items.
+            pairs = [(j, c) for j, b in beta.items() for c in range(2, b + 1)]
+            block_keys = [(alpha, tuple(map(pairs.__getitem__, indices))) for indices, _ in blocks]
+            missing = [i for i, key in enumerate(block_keys) if key not in cached]
+            new = {block_keys[i]: blocks[i][1] for i in missing if block_keys[i] not in batch}
+            waits = len(new) < len(missing)
+            fresh = sum(len(points) for points in new.values())
+            self.cache.hits += len(order) - fresh
+            if new and not pairs:
                 # The y = 0 anchor goes through solve_qoi, the per-solve
                 # entry point that perfbench/tracer.py counts.
-                cached[point_keys[0]] = values[0] = pde_solver.solve_qoi(
-                    alpha, {}, self.field_spec, self.qoi_spec)
+                cached[block_keys[0]] = np.array(
+                    [pde_solver.solve_qoi(alpha, {}, self.field_spec, self.qoi_spec)])
                 self.cache.misses += 1
                 self.solved_dof += pde_solver.unknowns(alpha)
-                missing = new = []
-            if not missing:
-                known[grid_key] = float(np.sum(weights * values))
+                new = {}
+            if not (new or waits):
+                known[grid_key] = _grid_value(cached, block_keys, order, weights)
                 continue
             if new:
-                batch_keys, blocks = pending.setdefault(alpha, ({}, []))
-                batch_keys.update(dict.fromkeys(point_keys[i] for i in new))
-                blocks.append(Y[new])
-                count += len(new)
-            waiting.append((grid_key, weights, point_keys, values, missing))
+                pending.setdefault(alpha, {}).update(new)
+                count += fresh
+            waiting.append((grid_key, block_keys, order, weights))
             if count >= _FLUSH_POINTS:
                 self._solve_pending(pending, waiting)
                 count = 0
@@ -403,23 +389,27 @@ class MiscEvaluator:
         return [known[key] for key in keys]
 
     def _solve_pending(self, pending: dict, waiting: list) -> None:
-        """Solve each spatial level's pending rows in one ``solve_qoi_batch``
+        """Solve each spatial level's pending blocks in one ``solve_qoi_batch``
         call, cache the values, and reduce the grids waiting on them."""
-        cached = self.cache.values
-        for alpha, (batch_keys, blocks) in pending.items():
-            Y = np.zeros((len(batch_keys), max(block.shape[1] for block in blocks)))
+        cached = self.cache.blocks
+        for alpha, batch in pending.items():
+            # Rows end at the batch's last variable; the solver rejects one
+            # beyond max_modes as outside the enumerated modes.
+            width = max((items[-1][0] for _, items in batch if items), default=0)
+            Y = np.zeros((sum(map(len, batch.values())), width))
             start = 0
-            for block in blocks:
-                Y[start : start + len(block), : block.shape[1]] = block
-                start += len(block)
+            for (_, items), points in batch.items():
+                Y[start : start + len(points), [j - 1 for j, _ in items]] = points
+                start += len(points)
             solved = pde_solver.solve_qoi_batch(alpha, Y, self.field_spec, self.qoi_spec)
-            cached.update(zip(batch_keys, solved.tolist()))
-            self.cache.misses += len(batch_keys)
-            self.solved_dof += len(batch_keys) * pde_solver.unknowns(alpha)
-        for grid_key, weights, point_keys, values, missing in waiting:
-            for i in missing:
-                values[i] = cached[point_keys[i]]
-            self.cache.grids[grid_key] = float(np.sum(weights * values))
+            start = 0
+            for key, points in batch.items():
+                cached[key] = solved[start : start + len(points)]
+                start += len(points)
+            self.cache.misses += len(Y)
+            self.solved_dof += len(Y) * pde_solver.unknowns(alpha)
+        for grid_key, block_keys, order, weights in waiting:
+            self.cache.grids[grid_key] = _grid_value(cached, block_keys, order, weights)
         pending.clear()
         waiting.clear()
 

@@ -5,14 +5,18 @@ All rules integrate against the uniform probability measure dy/2 on
 node map m(0) = 0, m(1) = 1, m(beta) = 2^(beta-1) + 1, which makes the
 point families nested.  Points are evaluated canonically (cosine of the
 reduced angle, then symmetrized about an exact-zero midpoint) so that
-the nesting is bit-exact and no point is -0.0; downstream caches key
-collocation points by their coordinates, so nested grids share them.
+the nesting is bit-exact and no point is -0.0.  A tensor grid therefore
+splits into nested blocks, one per level vector below its own, each
+holding the points first present at those levels; the evaluator caches
+values by block, so nested grids share them.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from functools import lru_cache, reduce
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -188,14 +192,6 @@ class SparseLevelVector:
     def as_dict(self) -> dict[int, int]:
         return dict(self._items)
 
-    def with_level(self, j: int, b: int) -> "SparseLevelVector":
-        d = self.as_dict()
-        d[j] = b
-        return SparseLevelVector(d)
-
-    def bump(self, j: int, delta: int = 1) -> "SparseLevelVector":
-        return self.with_level(j, self.level(j) + delta)
-
     def excess(self) -> int:
         """|beta - 1|: total levels above the base level."""
         return sum(b - 1 for _, b in self._items)
@@ -224,31 +220,56 @@ class SparseLevelVector:
         raise AttributeError("SparseLevelVector is immutable")
 
 
-def tensor_grid(beta: SparseLevelVector):
-    """The tensor-product grid of ``beta`` over its support, in row-major order.
+@lru_cache(maxsize=None)
+def _birth_levels(beta: int) -> np.ndarray:
+    """The level at which each point of ``cc_points(beta)`` first appears."""
+    birth = np.full(level_to_nodes(beta), beta)
+    if beta == 2:
+        birth[1] = 1
+    elif beta > 2:
+        birth[::2] = _birth_levels(beta - 1)
+    birth.setflags(write=False)
+    return birth
 
-    Returns ``(support, points, weights)``: the active variables, a
-    (P, k) array of their coordinates and the raveled outer-product
-    weights.  An empty support is the single point y = 0 with weight 1.
+
+@lru_cache(maxsize=None)
+def _block_points(levels: tuple[int, ...]) -> np.ndarray:
+    """Row-major product of the points that each of ``levels`` adds, (P, k)."""
+    new = [cc_points(b)[_birth_levels(b) == b] for b in levels]
+    axes = np.meshgrid(*new, indexing="ij")
+    points = np.array(axes).reshape(len(levels), math.prod(map(len, new))).T
+    points.setflags(write=False)
+    return points
+
+
+@lru_cache(maxsize=None)
+def tensor_blocks(levels: tuple[int, ...]):
+    """The tensor grid of ``levels`` split into its nested blocks.
+
+    Block ``c`` (a level vector with 1 <= c_k <= levels_k) holds the
+    points first present at level c_k on every axis k.  Returns
+    ``(blocks, order, weights)``: per block in row-major order of ``c``,
+    its (axis, level) pairs at level >= 2, given as indices into the list
+    of pairs (k, c) for every axis k and 2 <= c <= levels_k, and the
+    (P_c, pairs) row-major product of their new points, every other axis
+    being at 0; ``order``, which takes the blocks' concatenated values to
+    the grid's row-major order; and the raveled row-major outer-product
+    weights.  An empty ``levels`` is the single point y = 0 with
+    weight 1.
     """
-    support = beta.support
-    levels = [b for _, b in beta.items()]
+    blocks = []
+    starts = [0, *itertools.accumulate(b - 1 for b in levels)]
+    for block in itertools.product(*(range(1, b + 1) for b in levels)):
+        above = [(k, c) for k, c in enumerate(block) if c >= 2]
+        pairs = tuple(starts[k] + c - 2 for k, c in above)
+        blocks.append((pairs, _block_points(tuple(c for _, c in above))))
+    # Each block lists its points in the grid's row-major order, so a
+    # stable sort of the grid by block index concatenates the blocks.
+    block_index = np.zeros((), dtype=int)
+    for b in levels:
+        block_index = block_index[..., None] * b + (_birth_levels(b) - 1)
+    order = np.argsort(np.argsort(block_index.ravel(), kind="stable"))
     weights = reduce(np.multiply.outer, (cc_weights(b) for b in levels), np.ones(1)).ravel()
-    axes = np.meshgrid(*(cc_points(b) for b in levels), indexing="ij")
-    points = np.array(axes).reshape(len(support), len(weights)).T
-    return support, points, weights
-
-
-def tensor_quadrature(beta: SparseLevelVector, f: Callable[[Mapping[int, float]], float]) -> float:
-    """Tensor-product quadrature over the finitely many active variables.
-
-    ``f`` is evaluated at sparse points: a mapping from variable index
-    to coordinate, with every unlisted variable implicitly at 0.  An
-    empty support reduces to the single evaluation f({}).  Points are
-    traversed in a fixed order so the accumulated sum is reproducible.
-    """
-    support, points, weights = tensor_grid(beta)
-    total = 0.0
-    for point, weight in zip(points, weights):
-        total += weight * float(f(dict(zip(support, point))))
-    return float(total)
+    for array in (order, weights):
+        array.setflags(write=False)
+    return tuple(blocks), order, weights

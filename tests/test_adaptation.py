@@ -7,6 +7,7 @@ import pytest
 from miscpde.adaptation import (
     BudgetError,
     ErrorModel,
+    ProfitEntry,
     RateFitError,
     WorkModel,
     box_universe,
@@ -17,7 +18,6 @@ from miscpde.adaptation import (
     isotropic_work_model,
     pilot_level,
     pilot_samples,
-    profit_entry,
     sweep_apriori,
     work_contribution,
 )
@@ -272,7 +272,8 @@ def assert_matches_oracle(result, digest, eps, next_profit, work_model, error_mo
     assert result.next_profit == next_profit
     assert result.dof_work_total == result.index_set.nominal_work()
     assert result.profits == {
-        m: profit_entry(m, work_model, error_model) for m in result.index_set
+        m: ProfitEntry(m, error_contribution_model(m, error_model), work_contribution(m, work_model))
+        for m in result.index_set
     }
 
 

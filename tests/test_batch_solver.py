@@ -1,6 +1,9 @@
 """The batched solvers (closed form in 1-D, sine-transform preconditioned CG in 3-D)
 and the evaluator's batches per spatial level."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
@@ -22,7 +25,10 @@ from miscpde.pde_solver import (
     unknowns,
 )
 from miscpde.quadrature import SparseLevelVector as SLV
+from miscpde.quadrature import cc_points, cc_weights, new_node_count
 from miscpde.random_field import mode_ordering
+
+from test_misc_core import random_closed_set
 
 
 def random_rows(rng, count, n_vars, density=1.0):
@@ -264,8 +270,11 @@ class TestGridEvaluation:
         ev = MiscEvaluator(field1, qoi1)
         for top in (MixedIndex((2,), SLV({1: 2, 2: 2})), MixedIndex((3,), SLV({1: 3}))):
             ev.evaluate(IndexSet(downward_closure({top})), "surplus")
-        assert ev.solved_dof == sum(unknowns(alpha) for alpha, _ in ev.cache.values)
-        assert ev.cache.misses == len(ev.cache.values)
+        blocks = ev.cache.blocks
+        for (_, items), values in blocks.items():
+            assert len(values) == math.prod(new_node_count(b) for _, b in items)
+        assert ev.solved_dof == sum(unknowns(alpha) * len(v) for (alpha, _), v in blocks.items())
+        assert ev.cache.misses == sum(len(v) for v in blocks.values())
 
     def test_evaluation_order_does_not_change_values(self, field1, qoi1):
         iset = IndexSet(downward_closure({MixedIndex((2,), SLV({1: 3, 2: 2}))}))
@@ -334,7 +343,8 @@ def check_batches(ev, iset, mode, calls):
     assert value == grid_by_grid(single, iset, mode)
     assert (ev.cache.misses, ev.cache.hits) == (single.cache.misses, single.cache.hits)
     assert ev.solved_dof == single.solved_dof
-    assert ev.cache.values == single.cache.values
+    assert ev.cache.blocks.keys() == single.cache.blocks.keys()
+    assert all(np.array_equal(v, single.cache.blocks[k]) for k, v in ev.cache.blocks.items())
     assert ev.cache.grids == single.cache.grids
     assert sum(rows for _, _, rows in calls) == ev.cache.misses
     flushes = {}
@@ -384,3 +394,35 @@ class TestBatchedEvaluation:
         assert (ev.cache.misses, ev.cache.hits) == (6, 0)
         assert ev.tensor_values(grids[::-1]) == values[::-1]
         assert (ev.cache.misses, ev.cache.hits) == (6, 0)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_blocks_solve_every_grid_point_once(self, field1, qoi1, field3, qoi3, d):
+        """At two nested checkpoints, the solved points are the distinct
+        points of the grids evaluated so far, and each grid's value is
+        the row-major weighted sum of one-row solves."""
+        field_spec, qoi_spec = (field1, qoi1) if d == 1 else (field3, qoi3)
+        n_vars = 4
+        rng = np.random.default_rng(80 + d)
+        top = random_closed_set(rng, spatial_dim=d, n_vars=n_vars, max_level=3 if d == 3 else 4,
+                                max_members=12 if d == 3 else 25)
+        inner = IndexSet(downward_closure(top.members[: len(top) // 2]))
+        assert len(inner) < len(top)
+        ev = MiscEvaluator(field_spec, qoi_spec)
+        one_row = {}
+        for iset, mode in ((inner, "combination"), (top, "surplus")):
+            ev.evaluate(iset, mode)
+            points = set()
+            for (alpha, items), value in ev.cache.grids.items():
+                weights, values = [], []
+                for combo in itertools.product(*(zip(cc_points(b), cc_weights(b)) for _, b in items)):
+                    y = dict(zip((j for j, _ in items), (p for p, _ in combo)))
+                    row = tuple(y.get(j, 0.0) for j in range(1, n_vars + 1))
+                    if (alpha, row) not in one_row:
+                        one_row[alpha, row] = solve_qoi_batch(alpha, np.array([row]), field_spec,
+                                                              qoi_spec)[0]
+                    points.add((alpha, row))
+                    weights.append(math.prod(w for _, w in combo))
+                    values.append(one_row[alpha, row])
+                # np.sum is the pairwise row-major sum that the evaluator reduces grids with.
+                assert value == float(np.sum(np.array(weights) * np.array(values)))
+            assert ev.cache.misses == len(points)

@@ -42,10 +42,7 @@ def oracle_coefficients(members):
         total = 0
         for bits in itertools.product((0, 1), repeat=dim + len(active)):
             alpha = tuple(a + b for a, b in zip(m.alpha, bits[:dim]))
-            beta = m.beta
-            for j, bit in zip(active, bits[dim:]):
-                if bit:
-                    beta = beta.bump(j)
+            beta = SLV({j: m.beta.level(j) + bit for j, bit in zip(active, bits[dim:])})
             if MixedIndex(alpha, beta) in members:
                 total += (-1) ** sum(bits)
         out[m] = total
@@ -60,12 +57,14 @@ def random_closed_set(rng, spatial_dim=1, n_vars=4, max_level=4, max_members=25,
         base = sorted(members, key=MixedIndex.sort_key)[rng.integers(len(members))]
         coord = rng.integers(spatial_dim + n_vars)
         if coord < spatial_dim:
-            candidate = base.bump_alpha(int(coord))
+            alpha = list(base.alpha)
+            alpha[coord] += 1
+            candidate = MixedIndex(tuple(alpha), base.beta)
             if candidate.alpha[coord] > max_level:
                 continue
         else:
             j = int(coord - spatial_dim + 1)
-            candidate = base.bump_beta(j)
+            candidate = MixedIndex(base.alpha, SLV({**base.beta.as_dict(), j: base.beta.level(j) + 1}))
             if candidate.beta.level(j) > max_level:
                 continue
         if all(p in members for p in candidate.parents()):

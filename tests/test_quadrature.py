@@ -13,8 +13,7 @@ from miscpde.quadrature import (
     leb_delta,
     level_to_nodes,
     new_node_count,
-    tensor_grid,
-    tensor_quadrature,
+    tensor_blocks,
 )
 
 
@@ -139,10 +138,10 @@ class TestSparseLevelVector:
         assert v.max_level() == 3
         assert v.last_variable() == 5
 
-    def test_bump_and_equality(self):
+    def test_changed_level_and_equality(self):
         v = SparseLevelVector({1: 2})
-        assert v.bump(1) == SparseLevelVector({1: 3})
-        assert v.bump(1, -1) == SparseLevelVector()
+        assert SparseLevelVector({**v.as_dict(), 1: 3}) == SparseLevelVector({1: 3})
+        assert SparseLevelVector({**v.as_dict(), 1: 1}) == SparseLevelVector()
         assert hash(v) == hash(SparseLevelVector({1: 2}))
 
     def test_validation(self):
@@ -154,94 +153,94 @@ class TestSparseLevelVector:
             SparseLevelVector()._items = ()
 
 
-class TestTensorQuadrature:
-    def test_all_base_levels(self):
-        calls = []
+def block_pairs(levels):
+    """(axis, level) of each block of ``tensor_blocks(levels)``."""
+    table = [(k, c) for k, b in enumerate(levels) for c in range(2, b + 1)]
+    return [[table[i] for i in indices] for indices, _ in tensor_blocks(levels)[0]]
 
-        def f(y):
-            calls.append(dict(y))
-            return 7.5
 
-        assert tensor_quadrature(SparseLevelVector(), f) == 7.5
-        assert calls == [{}]
-
-    def test_single_variable_quadratic(self):
-        value = tensor_quadrature(SparseLevelVector({1: 2}), lambda y: y.get(1, 0.0) ** 2)
-        assert abs(value - 1 / 3) < 1e-14
-
-    def test_product_quadratic(self):
-        value = tensor_quadrature(
-            SparseLevelVector({1: 2, 2: 2}),
-            lambda y: y.get(1, 0.0) ** 2 * y.get(2, 0.0) ** 2,
-        )
-        assert abs(value - 1 / 9) < 1e-14
-
-    def test_inactive_variables_at_zero(self):
-        seen = set()
-
-        def f(y):
-            seen.update(y.keys())
-            return 1.0
-
-        tensor_quadrature(SparseLevelVector({4: 2}), f)
-        assert seen == {4}
-
-    def test_matches_pointwise_sum(self):
-        # Bit for bit: row-major points, weights multiplied left to right,
-        # accumulated one point at a time.
-        beta = SparseLevelVector({1: 3, 2: 2, 4: 2})
-
-        def f(y):
-            return math.exp(y.get(1, 0.0) - 0.5 * y.get(2, 0.0) + y.get(4, 0.0) ** 3)
-
-        axes = [list(zip(cc_points(b), cc_weights(b))) for _, b in beta.items()]
-        total = 0.0
-        for combo in itertools.product(*axes):
-            y = dict(zip(beta.support, (pw[0] for pw in combo)))
-            total += math.prod(pw[1] for pw in combo) * f(y)
-        assert tensor_quadrature(beta, f) == total
+def grid_points(levels):
+    """The points of ``tensor_blocks(levels)`` in the grid's row-major order:
+    each block's points on its axes, zero elsewhere, concatenated and
+    permuted by ``order``."""
+    blocks, order, _ = tensor_blocks(levels)
+    rows = []
+    for pairs, (_, points) in zip(block_pairs(levels), blocks):
+        full = np.zeros((len(points), len(levels)))
+        full[:, [k for k, _ in pairs]] = points
+        rows.append(full)
+    return np.concatenate(rows)[order]
 
 
 GRIDS = [{1: 2}, {2: 3, 5: 2}, {1: 4, 3: 3, 4: 2}]
 
 
+def grid_levels(levels):
+    return tuple(b for _, b in SparseLevelVector(levels).items())
+
+
 class TestTensorGrid:
     @pytest.mark.parametrize("levels", GRIDS)
     def test_weights_sum_to_one(self, levels):
-        _, _, weights = tensor_grid(SparseLevelVector(levels))
+        _, _, weights = tensor_blocks(grid_levels(levels))
         assert abs(weights.sum() - 1.0) < 1e-14
 
     @pytest.mark.parametrize("levels", GRIDS)
     def test_points_are_cc_points_per_axis(self, levels):
-        beta = SparseLevelVector(levels)
-        support, points, weights = tensor_grid(beta)
-        assert support == beta.support
-        expected = list(itertools.product(*(cc_points(b) for _, b in beta.items())))
-        assert np.array_equal(points, np.array(expected))
-        assert len(weights) == len(points)
+        beta = grid_levels(levels)
+        expected = list(itertools.product(*(cc_points(b) for b in beta)))
+        points = grid_points(beta)
+        assert points.tobytes() == np.array(expected).tobytes()
+        assert len(tensor_blocks(beta)[2]) == len(points)
+
+    def test_weights_are_row_major_products(self):
+        # Bit for bit: weights multiplied left to right in row-major order.
+        beta = (3, 2, 2)
+        expected = [math.prod(combo) for combo in itertools.product(*(cc_weights(b) for b in beta))]
+        assert np.array_equal(tensor_blocks(beta)[2], expected)
+
+    def test_quadratics(self):
+        y = grid_points((2,))
+        assert abs(np.sum(tensor_blocks((2,))[2] * y[:, 0] ** 2) - 1 / 3) < 1e-14
+        y = grid_points((2, 2))
+        value = np.sum(tensor_blocks((2, 2))[2] * y[:, 0] ** 2 * y[:, 1] ** 2)
+        assert abs(value - 1 / 9) < 1e-14
 
     @pytest.mark.parametrize("levels", GRIDS)
-    def test_ids_equal_cache_keys(self, levels, field1, qoi1):
-        """The evaluator keys each grid point by its row y_1..y_J up to its last nonzero entry."""
+    def test_blocks_partition_the_grid(self, levels, field1, qoi1):
+        """Each block holds the points first present at its levels, and the
+        evaluator caches one value array per block."""
         beta = SparseLevelVector(levels)
-        support, points, _ = tensor_grid(beta)
-        rows = np.zeros((len(points), field1.max_modes))
-        rows[:, [j - 1 for j in support]] = points
+        blocks, order, _ = tensor_blocks(grid_levels(levels))
+        assert sorted(order.tolist()) == list(range(len(order)))
+        every = {tuple(pairs) for pairs in block_pairs(grid_levels(levels))}
+        assert len(every) == len(blocks) == math.prod(grid_levels(levels))
+        for pairs, (_, points) in zip(block_pairs(grid_levels(levels)), blocks):
+            fresh = [[p for p in cc_points(b) if p not in cc_points(b - 1)] for _, b in pairs]
+            assert points.tobytes() == np.array(list(itertools.product(*fresh))).tobytes()
         ev = MiscEvaluator(field1, qoi1)
         ev.tensor_value((1,), beta)
-        assert set(ev.cache.values) == {((1,), np.trim_zeros(row, "b").tobytes()) for row in rows}
-        assert ev.cache.misses == len(points)
+        support = beta.support
+        assert set(ev.cache.blocks) == {((1,), tuple((support[k], b) for k, b in pairs))
+                                        for pairs in every}
+        assert ev.cache.misses == len(order)
+
+    def test_variables_outside_the_support_stay_at_zero(self, field1, qoi1):
+        ev = MiscEvaluator(field1, qoi1)
+        ev.tensor_value((1,), SparseLevelVector({4: 2}))
+        assert set(ev.cache.blocks) == {((1,), ()), ((1,), ((4, 2),))}
 
     def test_empty_support_is_one_point(self):
-        support, points, weights = tensor_grid(SparseLevelVector())
-        assert support == ()
-        assert points.shape == (1, 0)
+        blocks, order, weights = tensor_blocks(())
+        assert [(pairs, points.shape) for pairs, points in blocks] == [((), (1, 0))]
+        assert order.tolist() == [0]
         assert weights.tolist() == [1.0]
 
 
 class TestPointIds:
-    """A point's identity is the bytes of its coordinates, so nesting
-    must hold bit for bit and y = 0 must never appear as -0.0."""
+    """A grid's points are taken from the blocks of the levels at which
+    they first appear, so nesting must hold bit for bit, and y = 0, the
+    coordinate of every variable at level 1, must never appear as -0.0."""
 
     def test_base_identity(self):
         assert cc_points(1).tobytes() == np.zeros(1).tobytes()
@@ -257,7 +256,7 @@ class TestPointIds:
         assert births.isdisjoint(v.tobytes() for v in coarse)
 
     def test_zero_has_fixed_id(self):
-        # -0.0 == 0.0, but its bytes would make a second cache key for y = 0.
+        # -0.0 == 0.0, but its bytes differ from the 0.0 of the variables at level 1.
         for beta in range(1, 13):
             pts = cc_points(beta)
             assert not np.signbit(pts[pts == 0.0]).any()
