@@ -29,8 +29,8 @@ import numpy as np
 # a_on_axes is unused here; perfbench/tracer.py wraps it by the name pde_solver.a_on_axes.
 from .random_field import FieldSpec, Mode, _check_active, a_on_axes, mode_ordering  # noqa: F401
 
-# scipy.fft is imported only by the d > 1 paths that use it, so that
-# importing the package, and any 1-D run, loads numpy alone.
+# The solver needs numpy alone: its sine transforms are dense matrix
+# products and numpy's real FFT, so no run loads scipy.
 
 
 def __getattr__(name: str):
@@ -249,6 +249,69 @@ def _laplacian_eigenvalues(alpha: tuple[int, ...]) -> np.ndarray:
     return _frozen(reduce(np.add.outer, lams))
 
 
+# Grid lines up to this length take the type-I sine transform as a product
+# with a cached dense sine matrix; longer ones take numpy's real FFT of the
+# odd extension.  Per-axis times on a batch of about 16384 entries, one
+# BLAS thread, a shared 2-core Xeon (matrix / FFT): n = 95 at 0.56-1.06e-4
+# / 1.07-1.95e-4 s, n = 191 at 1.22-2.49e-4 / 1.37-2.33e-4 s, n = 383 at
+# 2.75-3.84e-4 / 1.27-1.62e-4 s.  The matrices of n <= 191 (levels 1-6)
+# take 0.4 MB together.
+_SINE_MATRIX_MAX = 191
+
+
+@lru_cache(maxsize=None)
+def _sine_matrix(n: int) -> np.ndarray:
+    """The symmetric n x n type-I sine matrix sin(pi j k / (n + 1)), j, k = 1..n.
+
+    j k is reduced modulo 2 (n + 1) first, so every sine argument lies
+    in [0, 2 pi) and each entry keeps full relative accuracy.
+    """
+    k = np.arange(1, n + 1)
+    return _frozen(np.sin(np.pi * (np.outer(k, k) % (2 * n + 2)) / (n + 1)))
+
+
+def _sine_fft(lines: np.ndarray, axis: int) -> np.ndarray:
+    """sum_j x_j sin(pi j k / (n + 1)) along ``axis`` of a 3-D array by
+    numpy's real FFT: at k = 1..n, the FFT of the odd extension
+    (0, x, 0, -reversed x), of length 2 (n + 1), is -2i times that sum."""
+    n = lines.shape[axis]
+    shape = list(lines.shape)
+    shape[axis] = 2 * n + 2
+    odd = np.zeros(shape)
+    odd[_axis_slice(axis, 1, n + 1)] = lines
+    odd[_axis_slice(axis, n + 2, None)] = -np.flip(lines, axis)
+    return -0.5 * np.fft.rfft(odd, axis=axis).imag[_axis_slice(axis, 1, n + 1)]
+
+
+def _sine_transform(x: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+    """The type-I sine transform sum_j x_j sin(pi j k / (n_i + 1)) along each
+    grid axis of every row of ``x``, a (P, N) array; it is its own inverse
+    up to the factor prod 2 / (n_i + 1).
+
+    Each matrix product is a stack of products over one row's grid lines,
+    whose shapes do not depend on P, and the FFT acts on single lines, so
+    each row's result does not depend on the other rows.
+    """
+    rows = len(x)
+    for i, n in enumerate(counts):
+        before, after = math.prod(counts[:i]), math.prod(counts[i + 1 :])
+        if after == 1:
+            lines = x.reshape(rows, before, n)
+            x = lines @ _sine_matrix(n) if n <= _SINE_MATRIX_MAX else _sine_fft(lines, 2)
+        else:
+            lines = x.reshape(rows * before, n, after)
+            x = _sine_matrix(n) @ lines if n <= _SINE_MATRIX_MAX else _sine_fft(lines, 1)
+    return x.reshape(rows, -1)
+
+
+@lru_cache(maxsize=8)
+def _sine_divisors(alpha: tuple[int, ...]) -> np.ndarray:
+    """prod 2 / (n_i + 1) over the eigenvalues of the a == 1 operator,
+    the diagonal of its inverse between two sine transforms, flattened."""
+    scale = math.prod(2.0 / (n + 1) for n in interior_counts(alpha))
+    return _frozen((scale / _laplacian_eigenvalues(alpha)).ravel())
+
+
 def _sine_solve(alpha: tuple[int, ...], r: np.ndarray) -> np.ndarray:
     """L^-1 r for every row of ``r``, a (P, N) array, with L the a == 1 operator.
 
@@ -256,12 +319,8 @@ def _sine_solve(alpha: tuple[int, ...], r: np.ndarray) -> np.ndarray:
     diagonalizes it (a direct method).  The transforms act on the grid
     axes only, so each row's result does not depend on the other rows.
     """
-    from scipy import fft
-
     counts = interior_counts(alpha)
-    axes = tuple(range(1, len(counts) + 1))
-    coeffs = fft.dstn(r.reshape(len(r), *counts), type=1, axes=axes)
-    return fft.idstn(coeffs / _laplacian_eigenvalues(alpha), type=1, axes=axes).reshape(r.shape)
+    return _sine_transform(_sine_transform(r, counts) * _sine_divisors(alpha), counts)
 
 
 def _solve_constant(alpha: tuple[int, ...]) -> np.ndarray:

@@ -78,8 +78,6 @@ def solve_E_delta(b0_l1_norm: float, delta: float) -> float:
     exp(-|b_0|_1); larger delta leaves no admissible ellipse scaling.
     The residual of the returned root is below 1e-10.
     """
-    from scipy.optimize import brentq  # imported here so the package loads numpy only
-
     if not delta > 0:
         raise ValueError("delta must be positive")
     ceiling = -b0_l1_norm - math.log(delta)
@@ -88,7 +86,7 @@ def solve_E_delta(b0_l1_norm: float, delta: float) -> float:
             f"delta too large for ellipse construction: need delta < exp(-|b0|_1) = {math.exp(-b0_l1_norm):.3g}"
         )
     # The residual pi/E - rhs decreases strictly from +inf (E -> 2+) to
-    # -ceiling < 0 (E -> inf); bracket the sign change and refine.
+    # -ceiling < 0 (E -> inf); bracket the sign change and bisect it.
     lo = 2.0 + 1e-12
     if e_delta_equation(lo, b0_l1_norm, delta) <= 0:
         raise RateError(
@@ -99,7 +97,13 @@ def solve_E_delta(b0_l1_norm: float, delta: float) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise RateError("failed to bracket the ellipse-scale equation")
-    root = brentq(e_delta_equation, lo, hi, args=(b0_l1_norm, delta), xtol=1e-14, rtol=8.9e-16)
+    # Bisect until lo and hi are adjacent doubles, at most about 100 steps.
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if e_delta_equation(mid, b0_l1_norm, delta) > 0:
+            lo = mid
+        else:
+            hi = mid
+    root = lo
     # Polish to the best representable root: near-boundary roots are steep,
     # so a few ulps can dominate the residual.
     best = float(root)

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,12 +183,65 @@ class TestDeterminism:
         assert first == second and math.isfinite(first)
 
 
+# Row-by-row invariance of _sine_solve, run in a fresh interpreter so that
+# the BLAS thread count is the one its environment sets.
+INVARIANCE_SCRIPT = """
+import json
+
+import numpy as np
+
+from miscpde.pde_solver import _SINE_MATRIX_MAX, _sine_solve, interior_counts
+
+# Level 6 lines (n = 191) take the matrix, level 7 lines (n = 383) the FFT.
+# (6, 4, 1) is large enough that the BLAS splits its products over threads.
+alphas = [(6, 1, 1), (1, 6, 1), (1, 1, 6), (7, 1, 1), (1, 7, 1), (1, 1, 7), (6, 4, 1)]
+rng = np.random.default_rng(7)
+checked = {}
+for alpha in alphas:
+    r = rng.uniform(-1.0, 1.0, (3, int(np.prod(interior_counts(alpha)))))
+    whole = _sine_solve(alpha, r)
+    alone = [_sine_solve(alpha, r[k : k + 1])[0] for k in range(len(r))]
+    checked[str(alpha)] = all(np.array_equal(a, w) for a, w in zip(alone, whole))
+print(json.dumps({"matrix_max": _SINE_MATRIX_MAX, "checked": checked}))
+"""
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestSineTransform:
+    @pytest.mark.parametrize("axis", range(3))
+    @pytest.mark.parametrize("level", range(1, 11))
+    def test_matches_scipy_dstn(self, level, axis):
+        counts = [5, 5, 5]
+        counts[axis] = interior_counts((level,))[0]
+        x = np.random.default_rng(10 * level + axis).uniform(-1.0, 1.0, (2, math.prod(counts)))
+        ours = pde_solver._sine_transform(x, tuple(counts))
+        # scipy's type-I transform is 2 sum_j x_j sin(pi j k / (n + 1)) per axis.
+        oracle = scipy.fft.dstn(x.reshape(2, *counts), type=1, axes=(1, 2, 3)).reshape(2, -1) / 8
+        assert np.abs(ours - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("threads", ["default", "1"])
+    def test_solve_row_independent_of_batch_both_sides_of_the_switch(self, threads):
+        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+        if threads != "default":
+            env.update(dict.fromkeys(THREAD_VARIABLES, threads))
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-c", INVARIANCE_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+        # Levels 6 and 7 sit on each side of the matrix/FFT switch.
+        assert 191 <= result["matrix_max"] < 383
+        assert all(result["checked"].values()), result["checked"]
+
+
 class TestSineTransformResidual:
     @pytest.fixture
     def corrupted_transform(self, monkeypatch):
-        # An inverse transform that is off by 0.1 %.
-        idstn = scipy.fft.idstn
-        monkeypatch.setattr(scipy.fft, "idstn", lambda x, **kwargs: 1.001 * idstn(x, **kwargs))
+        # A sine transform that is off by 0.1 %.
+        transform = pde_solver._sine_transform
+        monkeypatch.setattr(pde_solver, "_sine_transform",
+                            lambda x, counts: 1.001 * transform(x, counts))
 
     @pytest.mark.parametrize("alpha", [(2, 1, 3), (1, 1, 10)])
     def test_accepted_solve_meets_the_contract(self, field3, alpha):

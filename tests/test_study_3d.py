@@ -1,7 +1,7 @@
 """The paper's 3-D example at seven budgets, an opt-in slow test.
 
-Deselected by default; run it with ``pytest -m slow``.  It takes about
-25 s on a shared 2-core host.
+Deselected by default; run it with ``pytest -m slow``.  It takes 13-17 s
+on a shared 2-core host.
 """
 
 import math
