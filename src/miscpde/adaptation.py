@@ -1,12 +1,11 @@
 """Profit-driven construction of estimator index sets and rate fitting.
 
-A mixed index is admitted when its modeled error contribution per unit
-of modeled work clears a threshold.  One greedy sweep admits candidates
-best profit first, a whole profit class at a time.  Given a threshold,
-it stops at the first class below it; given a work budget, it stops at
-the first class that would take the set's exact degrees of freedom past
-the budget.  Since the order does not depend on the budget, the set of
-every budget of a study is a checkpoint of one sweep up to the largest
+A mixed index's profit is its modeled error contribution per unit of
+modeled work.  One greedy sweep admits candidates best profit first, a
+whole profit class at a time, and stops at the first class that would
+take the set's exact degrees of freedom past the work budget.  Since
+the order does not depend on the budget, the set of every budget of a
+study is a checkpoint of one sweep up to the largest
 (``sweep_apriori``), in the manner of dimension-adaptive quadrature
 (Gerstner & Griebel, Computing 71, 2003).  Error contributions follow
 the fitted exponential decay model C_E * exp(-sum_j m(beta_j - 1) * g_j)
@@ -32,7 +31,6 @@ from .misc_core import (
     MiscEvaluator,
     MixedIndex,
     dof_work,
-    downward_closure,
     levels_dof_work,
     root_index,
 )
@@ -165,7 +163,7 @@ class BuildResult:
     eps: float                         # smallest admitted profit
     profits: dict[MixedIndex, ProfitEntry]
     dof_work_total: int
-    next_profit: float | None          # best rejected profit; relaxing eps past it grows the set
+    next_profit: float | None          # profit of the first class over the budget; None if none was left
 
 
 def _candidate_variables(active: set[int], n_rates: int, frontier_width: int) -> list[int]:
@@ -184,34 +182,12 @@ def _bump(beta_items: tuple[tuple[int, int], ...], j: int) -> tuple[tuple[int, i
 def build_set_apriori(
     work_model: WorkModel,
     error_model: ErrorModel,
-    epsilon: float | None = None,
-    work_budget: float | None = None,
+    work_budget: float,
     frontier_width: int = 2,
     universe: IndexSet | None = None,
 ) -> BuildResult:
-    """Profit-threshold set construction from the a-priori models.
-
-    Exactly one of ``epsilon`` (threshold mode) and ``work_budget``
-    (budget mode) must be given.  Candidates are admitted best-profit
-    first, one whole profit class at a time; because every rate is
-    positive, profit decreases strictly along every coordinate, so the
-    set is downward closed by construction.  Threshold mode stops at the
-    first class whose profit is below ``epsilon``.  Budget mode stops at
-    the first class that would take the exact degrees of freedom of the
-    set above the budget; nothing is bisected, and a class that fits
-    exactly is admitted.  New stochastic variables enter the candidate
-    pool in mode order, at most ``frontier_width`` beyond the deepest
-    variable activated so far.  An optional ``universe`` restricts the
-    candidates, which makes the result comparable to a brute-force
-    benchmark over the same universe.  This is the one-checkpoint case
-    of ``sweep_apriori``.
-    """
-    if (epsilon is None) == (work_budget is None):
-        raise ValueError("give exactly one of epsilon and work_budget")
-    if work_budget is not None:
-        return sweep_apriori(work_model, error_model, [work_budget], frontier_width, universe)[0]
-    return _sweep(work_model, error_model, [lambda profit, dof: profit < epsilon],
-                  frontier_width, universe)[0]
+    """The set of one work budget: ``sweep_apriori`` with one checkpoint."""
+    return sweep_apriori(work_model, error_model, [work_budget], frontier_width, universe)[0]
 
 
 def sweep_apriori(
@@ -221,42 +197,35 @@ def sweep_apriori(
     frontier_width: int = 2,
     universe: IndexSet | None = None,
 ) -> list[BuildResult]:
-    """Budget-mode sets for several strictly increasing budgets from one sweep.
+    """The sets of several strictly increasing work budgets from one greedy sweep.
 
-    The greedy order does not depend on the budget, so the set of each
-    budget is a prefix of the sweep for the largest one.  Entry k is
-    checkpointed where ``build_set_apriori(work_budget=budgets[k])``
-    stops, at the first profit class that would overflow that budget,
-    and equals its result member for member and in every diagnostic.
+    The root is always admitted.  Then candidates leave the heap one
+    profit class at a time, best first; because every rate is positive,
+    profit decreases strictly along every coordinate, so each set is
+    downward closed by construction.  Before a class is admitted, every
+    budget that the set's exact degrees of freedom would exceed with it
+    checkpoints the set as it stands, with ``next_profit`` the class's
+    profit; nothing is bisected, and a class that fits a budget exactly
+    is admitted.  When no candidate is left, every remaining budget
+    checkpoints the whole set with ``next_profit = None``.  The order of
+    admission within a class changes no result.  The greedy order does
+    not depend on the budgets, so entry k equals the one-budget build of
+    ``budgets[k]`` member for member and in every diagnostic.
+
+    New stochastic variables enter the candidate pool in mode order, at
+    most ``frontier_width`` beyond the deepest variable activated so
+    far.  An optional ``universe`` restricts the candidates, which makes
+    the result comparable to a brute-force benchmark over the same
+    universe.  Candidates are plain ``(alpha, beta items)`` tuples; only
+    admitted members become ``MixedIndex`` objects.
     """
     budgets = list(budgets)
     if not budgets or any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError(f"budgets must be non-empty and strictly increasing, got {budgets}")
-    root = root_index(work_model.spatial_dim)
-    if dof_work(root) > budgets[0]:
-        raise BudgetError(
-            f"budget {budgets[0]} cannot hold the root index (work {dof_work(root)})"
-        )
-    stops = [lambda profit, dof, budget=budget: dof > budget for budget in budgets]
-    return _sweep(work_model, error_model, stops, frontier_width, universe)
-
-
-def _sweep(work_model: WorkModel, error_model: ErrorModel, stops: list,
-           frontier_width: int, universe: IndexSet | None) -> list[BuildResult]:
-    """The greedy profit sweep, checkpointed once per stop rule.
-
-    The root is always admitted.  Then candidates leave the heap one
-    profit class at a time, best first.  Before a class is admitted the
-    current rule ``stop(profit, dof)`` sees its profit and the degrees
-    of freedom the set would total with it; when the rule holds, the set
-    as it stands is checkpointed with ``next_profit = profit`` and the
-    next rule takes over.  When no candidate is left, every remaining
-    rule checkpoints the whole set with ``next_profit = None``.  The
-    order of admission within a class changes no result.
-
-    Candidates are plain ``(alpha, beta items)`` tuples; only admitted
-    members become ``MixedIndex`` objects.
-    """
+    root = (1,) * work_model.spatial_dim
+    root_dof = levels_dof_work(root, ())
+    if root_dof > budgets[0]:
+        raise BudgetError(f"budget {budgets[0]} cannot hold the root index (work {root_dof})")
     n_rates = len(error_model.g_tilde)
     allowed = None if universe is None else {(m.alpha, m.beta.items()) for m in universe}
     seen: set = set()
@@ -308,12 +277,8 @@ def _sweep(work_model: WorkModel, error_model: ErrorModel, stops: list,
             next_profit=next_profit,
         )
 
-    root = (1,) * work_model.spatial_dim
-    admit(root, (), _error(root, (), error_model), _work(root, (), work_model),
-          levels_dof_work(root, ()))
+    admit(root, (), _error(root, (), error_model), _work(root, (), work_model), root_dof)
     results: list[BuildResult] = []
-    rules = iter(stops)
-    stop = next(rules)
     while True:
         group = []
         if heap:
@@ -322,10 +287,10 @@ def _sweep(work_model: WorkModel, error_model: ErrorModel, stops: list,
                 group.append(heapq.heappop(heap))
         dofs = [levels_dof_work(alpha, items) for _, alpha, items, _, _ in group]
         profit = -group[0][0] if group else None
-        while stop is not None and (not group or stop(profit, spent_dof + sum(dofs))):
+        while len(results) < len(budgets) and (
+                not group or spent_dof + sum(dofs) > budgets[len(results)]):
             results.append(checkpoint(profit))
-            stop = next(rules, None)
-        if stop is None:
+        if len(results) == len(budgets):
             return results
         for (_, alpha, items, d_e, d_w), dof in zip(group, dofs):
             admit(alpha, items, d_e, d_w, dof)
@@ -339,7 +304,6 @@ class BruteForceResult:
     index_set: IndexSet
     eps: float
     profits: dict[MixedIndex, ProfitEntry]   # actual |difference| over actual work
-    flagged: tuple[MixedIndex, ...]
     dof_work_total: int
 
 
@@ -347,60 +311,46 @@ def build_set_bruteforce(
     universe: IndexSet,
     field_spec: FieldSpec,
     qoi_spec: QoISpec,
-    epsilon: float | None = None,
-    work_budget: float | None = None,
+    work_budget: float,
     evaluator: MiscEvaluator | None = None,
 ) -> BruteForceResult:
     """Benchmark construction from exact difference magnitudes.
 
     Every universe member is evaluated once (the universe must be small:
     at most 500 members), profits are the actual |mixed difference| per
-    degree of freedom, and selection is greedy by profit.  Threshold
-    mode closes the selection downward afterwards, flagging the members
-    added only for closure; budget mode only ever admits candidates
-    whose predecessors are already in, so it needs no repair.
+    degree of freedom, and selection is greedy by profit within the work
+    budget.  Only candidates whose predecessors are already in are
+    admitted, so the set is downward closed by construction.
     """
-    if (epsilon is None) == (work_budget is None):
-        raise ValueError("give exactly one of epsilon and work_budget")
     if len(universe) > BRUTE_FORCE_CAP:
         raise ValueError(f"universe has {len(universe)} members, cap is {BRUTE_FORCE_CAP}")
+    root = root_index(universe.spatial_dim)
+    if dof_work(root) > work_budget:
+        raise BudgetError(f"budget {work_budget} cannot hold the root index")
     evaluator = evaluator or MiscEvaluator(field_spec, qoi_spec)
     entries: dict[MixedIndex, ProfitEntry] = {}
     for m in universe.members:
         entries[m] = ProfitEntry(m, abs(evaluator.mixed_difference(m)), float(dof_work(m)))
-
-    root = root_index(universe.spatial_dim)
-    if epsilon is not None:
-        selected = {m for m, e in entries.items() if e.profit >= epsilon}
-        selected.add(root)
-        closed = downward_closure(selected)
-        flagged = tuple(sorted(closed - selected, key=MixedIndex.sort_key))
-        eps_effective = epsilon
-    else:
-        if dof_work(root) > work_budget:
-            raise BudgetError(f"budget {work_budget} cannot hold the root index")
-        closed = {root}
-        spent = dof_work(root)
-        eps_effective = entries[root].profit
-        while True:
-            frontier = [
-                m for m in universe.members
-                if m not in closed and all(p in closed for p in m.parents())
-                and spent + dof_work(m) <= work_budget
-            ]
-            if not frontier:
-                break
-            best = min(frontier, key=lambda m: (-entries[m].profit, _tie_break(m)))
-            closed.add(best)
-            spent += dof_work(best)
-            eps_effective = entries[best].profit
-        flagged = ()
+    closed = {root}
+    spent = dof_work(root)
+    eps = entries[root].profit
+    while True:
+        frontier = [
+            m for m in universe.members
+            if m not in closed and all(p in closed for p in m.parents())
+            and spent + dof_work(m) <= work_budget
+        ]
+        if not frontier:
+            break
+        best = min(frontier, key=lambda m: (-entries[m].profit, _tie_break(m)))
+        closed.add(best)
+        spent += dof_work(best)
+        eps = entries[best].profit
     index_set = IndexSet(closed)
     return BruteForceResult(
         index_set=index_set,
-        eps=eps_effective,
+        eps=eps,
         profits=entries,
-        flagged=flagged,
         dof_work_total=index_set.nominal_work(),
     )
 

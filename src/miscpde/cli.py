@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import adaptation, misc_core, pde_solver, quadrature, theory
-from .adaptation import ErrorModel, WorkModel, isotropic_work_model
+from .adaptation import ErrorModel, isotropic_work_model
 from .misc_core import IndexSet, MiscEvaluator, mimc_estimate
 from .pde_solver import QoISpec, default_qoi_spec
 from .random_field import FieldSpec
@@ -124,15 +124,6 @@ class Config:
             return tuple(float(v) for v in raw.split(","))
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: expected comma-separated numbers") from exc
-
-    def get_ints(self, key, default=None, required=False):
-        raw = self._get(key, default, required)
-        if raw is None or isinstance(raw, tuple):
-            return raw
-        try:
-            return tuple(int(v) for v in raw.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: expected comma-separated integers") from exc
 
     def get_path(self, key, default=None, required=False, must_exist=True):
         raw = self._get(key, default, required)
@@ -334,18 +325,27 @@ class StudyResult:
     evaluator: MiscEvaluator
 
 
-def _build_sets(mode: str, budgets: Sequence[float], *, work_model: WorkModel,
-                error_model: ErrorModel | None, frontier_width: int,
-                universe: IndexSet | None, field_spec, qoi_spec, evaluator) -> list[IndexSet]:
-    """The index set of each of the strictly increasing ``budgets``."""
-    if mode in ("apriori", "deterministic"):
-        return [result.index_set for result in adaptation.sweep_apriori(
-            work_model, error_model, budgets, frontier_width=frontier_width)]
+def _study_model(mode: str, field_spec: FieldSpec, error_model: ErrorModel | None,
+                 r_fem: float | None = None) -> ErrorModel | None:
+    """The error model a study of ``mode`` builds its sets from.
+
+    A-priori mode needs the fitted ``error_model``.  Deterministic mode
+    uses the spatial rate alone: ``r_fem`` if given, else that of
+    ``error_model``, else the default.  Brute-force mode needs none.
+    """
+    if mode == "apriori":
+        if error_model is None:
+            raise ConfigError("a-priori mode needs a fitted error model")
+        return error_model
+    if mode == "deterministic":
+        if r_fem is None:
+            r_fem = error_model.r_fem if error_model else default_r_fem(field_spec.nu, field_spec.d)
+        try:
+            return ErrorModel(r_fem=r_fem, g_tilde=())
+        except ValueError as exc:
+            raise ConfigError(f"deterministic mode: {exc}") from exc
     if mode == "bruteforce":
-        return [adaptation.build_set_bruteforce(
-            universe, field_spec, qoi_spec, work_budget=budget,
-            evaluator=evaluator,
-        ).index_set for budget in budgets]
+        return None
     raise ConfigError(f"unknown adaptivity mode {mode!r}")
 
 
@@ -388,23 +388,20 @@ def study_driver(
     if threads != 1:
         raise ValueError(f"the evaluator is single-threaded; threads must be 1, got {threads}")
     budgets = check_budgets(budgets)
-    if mode == "deterministic":
-        error_model = ErrorModel(r_fem=error_model.r_fem if error_model else default_r_fem(field_spec.nu, field_spec.d),
-                                 g_tilde=())
-    if mode == "apriori" and error_model is None:
-        raise ConfigError("a-priori mode needs a fitted error model")
+    error_model = _study_model(mode, field_spec, error_model)
     if mode == "bruteforce" and universe is None:
         raise ConfigError("brute-force mode needs a universe index set")
-    work_model = isotropic_work_model(field_spec.d, gamma)
     evaluator = MiscEvaluator(field_spec, qoi_spec)
 
     reference_budget = reference_factor * budgets[-1]
     needed = sorted(set(budgets) | ({reference_budget} if reference is None else set()))
-    built = dict(zip(needed, _build_sets(
-        mode, needed, work_model=work_model, error_model=error_model,
-        frontier_width=frontier_width, universe=universe, field_spec=field_spec,
-        qoi_spec=qoi_spec, evaluator=evaluator,
-    )))
+    if mode == "bruteforce":
+        built = {budget: adaptation.build_set_bruteforce(
+            universe, field_spec, qoi_spec, budget, evaluator).index_set for budget in needed}
+    else:
+        results = adaptation.sweep_apriori(isotropic_work_model(field_spec.d, gamma), error_model,
+                                           needed, frontier_width)
+        built = {budget: result.index_set for budget, result in zip(needed, results)}
 
     sets, estimates, works = [], [], []
     for budget in budgets:
@@ -603,34 +600,49 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def universe_from_config(cfg: Config, field_spec: FieldSpec) -> IndexSet:
+    """The brute-force universe: spatial levels up to ``universe_alpha`` in
+    every dimension, quadrature levels up to ``universe_beta`` in each of
+    the first ``universe_vars`` variables."""
+    max_alpha = cfg.get_int("adaptivity.universe_alpha", 3)
+    max_beta = cfg.get_int("adaptivity.universe_beta", 2)
+    n_vars = cfg.get_int("adaptivity.universe_vars", 2)
+    if max_alpha < 1 or max_beta < 1 or not 0 <= n_vars <= field_spec.max_modes:
+        raise ConfigError(
+            "adaptivity.universe_alpha and universe_beta must be >= 1 and universe_vars "
+            f"in 0..problem.max_modes = {field_spec.max_modes}, "
+            f"got {max_alpha}, {max_beta} and {n_vars}")
+    size = max_alpha**field_spec.d * max_beta**n_vars
+    if size > adaptation.BRUTE_FORCE_CAP:
+        raise ConfigError(f"the brute-force universe has {size} members, "
+                          f"the cap is {adaptation.BRUTE_FORCE_CAP}")
+    return adaptation.box_universe(field_spec.d, max_alpha, max_beta, n_vars)
+
+
+def reference_factor_from_config(cfg: Config) -> float:
+    """The reference set's budget over the largest study budget."""
+    factor = cfg.get_float("output.reference_factor", 4.0)
+    if not (math.isfinite(factor) and factor > 1):
+        raise ConfigError(
+            f"config key 'output.reference_factor': expected a finite number > 1, got {factor}")
+    return factor
+
+
 def _study_from_config(cfg: Config, args):
     field_spec, qoi_spec, gamma = problem_from_config(cfg)
     mode = cfg.get_str("adaptivity.mode", "apriori")
     budgets = budgets_from_config(cfg, field_spec.d)
     frontier = cfg.get_int("adaptivity.frontier_width", 2)
-    error_model = None
-    universe = None
-    if mode == "apriori":
-        error_model = load_model(cfg)
-    elif mode == "deterministic":
-        r_fem = cfg.get_float("adaptivity.r_fem", default_r_fem(field_spec.nu, field_spec.d))
-        error_model = ErrorModel(r_fem=r_fem, g_tilde=())
-    elif mode == "bruteforce":
-        universe = adaptation.box_universe(
-            field_spec.d,
-            cfg.get_int("adaptivity.universe_alpha", 3),
-            cfg.get_int("adaptivity.universe_beta", 2),
-            cfg.get_int("adaptivity.universe_vars", 2),
-        )
-    else:
-        raise ConfigError(f"unknown adaptivity mode {mode!r}")
+    reference_factor = reference_factor_from_config(cfg)
+    error_model = _study_model(mode, field_spec, load_model(cfg) if mode == "apriori" else None,
+                               cfg.get_float("adaptivity.r_fem"))
+    universe = universe_from_config(cfg, field_spec) if mode == "bruteforce" else None
 
     reference = None
     ref_raw = cfg.get_str("output.reference", "auto")
     ref_path = Path(args.out) / "reference.json"
     fingerprint = reference_fingerprint(
-        field_spec, qoi_spec, gamma, mode,
-        budgets[-1] * cfg.get_float("output.reference_factor", 4.0), error_model,
+        field_spec, qoi_spec, gamma, mode, budgets[-1] * reference_factor, error_model,
     )
     if ref_raw != "auto":
         try:
@@ -643,7 +655,7 @@ def _study_from_config(cfg: Config, args):
     study = study_driver(
         field_spec, qoi_spec, budgets, mode=mode, error_model=error_model, gamma=gamma,
         frontier_width=frontier, universe=universe, reference=reference,
-        reference_factor=cfg.get_float("output.reference_factor", 4.0),
+        reference_factor=reference_factor,
     )
     if ref_raw == "auto":
         store_reference(ref_path, fingerprint, study.reference)

@@ -97,17 +97,6 @@ def _corner_signs(free: int) -> tuple[int, ...]:
     return tuple((-1) ** sum(bits) for bits in itertools.product((0, 1), repeat=free))
 
 
-def downward_closure(members: Iterable[MixedIndex]) -> set[MixedIndex]:
-    closed = set(members)
-    stack = list(closed)
-    while stack:
-        for parent in stack.pop().parents():
-            if parent not in closed:
-                closed.add(parent)
-                stack.append(parent)
-    return closed
-
-
 def dof_work(index: MixedIndex) -> int:
     """Exact incremental cost of one mixed difference: new quadrature
     points times spatial unknowns at the index's own refinement."""

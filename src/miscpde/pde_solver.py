@@ -49,6 +49,13 @@ RESIDUAL_TOL = 1e-10
 # Conjugate gradients stop a row at |r| <= CG_RTOL |b|.
 CG_RTOL = 1e-12
 
+# A row still running after this many iterations raises.  The sine-transform
+# preconditioner keeps the count independent of the grid: at y = +-1 in every
+# mode, the 3-D field of nu = 4.5 takes at most 8 iterations, nu = 2.5 with 40
+# modes 11, and nu = 0.6 with 80 modes, a coefficient contrast of about 1e8,
+# 30.  A broken preconditioner fails here, not after a count that grows with N.
+PCG_MAX_ITERATIONS = 100
+
 # Rows x unknowns (midpoints in 1-D) held in one batch temporary (128 KiB
 # of float64).  The d > 1 CG holds about twenty such arrays, so blocks four
 # times larger raised the 3-D benchmark's peak RSS by 2 MB, for no speedup.
@@ -447,7 +454,7 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
     stops at |r| <= CG_RTOL |b| and then leaves the working set, so its
     iterates and its result do not depend on the other rows.  Raises
     ``SolverError`` when a coefficient is not finite and positive, when a
-    row is still running after 100 N iterations, or when a solution's
+    row is still running after PCG_MAX_ITERATIONS, or when a solution's
     backward error exceeds RESIDUAL_TOL.
     """
     faces = full = _face_coefficients(alpha, Y, modes)
@@ -464,7 +471,7 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
     # The vector updates write into tmp, which is about a tenth faster
     # than fresh temporaries on batches of 1e4 to 1e5 entries.
     tmp = np.empty_like(x)
-    for _ in range(100 * size):
+    for _ in range(PCG_MAX_ITERATIONS):
         q = _apply_flux(faces, p)
         step = (rz / np.sum(np.multiply(p, q, out=tmp), axis=1))[:, None]
         x += np.multiply(step, p, out=tmp)
@@ -486,7 +493,7 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
     else:
         worst = float(np.max(_row_norms(r))) / math.sqrt(size)
         raise SolverError(f"PCG at alpha = {alpha} did not converge in "
-                          f"{100 * size} iterations", residual=worst)
+                          f"{PCG_MAX_ITERATIONS} iterations", residual=worst)
     _check_backward_error(f"PCG solve at alpha = {alpha}", _apply_flux(full, u), u, norm_a)
     return u
 

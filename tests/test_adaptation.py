@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from miscpde.adaptation import (
 from miscpde.misc_core import (
     MiscEvaluator,
     MixedIndex,
+    dof_work,
     is_downward_closed,
     root_index,
 )
@@ -88,51 +90,49 @@ class TestAprioriConstruction:
     wm = isotropic_work_model(1)
     em = ErrorModel(r_fem=2.0, g_tilde=(0.6, 1.1, 1.9, 2.4))
 
-    def test_threshold_floor(self):
-        result = build_set_apriori(self.wm, self.em, epsilon=1.0)
+    def test_root_budget_holds_only_the_root(self):
+        result = build_set_apriori(self.wm, self.em, work_budget=5)
         assert result.index_set.members == (root_index(1),)
 
-    def test_deterministic_threshold_is_contiguous(self):
-        # Without stochastic rates the profit is 2^(-3 alpha): the
-        # threshold set is exactly {alpha <= astar}.
+    def test_deterministic_sets_are_contiguous(self):
+        # Without stochastic rates the profit is 2^(-3 alpha), so every
+        # budget's set is {alpha <= astar} for some astar.
         em0 = ErrorModel(r_fem=2.0, g_tilde=())
-        eps = 2.0 ** (-3 * 3.5)
-        result = build_set_apriori(self.wm, em0, epsilon=eps)
-        expected = {MixedIndex((a,), SLV()) for a in (1, 2, 3)}
-        assert set(result.index_set.members) == expected
+        for budget in (5, 16, 100, 1000):
+            members = build_set_apriori(self.wm, em0, work_budget=budget).index_set.members
+            assert set(members) == {MixedIndex((a,), SLV()) for a in range(1, len(members) + 1)}
 
-    def test_threshold_members_clear_epsilon(self):
-        eps = 1e-4
-        result = build_set_apriori(self.wm, self.em, epsilon=eps)
-        for m in result.index_set.members:
-            assert result.profits[m].profit >= eps
+    def test_eps_is_the_smallest_admitted_profit(self):
+        for budget in (5, 600, 20000):
+            result = build_set_apriori(self.wm, self.em, work_budget=budget)
+            assert result.eps == min(entry.profit for entry in result.profits.values())
 
-    def test_threshold_monotonicity(self):
-        loose = build_set_apriori(self.wm, self.em, epsilon=1e-5)
-        tight = build_set_apriori(self.wm, self.em, epsilon=1e-3)
-        assert set(tight.index_set.members) <= set(loose.index_set.members)
+    def test_budget_monotonicity(self):
+        small = build_set_apriori(self.wm, self.em, work_budget=200)
+        large = build_set_apriori(self.wm, self.em, work_budget=2000)
+        assert set(small.index_set.members) < set(large.index_set.members)
 
     def test_always_downward_closed(self):
-        for eps in (1e-2, 1e-4, 1e-6):
-            result = build_set_apriori(self.wm, self.em, epsilon=eps)
+        for budget in (50, 600, 20000):
+            result = build_set_apriori(self.wm, self.em, work_budget=budget)
             assert is_downward_closed(result.index_set.members)
 
     def test_budget_mode_maximality(self):
+        # A larger budget's sweep admits the same members first, then the
+        # class that stopped this one, which would overflow the budget.
         result = build_set_apriori(self.wm, self.em, work_budget=600)
         assert result.dof_work_total <= 600
         assert result.next_profit is not None
-        relaxed = build_set_apriori(self.wm, self.em, epsilon=result.next_profit)
-        assert relaxed.dof_work_total > 600
+        admitted = list(build_set_apriori(self.wm, self.em, work_budget=10**6).profits.values())
+        prefix, after = admitted[:len(result.index_set)], admitted[len(result.index_set):]
+        assert {entry.index for entry in prefix} == set(result.index_set.members)
+        stopping = list(itertools.takewhile(lambda e: e.profit == result.next_profit, after))
+        assert stopping
+        assert result.dof_work_total + sum(dof_work(e.index) for e in stopping) > 600
 
     def test_budget_too_small(self):
         with pytest.raises(BudgetError):
             build_set_apriori(self.wm, self.em, work_budget=3)
-
-    def test_exactly_one_mode(self):
-        with pytest.raises(ValueError):
-            build_set_apriori(self.wm, self.em)
-        with pytest.raises(ValueError):
-            build_set_apriori(self.wm, self.em, epsilon=1e-3, work_budget=100)
 
     def test_frontier_bounds_new_variables(self):
         # Wide rates would activate many variables; the frontier admits
@@ -145,8 +145,8 @@ class TestAprioriConstruction:
 
     def test_universe_restriction(self):
         universe = box_universe(1, 2, 2, 1)
-        result = build_set_apriori(self.wm, self.em, epsilon=1e-9, universe=universe)
-        assert set(result.index_set.members) <= set(universe.members)
+        result = build_set_apriori(self.wm, self.em, work_budget=10**6, universe=universe)
+        assert set(result.index_set.members) == set(universe.members)
 
 
 # Oracle for the a-priori builder, recorded from the implementation that
@@ -250,15 +250,6 @@ BUDGET_ORACLE = {
          7.450580596923828e-09, 9.313225746154785e-10),
     ],
 }
-EPSILON_ORACLE = [
-    (0.01, "a9ca86868ee93f1f85928789b75d65116a01cf12f3ad84c55fe46c61f5280be6",
-     0.0109375, 0.006543627090990284),
-    (0.0001, "6957e91397da2442e2f54fab33d4f4ca1a32e0f6e1628cecad6873ea7687e819",
-     0.0001008524108627656, 9.947959329979798e-05),
-    (1e-06, "72959266819654adb23be9aafe37a4058218ebe11f4f2cebedb57ab62e2cd610",
-     1.0137518684428193e-06, 9.75635275550188e-07),
-]
-
 
 def oracle_setting(name):
     d, gamma, error_model, frontier_width, box = ORACLE_SETTINGS[name]
@@ -301,13 +292,6 @@ class TestSweepOracle:
                                        frontier_width=frontier_width, universe=universe)
             assert_matches_oracle(result, digest, eps, next_profit, work_model, error_model)
 
-    def test_threshold_builds_reproduce_oracle(self):
-        work_model, error_model, frontier_width, _ = oracle_setting("d1")
-        for epsilon, digest, eps, next_profit in EPSILON_ORACLE:
-            result = build_set_apriori(work_model, error_model, epsilon=epsilon,
-                                       frontier_width=frontier_width)
-            assert_matches_oracle(result, digest, eps, next_profit, work_model, error_model)
-
     def test_budgets_must_increase(self):
         work_model, error_model, _, _ = oracle_setting("d1")
         for budgets in ([], [320, 80], [80, 80]):
@@ -320,7 +304,7 @@ class TestSweepOracle:
 class TestBruteForce:
     def test_single_member_universe(self, field1, qoi1):
         universe = box_universe(1, 1, 1, 0)
-        result = build_set_bruteforce(universe, field1, qoi1, epsilon=1e-12)
+        result = build_set_bruteforce(universe, field1, qoi1, work_budget=5)
         assert result.index_set.members == (root_index(1),)
         root_entry = result.profits[root_index(1)]
         assert root_entry.d_w == 5.0
@@ -328,18 +312,11 @@ class TestBruteForce:
 
     def test_profits_reproducible(self, field1, qoi1):
         universe = box_universe(1, 3, 2, 1)
-        first = build_set_bruteforce(universe, field1, qoi1, epsilon=1e-6)
-        second = build_set_bruteforce(universe, field1, qoi1, epsilon=1e-6)
+        first = build_set_bruteforce(universe, field1, qoi1, work_budget=100)
+        second = build_set_bruteforce(universe, field1, qoi1, work_budget=100)
         assert {m: e.d_e for m, e in first.profits.items()} == {
             m: e.d_e for m, e in second.profits.items()
         }
-
-    def test_threshold_closure_flags(self, field1, qoi1):
-        universe = box_universe(1, 3, 2, 1)
-        result = build_set_bruteforce(universe, field1, qoi1, epsilon=1e-6)
-        assert is_downward_closed(result.index_set.members)
-        for m in result.flagged:
-            assert result.profits[m].profit < 1e-6
 
     def test_budget_respected_and_closed(self, field1, qoi1):
         universe = box_universe(1, 4, 2, 2)
@@ -368,7 +345,7 @@ class TestBruteForce:
         assert len(universe) == 162
         big = box_universe(1, 8, 3, 4)
         with pytest.raises(ValueError):
-            build_set_bruteforce(big, field1, qoi1, epsilon=1e-6)
+            build_set_bruteforce(big, field1, qoi1, work_budget=100)
 
 
 class TestRateFit:

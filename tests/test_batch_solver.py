@@ -9,7 +9,7 @@ import pytest
 from scipy.sparse.linalg import spsolve
 
 from miscpde import misc_core, pde_solver
-from miscpde.misc_core import IndexSet, MiscEvaluator, MixedIndex, corners, downward_closure
+from miscpde.misc_core import IndexSet, MiscEvaluator, MixedIndex, corners
 from miscpde.pde_solver import (
     _BLOCK_ENTRIES,
     _apply_flux,
@@ -27,6 +27,7 @@ from miscpde.pde_solver import (
 from miscpde.quadrature import SparseLevelVector as SLV
 from miscpde.quadrature import cc_points, cc_weights, new_node_count
 from miscpde.random_field import mode_ordering
+from test_misc_core import downward_closure
 
 from test_misc_core import random_closed_set
 
@@ -177,7 +178,7 @@ class TestJacobiPCG:
         # Iterating past convergence ends in 0/0; NaN never passes the stopping rule.
         with pytest.raises(SolverError) as info, np.errstate(over="ignore", invalid="ignore"):
             solve_qoi_batch((1, 1, 1), np.array([[0.5, 0.1]]), field3, qoi3)
-        assert "did not converge in 12500 iterations" in str(info.value)
+        assert f"did not converge in {pde_solver.PCG_MAX_ITERATIONS} iterations" in str(info.value)
 
 
 class TestMatrixFreeOperator:
@@ -224,6 +225,33 @@ class TestSineTransformPreconditioner:
             assert matvecs > 0
             # One more apply checks the backward error of the solution.
             assert matvecs - 1 <= 15
+
+    def test_broken_preconditioner_fails_within_a_fixed_count(self, field3, monkeypatch):
+        # Reversing the last axis of the spectral coefficients makes the
+        # preconditioner non-symmetric, and CG stalls.  At alpha = (1,1,10),
+        # N = 76,775, so a cap that grows with N would run for minutes.
+        alpha = (1, 1, 10)
+        counts = pde_solver.interior_counts(alpha)
+        transform = pde_solver._sine_transform
+
+        def reversed_lines(alpha, r):
+            spectral = transform(r, counts) * pde_solver._sine_divisors(alpha)
+            flipped = spectral.reshape(len(r), *counts)[..., ::-1].reshape(len(r), -1)
+            return transform(flipped, counts)
+
+        matvecs = 0
+        apply = pde_solver._apply_flux
+
+        def counting(faces, u):
+            nonlocal matvecs
+            matvecs += 1
+            assert matvecs <= 500, "PCG still running after 500 iterations"
+            return apply(faces, u)
+
+        monkeypatch.setattr(pde_solver, "_sine_solve", reversed_lines)
+        monkeypatch.setattr(pde_solver, "_apply_flux", counting)
+        with pytest.raises(SolverError, match="did not converge"):
+            solve(alpha, {j: 1.0 for j in range(1, field3.max_modes + 1)}, field3)
 
     @pytest.mark.parametrize("alpha", [(1, 1, 4), (3, 2, 1), (2, 2, 2)])
     def test_transform_row_independent_of_batch(self, alpha):

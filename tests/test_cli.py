@@ -49,11 +49,11 @@ class TestConfigParsing:
             parse_config_text("just words\n")
 
     def test_typed_getters(self):
-        cfg = Config({"k.i": "3", "k.f": "2.5", "k.b": "true", "k.l": "1,2,3"})
+        cfg = Config({"k.i": "3", "k.f": "2.5", "k.b": "true", "k.l": "1,2.5"})
         assert cfg.get_int("k.i") == 3
         assert cfg.get_float("k.f") == 2.5
         assert cfg.get_bool("k.b") is True
-        assert cfg.get_ints("k.l") == (1, 2, 3)
+        assert cfg.get_floats("k.l") == (1.0, 2.5)
         assert cfg.get_str("missing", "fallback") == "fallback"
 
     def test_required_and_type_errors(self):
@@ -202,6 +202,52 @@ class TestCommands:
                                                                f"solver.gamma = {gamma}"))
         assert self.run(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert "solver.gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("factor", ["1.0", "0.5", "inf", "nan"])
+    def test_bad_reference_factor_exits_2(self, tmp_path, capsys, factor):
+        cfg = write_config(tmp_path / "r.cfg", BASE_1D + f"output.reference_factor = {factor}\n")
+        assert self.run("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "output.reference_factor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("universe", [
+        "adaptivity.universe_alpha = 9\nadaptivity.universe_beta = 3\nadaptivity.universe_vars = 4\n",
+        "adaptivity.universe_alpha = 0\n",
+        "adaptivity.universe_beta = 0\n",
+        "adaptivity.universe_vars = -1\n",
+        "problem.max_modes = 4\nadaptivity.universe_alpha = 1\nadaptivity.universe_vars = 6\n",
+    ], ids=["over-cap", "alpha-0", "beta-0", "vars-negative", "vars-beyond-modes"])
+    def test_bad_bruteforce_universe_exits_2(self, tmp_path, capsys, universe):
+        cfg = write_config(tmp_path / "u.cfg", BASE_1D.replace("deterministic", "bruteforce")
+                           + universe)
+        assert self.run("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r_fem", ["0", "-1", "nan"])
+    def test_bad_deterministic_rate_exits_2(self, tmp_path, capsys, r_fem):
+        cfg = write_config(tmp_path / "d.cfg", BASE_1D + f"adaptivity.r_fem = {r_fem}\n")
+        assert self.run("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_unknown_mode_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "m.cfg", BASE_1D.replace("deterministic", "threshold"))
+        assert self.run("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "unknown adaptivity mode 'threshold'" in capsys.readouterr().err
+
+    def test_run_bruteforce_writes_readable_files(self, tmp_path):
+        cfg = write_config(tmp_path / "bf.cfg", BASE_1D.replace("deterministic", "bruteforce"))
+        out = tmp_path / "o"
+        assert self.run("run", "--config", str(cfg), "--out", str(out)) == 0
+        header, rows, footer = read_csv(out / "runs.csv")
+        assert header == list(cli.RUN_COLUMNS)
+        assert len(rows) == 3
+        assert float(footer["reference"]) == cli.read_reference(out / "reference.json")[1]
+        universe = set(cli.adaptation.box_universe(1, 3, 2, 2).members)
+        for row in rows:
+            record = dict(zip(header, row))
+            budget = float(record["budget"])
+            stored = IndexSet.from_json((out / f"set_budget_{int(budget)}.json").read_text())
+            assert set(stored.members) <= universe
+            assert stored.nominal_work() == int(record["work"]) <= budget
 
     def test_infeasible_budget_exits_3(self, tmp_path):
         cfg = write_config(

@@ -14,7 +14,6 @@ from miscpde.misc_core import (
     combination_coefficients,
     corners,
     dof_work,
-    downward_closure,
     is_downward_closed,
     mimc_estimate,
     root_index,
@@ -86,6 +85,18 @@ class TestMixedIndex:
 
     def test_root_has_no_parents(self):
         assert list(root_index(3).parents()) == []
+
+
+def downward_closure(members):
+    """The members and every index below them, to close hand-made test sets."""
+    closed = set(members)
+    stack = list(closed)
+    while stack:
+        for parent in stack.pop().parents():
+            if parent not in closed:
+                closed.add(parent)
+                stack.append(parent)
+    return closed
 
 
 class TestIndexSet:
