@@ -31,7 +31,6 @@ from .misc_core import (
     MiscEvaluator,
     MixedIndex,
     dof_work,
-    levels_dof_work,
     root_index,
 )
 from .pde_solver import QoISpec
@@ -121,34 +120,21 @@ class ProfitEntry:
 
 def work_contribution(index: MixedIndex, model: WorkModel) -> float:
     """C_W * 2^(sum_i gamma_i d_i alpha_i + |beta - 1|)."""
-    return _work(index.alpha, index.beta.items(), model)
+    exponent = sum(g * d * a for g, d, a in zip(model.gamma, model.dims, index.alpha))
+    exponent += sum(b - 1 for _, b in index.beta.items())
+    return model.c_w * 2.0**exponent
 
 
 def error_contribution_model(index: MixedIndex, model: ErrorModel) -> float:
     """C_E * exp(-sum_j m(beta_j - 1) g_j) * 2^(-|alpha| r_fem)."""
-    return _error(index.alpha, index.beta.items(), model)
-
-
-# The two models on plain (alpha, beta items) tuples, the form the greedy
-# sweep keeps its candidates in.
-
-def _work(alpha: tuple[int, ...], beta_items: tuple[tuple[int, int], ...],
-          model: WorkModel) -> float:
-    exponent = sum(g * d * a for g, d, a in zip(model.gamma, model.dims, alpha))
-    exponent += sum(b - 1 for _, b in beta_items)
-    return model.c_w * 2.0**exponent
-
-
-def _error(alpha: tuple[int, ...], beta_items: tuple[tuple[int, int], ...],
-           model: ErrorModel) -> float:
     decay = 0.0
-    for j, b in beta_items:
+    for j, b in index.beta.items():
         if j > len(model.g_tilde):
             raise IndexError(
                 f"variable {j} is active but only {len(model.g_tilde)} stochastic rates are fitted"
             )
         decay += quadrature.level_to_nodes(b - 1) * model.g_tilde[j - 1]
-    return model.c_e * math.exp(-decay) * 2.0 ** (-sum(alpha) * model.r_fem)
+    return model.c_e * math.exp(-decay) * 2.0 ** (-sum(index.alpha) * model.r_fem)
 
 
 def _tie_break(index: MixedIndex):
@@ -172,11 +158,17 @@ def _candidate_variables(active: set[int], n_rates: int, frontier_width: int) ->
     return sorted(set(active) | set(fresh))
 
 
-def _bump(beta_items: tuple[tuple[int, int], ...], j: int) -> tuple[tuple[int, int], ...]:
-    """``beta_items`` with variable j raised one level."""
-    levels = dict(beta_items)
-    levels[j] = levels.get(j, 1) + 1
-    return tuple(sorted(levels.items()))
+def _bumps(beta_items: tuple[tuple[int, int], ...], variables: Iterable[int]):
+    """``beta_items`` with each of the ascending ``variables`` raised one
+    level in turn."""
+    k, n = 0, len(beta_items)
+    for j in variables:
+        while k < n and beta_items[k][0] < j:
+            k += 1
+        if k < n and beta_items[k][0] == j:
+            yield beta_items[:k] + ((j, beta_items[k][1] + 1),) + beta_items[k + 1 :]
+        else:
+            yield beta_items[:k] + ((j, 2),) + beta_items[k:]
 
 
 def build_set_apriori(
@@ -200,73 +192,121 @@ def sweep_apriori(
     """The sets of several strictly increasing work budgets from one greedy sweep.
 
     The root is always admitted.  Then candidates leave the heap one
-    profit class at a time, best first; because every rate is positive,
-    profit decreases strictly along every coordinate, so each set is
-    downward closed by construction.  Before a class is admitted, every
-    budget that the set's exact degrees of freedom would exceed with it
-    checkpoints the set as it stands, with ``next_profit`` the class's
-    profit; nothing is bisected, and a class that fits a budget exactly
-    is admitted.  When no candidate is left, every remaining budget
-    checkpoints the whole set with ``next_profit = None``.  The order of
-    admission within a class changes no result.  The greedy order does
-    not depend on the budgets, so entry k equals the one-budget build of
-    ``budgets[k]`` member for member and in every diagnostic.
+    profit class at a time, best first.  Only admissible candidates are
+    offered: each admitted member offers its children, and a child
+    enters the heap, with its profit computed, once all its parents are
+    in (the admissible frontier of Gerstner & Griebel, Computing 71,
+    2003), so every set is downward closed by construction.  Because
+    every rate is positive, a parent's profit is strictly higher than
+    its child's, so the best candidate is always admissible and
+    offering the others early would change no admission.  Before a class
+    is admitted, every budget that the set's exact degrees of freedom
+    would exceed with it checkpoints the set as it stands, with
+    ``next_profit`` the class's profit; nothing is bisected, and a class
+    that fits a budget exactly is admitted.  When no candidate is left,
+    every remaining budget checkpoints the whole set with
+    ``next_profit = None``.  The order of admission within a class
+    changes no result.  The greedy order does not depend on the
+    budgets, so entry k equals the one-budget build of ``budgets[k]``
+    member for member and in every diagnostic.
 
     New stochastic variables enter the candidate pool in mode order, at
-    most ``frontier_width`` beyond the deepest variable activated so
-    far.  An optional ``universe`` restricts the candidates, which makes
-    the result comparable to a brute-force benchmark over the same
-    universe.  Candidates are plain ``(alpha, beta items)`` tuples; only
-    admitted members become ``MixedIndex`` objects.
+    most ``frontier_width`` (at least 1) beyond the deepest variable
+    activated so far.  An optional ``universe`` restricts the
+    candidates, which makes the result comparable to a brute-force
+    benchmark over the same universe.  Candidates are plain
+    ``(alpha, beta items)`` tuples until they leave the heap.
     """
     budgets = list(budgets)
     if not budgets or any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError(f"budgets must be non-empty and strictly increasing, got {budgets}")
+    if frontier_width < 1:
+        raise ValueError(f"frontier_width must be at least 1, got {frontier_width}")
     root = (1,) * work_model.spatial_dim
-    root_dof = levels_dof_work(root, ())
+    root_dof = dof_work(MixedIndex(root, SparseLevelVector()))
     if root_dof > budgets[0]:
         raise BudgetError(f"budget {budgets[0]} cannot hold the root index (work {root_dof})")
     n_rates = len(error_model.g_tilde)
     allowed = None if universe is None else {(m.alpha, m.beta.items()) for m in universe}
-    seen: set = set()
+    # The terms of ``error_contribution_model`` and ``work_contribution``,
+    # memoized: the same float expressions, combined in the same order, so
+    # each profit is bit-identical.
+    alpha_terms: dict = {}    # alpha -> (2^(-|alpha| r_fem), work exponent)
+    decay_terms: dict = {}    # (j, b) -> m(b - 1) * g_j
+    waiting: dict = {}        # candidate -> parents in so far, while some are not
     heap: list = []
     admitted: dict[MixedIndex, ProfitEntry] = {}   # in admission order
+    covered: dict[int, int] = {}   # dropped variable -> leading members that offered it
     spent_dof = 0
     eps = math.inf
     active: set[int] = set()
     offered = _candidate_variables(active, n_rates, frontier_width)
 
-    def push(alpha, items) -> None:
-        if (alpha, items) in seen or (allowed is not None and (alpha, items) not in allowed):
+    def profit_terms(alpha, items, excess: int) -> tuple[float, float]:
+        terms = alpha_terms.get(alpha)
+        if terms is None:
+            terms = alpha_terms[alpha] = (
+                2.0 ** (-sum(alpha) * error_model.r_fem),
+                sum(g * d * a for g, d, a in zip(work_model.gamma, work_model.dims, alpha)),
+            )
+        decay = 0.0
+        for item in items:
+            term = decay_terms.get(item)
+            if term is None:
+                j, b = item
+                term = decay_terms[item] = (
+                    quadrature.level_to_nodes(b - 1) * error_model.g_tilde[j - 1])
+            decay += term
+        return (error_model.c_e * math.exp(-decay) * terms[0],
+                work_model.c_w * 2.0 ** (terms[1] + excess))
+
+    def offer(alpha, items, n_parents: int, excess: int) -> None:
+        """One more of the ``n_parents`` parents of (alpha, items) is in."""
+        key = (alpha, items)
+        if allowed is not None and key not in allowed:
             return
-        seen.add((alpha, items))
-        d_e = _error(alpha, items, error_model)
-        d_w = _work(alpha, items, work_model)
+        if n_parents > 1:
+            count = waiting.get(key, 0) + 1
+            if count < n_parents:
+                waiting[key] = count
+                return
+            del waiting[key]
+        d_e, d_w = profit_terms(alpha, items, excess)
         heapq.heappush(heap, (-(d_e / d_w), alpha, items, d_e, d_w))
 
-    def admit(alpha, items, d_e: float, d_w: float, dof: int) -> None:
+    def offer_bumps(index: MixedIndex, variables) -> None:
+        # A child's parents: one per spatial level above 1, one per variable.
+        n_alpha, excess = sum(a > 1 for a in index.alpha), index.beta.excess() + 1
+        for child in _bumps(index.beta.items(), variables):
+            offer(index.alpha, child, n_alpha + len(child), excess)
+
+    def admit(index: MixedIndex, d_e: float, d_w: float, dof: int) -> None:
         nonlocal spent_dof, eps, offered
-        index = MixedIndex(alpha, SparseLevelVector(items))
         entry = ProfitEntry(index, d_e, d_w)
         admitted[index] = entry
         spent_dof += dof
         eps = min(eps, entry.profit)
-        for i in range(len(alpha)):
-            push(alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :], items)
-        for j in offered:
-            push(alpha, _bump(items, j))
+        alpha, items = index.alpha, index.beta.items()
+        n_parents, excess = sum(a > 1 for a in alpha) + len(items), index.beta.excess()
+        for i, a in enumerate(alpha):
+            offer(alpha[:i] + (a + 1,) + alpha[i + 1 :], items, n_parents + (a == 1), excess)
+        offer_bumps(index, offered)
         variables = {j for j, _ in items}
         if not variables <= active:
             active.update(variables)
             grown = _candidate_variables(active, n_rates, frontier_width)
             if grown != offered:
-                # The variable frontier moved: offer the fresh directions
-                # to everything admitted so far, not just future members.
+                # The variable frontier moved.  Every member admitted so
+                # far has offered each dropped variable; each fresh one
+                # goes to the members that have not offered it yet.
+                for j in offered:
+                    if j not in grown:
+                        covered[j] = len(admitted)
                 fresh = [j for j in grown if j not in offered]
                 offered = grown
-                for member in admitted:
-                    for j in fresh:
-                        push(member.alpha, _bump(member.beta.items(), j))
+                for j in fresh:
+                    for member in list(admitted)[covered.pop(j, 0):]:
+                        offer_bumps(member, (j,))
 
     def checkpoint(next_profit: float | None) -> BuildResult:
         return BuildResult(
@@ -277,7 +317,7 @@ def sweep_apriori(
             next_profit=next_profit,
         )
 
-    admit(root, (), _error(root, (), error_model), _work(root, (), work_model), root_dof)
+    admit(MixedIndex(root, SparseLevelVector()), *profit_terms(root, (), 0), root_dof)
     results: list[BuildResult] = []
     while True:
         group = []
@@ -285,15 +325,16 @@ def sweep_apriori(
             group = [heapq.heappop(heap)]
             while heap and heap[0][0] == group[0][0]:
                 group.append(heapq.heappop(heap))
-        dofs = [levels_dof_work(alpha, items) for _, alpha, items, _, _ in group]
+        indices = [MixedIndex(alpha, SparseLevelVector(items)) for _, alpha, items, _, _ in group]
+        dofs = [dof_work(index) for index in indices]
         profit = -group[0][0] if group else None
         while len(results) < len(budgets) and (
                 not group or spent_dof + sum(dofs) > budgets[len(results)]):
             results.append(checkpoint(profit))
         if len(results) == len(budgets):
             return results
-        for (_, alpha, items, d_e, d_w), dof in zip(group, dofs):
-            admit(alpha, items, d_e, d_w, dof)
+        for (_, _, _, d_e, d_w), index, dof in zip(group, indices, dofs):
+            admit(index, d_e, d_w, dof)
 
 
 BRUTE_FORCE_CAP = 500
@@ -319,8 +360,11 @@ def build_set_bruteforce(
     Every universe member is evaluated once (the universe must be small:
     at most 500 members), profits are the actual |mixed difference| per
     degree of freedom, and selection is greedy by profit within the work
-    budget.  Only candidates whose predecessors are already in are
-    admitted, so the set is downward closed by construction.
+    budget.  A member becomes a candidate once all its parents are in,
+    so the set is downward closed by construction.  The best candidate
+    is admitted if it fits the budget and dropped for good if it does
+    not, since the work spent only grows; the greedy then goes on with
+    the next best.
     """
     if len(universe) > BRUTE_FORCE_CAP:
         raise ValueError(f"universe has {len(universe)} members, cap is {BRUTE_FORCE_CAP}")
@@ -331,25 +375,34 @@ def build_set_bruteforce(
     entries: dict[MixedIndex, ProfitEntry] = {}
     for m in universe.members:
         entries[m] = ProfitEntry(m, abs(evaluator.mixed_difference(m)), float(dof_work(m)))
-    closed = {root}
-    spent = dof_work(root)
-    eps = entries[root].profit
-    while True:
-        frontier = [
-            m for m in universe.members
-            if m not in closed and all(p in closed for p in m.parents())
-            and spent + dof_work(m) <= work_budget
-        ]
-        if not frontier:
-            break
-        best = min(frontier, key=lambda m: (-entries[m].profit, _tie_break(m)))
-        closed.add(best)
+    waiting: dict[MixedIndex, int] = {}            # member -> parents not in yet
+    children: dict[MixedIndex, list[MixedIndex]] = {}
+    for m in universe.members:
+        parents = list(m.parents())
+        waiting[m] = len(parents)
+        for parent in parents:
+            children.setdefault(parent, []).append(m)
+
+    def candidate(m: MixedIndex):
+        return (-entries[m].profit, _tie_break(m), m)
+
+    heap = [candidate(root)]
+    admitted = []
+    spent = 0
+    while heap:
+        _, _, best = heapq.heappop(heap)
+        if spent + dof_work(best) > work_budget:
+            continue
+        admitted.append(best)
         spent += dof_work(best)
-        eps = entries[best].profit
-    index_set = IndexSet(closed)
+        for child in children.get(best, ()):
+            waiting[child] -= 1
+            if not waiting[child]:
+                heapq.heappush(heap, candidate(child))
+    index_set = IndexSet(admitted)
     return BruteForceResult(
         index_set=index_set,
-        eps=eps,
+        eps=entries[admitted[-1]].profit,
         profits=entries,
         dof_work_total=index_set.nominal_work(),
     )

@@ -628,11 +628,20 @@ def reference_factor_from_config(cfg: Config) -> float:
     return factor
 
 
+def frontier_width_from_config(cfg: Config) -> int:
+    """How many variables past the deepest active one a sweep may open."""
+    width = cfg.get_int("adaptivity.frontier_width", 2)
+    if width < 1:
+        raise ConfigError(f"config key 'adaptivity.frontier_width': expected an integer >= 1, "
+                          f"got {width}")
+    return width
+
+
 def _study_from_config(cfg: Config, args):
     field_spec, qoi_spec, gamma = problem_from_config(cfg)
     mode = cfg.get_str("adaptivity.mode", "apriori")
     budgets = budgets_from_config(cfg, field_spec.d)
-    frontier = cfg.get_int("adaptivity.frontier_width", 2)
+    frontier = frontier_width_from_config(cfg)
     reference_factor = reference_factor_from_config(cfg)
     error_model = _study_model(mode, field_spec, load_model(cfg) if mode == "apriori" else None,
                                cfg.get_float("adaptivity.r_fem"))
@@ -688,7 +697,7 @@ def cmd_compare(args) -> int:
     n_vars = cfg.get_int("mimc.random_vars", min(8, field_spec.max_modes))
     result = compare_driver(
         field_spec, qoi_spec, budgets, error_model, n_vars, seed=args.seed,
-        gamma=gamma, frontier_width=cfg.get_int("adaptivity.frontier_width", 2),
+        gamma=gamma, frontier_width=frontier_width_from_config(cfg),
     )
     out = Path(args.out) / "compare.csv"
     write_csv(out, COMPARE_COLUMNS, result.rows, footer={"reference": result.reference})

@@ -97,17 +97,19 @@ def _corner_signs(free: int) -> tuple[int, ...]:
     return tuple((-1) ** sum(bits) for bits in itertools.product((0, 1), repeat=free))
 
 
+# new_node_count(b) at every level b a SparseLevelVector can hold, indexed by b.
+_NEW_NODES = (0,) + tuple(quadrature.new_node_count(b)
+                          for b in range(1, quadrature.MAX_LEVEL + 1))
+_unknowns = functools.lru_cache(maxsize=None)(pde_solver.unknowns)
+
+
 def dof_work(index: MixedIndex) -> int:
     """Exact incremental cost of one mixed difference: new quadrature
-    points times spatial unknowns at the index's own refinement."""
-    return levels_dof_work(index.alpha, index.beta.items())
+    points times spatial unknowns at the index's own refinement.
 
-
-def levels_dof_work(alpha: tuple[int, ...], beta_items: Iterable[tuple[int, int]]) -> int:
-    """``dof_work`` of the mixed index with these spatial levels and
-    (variable, level) quadrature items."""
-    new_points = math.prod(quadrature.new_node_count(b) for _, b in beta_items)
-    return new_points * pde_solver.unknowns(alpha)
+    A ``MixedIndex`` holds valid levels only, so the counts are read
+    from a table and a per-alpha cache without checks."""
+    return math.prod([_NEW_NODES[b] for _, b in index.beta.items()]) * _unknowns(index.alpha)
 
 
 class IndexSet:

@@ -1,16 +1,20 @@
 import hashlib
+import heapq
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
 from miscpde.adaptation import (
     BudgetError,
+    BuildResult,
     ErrorModel,
     ProfitEntry,
     RateFitError,
     WorkModel,
+    _candidate_variables,
     box_universe,
     build_set_apriori,
     build_set_bruteforce,
@@ -23,6 +27,7 @@ from miscpde.adaptation import (
     work_contribution,
 )
 from miscpde.misc_core import (
+    IndexSet,
     MiscEvaluator,
     MixedIndex,
     dof_work,
@@ -300,6 +305,145 @@ class TestSweepOracle:
         with pytest.raises(BudgetError):
             sweep_apriori(work_model, error_model, [3, 80])
 
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_frontier_width_below_one_rejected(self, width):
+        work_model, error_model, _, _ = oracle_setting("d1")
+        with pytest.raises(ValueError, match="frontier_width"):
+            sweep_apriori(work_model, error_model, [80], frontier_width=width)
+
+
+def eager_sweep(work_model, error_model, budgets, frontier_width=2, universe=None):
+    """The greedy sweep as first written, the reference for ``sweep_apriori``:
+    every admitted member offers every child at once, with its profit,
+    whether or not the child's other parents are in."""
+    root = (1,) * work_model.spatial_dim
+    n_rates = len(error_model.g_tilde)
+    allowed = None if universe is None else {(m.alpha, m.beta.items()) for m in universe}
+    seen, heap, admitted = set(), [], {}
+    state = {"spent": 0, "eps": math.inf,
+             "offered": _candidate_variables(set(), n_rates, frontier_width)}
+    active = set()
+
+    def push(alpha, items):
+        if (alpha, items) in seen or (allowed is not None and (alpha, items) not in allowed):
+            return
+        seen.add((alpha, items))
+        index = MixedIndex(alpha, SLV(items))
+        d_e = error_contribution_model(index, error_model)
+        d_w = work_contribution(index, work_model)
+        heapq.heappush(heap, (-(d_e / d_w), alpha, items, d_e, d_w))
+
+    def bump(items, j):
+        levels = dict(items)
+        levels[j] = levels.get(j, 1) + 1
+        return tuple(sorted(levels.items()))
+
+    def admit(alpha, items, d_e, d_w):
+        index = MixedIndex(alpha, SLV(items))
+        entry = ProfitEntry(index, d_e, d_w)
+        admitted[index] = entry
+        state["spent"] += dof_work(index)
+        state["eps"] = min(state["eps"], entry.profit)
+        for i in range(len(alpha)):
+            push(alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], items)
+        for j in state["offered"]:
+            push(alpha, bump(items, j))
+        variables = {j for j, _ in items}
+        if not variables <= active:
+            active.update(variables)
+            grown = _candidate_variables(active, n_rates, frontier_width)
+            if grown != state["offered"]:
+                fresh = [j for j in grown if j not in state["offered"]]
+                state["offered"] = grown
+                for member in admitted:
+                    for j in fresh:
+                        push(member.alpha, bump(member.beta.items(), j))
+
+    def checkpoint(next_profit):
+        return BuildResult(IndexSet(admitted), state["eps"], dict(admitted), state["spent"],
+                           next_profit)
+
+    root_member = MixedIndex(root, SLV())
+    admit(root, (), error_contribution_model(root_member, error_model),
+          work_contribution(root_member, work_model))
+    results = []
+    while True:
+        group = []
+        if heap:
+            group = [heapq.heappop(heap)]
+            while heap and heap[0][0] == group[0][0]:
+                group.append(heapq.heappop(heap))
+        dofs = [dof_work(MixedIndex(alpha, SLV(items))) for _, alpha, items, _, _ in group]
+        profit = -group[0][0] if group else None
+        while len(results) < len(budgets) and (
+                not group or state["spent"] + sum(dofs) > budgets[len(results)]):
+            results.append(checkpoint(profit))
+        if len(results) == len(budgets):
+            return results
+        for _, alpha, items, d_e, d_w in group:
+            admit(alpha, items, d_e, d_w)
+
+
+def bits(value):
+    return None if value is None else value.hex()
+
+
+def result_bits(result):
+    """Every field of a ``BuildResult``, floats as ``float.hex``."""
+    return (
+        [(m.sort_key(), bits(e.d_e), bits(e.d_w)) for m, e in result.profits.items()],
+        bits(result.eps),
+        bits(result.next_profit),
+        result.dof_work_total,
+        hashlib.sha256(result.index_set.to_json().encode()).hexdigest(),
+    )
+
+
+def random_sweep_setting(seed):
+    """A random sweep over d = 1..3.  Rates come from a pool of four values,
+    so equal rates, and profit classes of several members, are common;
+    rates out of mode order move the variable frontier past inactive
+    variables, which drops them from the offered directions."""
+    rng = random.Random(seed)
+    d = 1 + seed % 3
+    error_model = ErrorModel(
+        r_fem=rng.choice((1.0, 2.0, 3.0)),
+        g_tilde=tuple(rng.choice((0.3, 0.7, 1.2, 2.0)) for _ in range(rng.randint(0, 6))),
+        c_e=rng.choice((0.5, 1.0, 2.5)),
+    )
+    work_model = isotropic_work_model(d, rng.choice((1.0, 1.5, 2.0)))
+    universe = None
+    if seed % 2:
+        shape = {1: (6, 4, 3), 2: (4, 3, 2), 3: (3, 2, 2)}[d]
+        universe = box_universe(d, *shape)
+    root_dof = 5**d
+    steps = sorted(rng.sample(range(0, 9 - d), 4))
+    budgets = [root_dof * 4**t for t in steps]
+    return work_model, error_model, budgets, 1 + seed // 6 % 3, universe
+
+
+class TestRandomizedSweepOracle:
+    @pytest.mark.parametrize("seed", range(36))
+    def test_sweep_matches_eager_sweep(self, seed):
+        work_model, error_model, budgets, width, universe = random_sweep_setting(seed)
+        expected = eager_sweep(work_model, error_model, budgets, width, universe)
+        results = sweep_apriori(work_model, error_model, budgets, width, universe)
+        assert [result_bits(r) for r in results] == [result_bits(r) for r in expected]
+
+    def test_settings_cover_profit_classes_and_dropped_variables(self):
+        classes = dropped = 0
+        for seed in range(36):
+            work_model, error_model, budgets, width, universe = random_sweep_setting(seed)
+            top = sweep_apriori(work_model, error_model, budgets, width, universe)[-1]
+            profits = [entry.profit for entry in top.profits.values()]
+            classes += len(profits) > len(set(profits))
+            # A dropped variable: one activated after a deeper one.
+            order = []
+            for m in top.profits:
+                order += [j for j in m.beta.support if j not in order]
+            dropped += order != sorted(order)
+        assert classes >= 20 and dropped >= 3
+
 
 class TestBruteForce:
     def test_single_member_universe(self, field1, qoi1):
@@ -346,6 +490,75 @@ class TestBruteForce:
         big = box_universe(1, 8, 3, 4)
         with pytest.raises(ValueError):
             build_set_bruteforce(big, field1, qoi1, work_budget=100)
+
+
+def rescan_bruteforce(universe, profits, work_budget):
+    """The brute-force greedy as first written, the reference for
+    ``build_set_bruteforce``: after every admission, rescan the whole
+    universe for members whose parents are all in and that fit the
+    budget, and admit the best.  Also says whether the best member with
+    all parents in was ever passed over for not fitting."""
+    def key(m):
+        return (-profits[m].profit, sum(m.alpha) + m.beta.excess(), m.alpha, m.beta.items())
+
+    root = root_index(universe.spatial_dim)
+    closed = {root}
+    spent = dof_work(root)
+    eps = profits[root].profit
+    skipped = False
+    while True:
+        frontier = [m for m in universe.members
+                    if m not in closed and all(p in closed for p in m.parents())]
+        fitting = [m for m in frontier if spent + dof_work(m) <= work_budget]
+        if not fitting:
+            break
+        best = min(fitting, key=key)
+        skipped |= best != min(frontier, key=key)
+        closed.add(best)
+        spent += dof_work(best)
+        eps = profits[best].profit
+    index_set = IndexSet(closed)
+    return index_set, eps, index_set.nominal_work(), skipped
+
+
+class SyntheticDifferences:
+    """Stands in for ``MiscEvaluator``: |mixed differences| drawn from four
+    values, so that profits tie."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.values = {}
+
+    def mixed_difference(self, index):
+        return self.values.setdefault(index, self.rng.choice((1e-3, 1e-2, 0.05, 0.2)))
+
+
+class TestBruteForceOracle:
+    def check(self, universe, budgets, evaluator):
+        skipped = 0
+        for budget in budgets:
+            result = build_set_bruteforce(universe, None, None, budget, evaluator)
+            index_set, eps, work, passed_over = rescan_bruteforce(universe, result.profits, budget)
+            assert result.index_set == index_set
+            assert result.eps == eps
+            assert result.dof_work_total == work
+            skipped += passed_over
+        return skipped
+
+    @pytest.mark.parametrize("shape", [(1, 5, 3, 2), (1, 4, 10, 1), (2, 3, 3, 1), (3, 2, 2, 2)])
+    def test_synthetic_profits_match_rescan(self, shape):
+        universe = box_universe(*shape)
+        total = universe.nominal_work()
+        budgets = sorted({int(total * f) for f in (0.01, 0.05, 0.1, 0.2, 0.35, 0.5, 0.8, 1.0)}
+                         | {5**shape[0]})
+        skipped = sum(self.check(universe, budgets, SyntheticDifferences(seed))
+                      for seed in range(3))
+        assert skipped > 0
+
+    def test_measured_profits_match_rescan(self, field1, qoi1):
+        universe = box_universe(1, 4, 3, 2)
+        evaluator = MiscEvaluator(field1, qoi1)
+        assert self.check(universe, [5, 40, 100, 200, 400, 1000], evaluator) > 0
 
 
 class TestRateFit:

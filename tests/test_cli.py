@@ -228,6 +228,23 @@ class TestCommands:
         assert self.run("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("width", ["0", "-1"])
+    def test_bad_frontier_width_exits_2(self, tmp_path, capsys, command, width):
+        # A width below 1 offers no stochastic variable, so the study would
+        # quietly run deterministic-only.
+        model = tmp_path / "model.json"
+        model.write_text(ErrorModel(r_fem=2.0, g_tilde=(1.0, 1.5)).to_json())
+        cfg = write_config(tmp_path / "w.cfg", BASE_1D.replace("deterministic", "apriori")
+                           + f"adaptivity.model_file = {model}\n"
+                           + f"adaptivity.frontier_width = {width}\nmimc.random_vars = 2\n")
+        out = tmp_path / "o"
+        assert self.run(command, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "adaptivity.frontier_width" in err[0]
+        assert not out.exists()
+
     def test_unknown_mode_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "m.cfg", BASE_1D.replace("deterministic", "threshold"))
         assert self.run("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
