@@ -381,9 +381,11 @@ def study_driver(
     Budgets must be finite, positive and strictly increasing.  Without an
     explicit reference value, a set at ``reference_factor`` times the
     largest budget provides it.  In the a-priori modes one greedy sweep
-    up to the largest budget needed yields every set.  The sets are
-    evaluated in budget order, the reference set last, on a single
-    evaluator, so each estimator reuses every solve of the previous one.
+    up to the largest budget needed yields every set.  One evaluator
+    evaluates them largest first (the reference set, then the budgets in
+    descending order), so the largest set solves nearly every point in a
+    few large batches and the others reuse them.  No value depends on
+    this order; the records come in budget order.
     """
     if threads != 1:
         raise ValueError(f"the evaluator is single-threaded; threads must be 1, got {threads}")
@@ -403,26 +405,22 @@ def study_driver(
                                            needed, frontier_width)
         built = {budget: result.index_set for budget, result in zip(needed, results)}
 
-    sets, estimates, works = [], [], []
-    for budget in budgets:
-        index_set = built[budget]
-        result = evaluator.evaluate(index_set, mode="combination")
-        _require_finite(result.value, f"estimate at budget {budget}")
-        sets.append(index_set)
-        estimates.append(result.value)
-        works.append(result.work)
-
     if reference is None:
         reference = evaluator.evaluate(built[reference_budget], mode="combination").value
         _require_finite(reference, "reference estimate")
+    evaluated = {}
+    for budget in reversed(budgets):
+        evaluated[budget] = evaluator.evaluate(built[budget], mode="combination")
+        _require_finite(evaluated[budget].value, f"estimate at budget {budget}")
 
-    records = []
-    for budget, index_set, estimate, work in zip(budgets, sets, estimates, works):
+    records, sets = [], [built[budget] for budget in budgets]
+    for budget, index_set in zip(budgets, sets):
+        result = evaluated[budget]
         records.append(RunRecord(
             budget=budget,
-            work=work,
-            estimate=estimate,
-            abs_error=abs(estimate - reference),
+            work=result.work,
+            estimate=result.value,
+            abs_error=abs(result.value - reference),
             max_alpha=index_set.max_alpha_level(),
             max_beta=index_set.max_beta_level(),
             last_var=index_set.last_variable(),

@@ -12,9 +12,10 @@ across the cells, so the system has an exact O(n) solution.  In d > 1
 the constant-coefficient rows share one sine-transform solve, and the
 other rows run one conjugate-gradient iteration with separate scalars
 per row, preconditioned by the same sine-transform solve with diagonal
-scaling around it.  The operators are applied matrix-free, as flux
-differences of the staggered coefficients; no matrix is assembled.
-Each row's value is bit-identical whatever the batch around it.
+scaling around it.  Each block of rows builds its operators once, as a
+flat stencil (a diagonal and one coupling per axis), and applies them
+with shifted contiguous slices; no matrix is assembled.  Each row's
+value is bit-identical whatever the batch around it.
 """
 
 from __future__ import annotations
@@ -63,11 +64,16 @@ _BLOCK_ENTRIES = 1 << 14
 
 
 class SolverError(RuntimeError):
-    """Linear solve failed to reach the required residual."""
+    """Linear solve failed to reach the required residual; ``row`` is the
+    parameter row at fault, numbered within the whole batch, if there is one."""
 
-    def __init__(self, message: str, residual: float | None = None):
+    def __init__(self, message: str, residual: float | None = None, row: int | None = None):
         super().__init__(message)
-        self.residual = residual
+        self.residual, self.row = residual, row
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return message if self.row is None else f"{message} (row {self.row})"
 
 
 def validate_alpha(alpha: Sequence[int]) -> tuple[int, ...]:
@@ -222,10 +228,8 @@ def _flux_form_1d(level: int, Y: np.ndarray, modes) -> tuple[np.ndarray, np.ndar
         closure = np.abs(flux * sum_b - sum_xb) <= 1e-10 * (np.abs(flux) * sum_b + sum_xb)
     if not closure.all():
         bad = int(np.argmin(closure))
-        raise SolverError(
-            f"1-D closed-form solve at level {level} lost the boundary condition "
-            f"(row {bad}: sum of 1/a = {sum_b[bad]!r})"
-        )
+        raise SolverError(f"1-D closed-form solve at level {level} lost the boundary "
+                          f"condition: sum of 1/a = {float(sum_b[bad])!r}", row=bad)
     return b, flux
 
 
@@ -275,6 +279,10 @@ def _sine_matrix(n: int) -> np.ndarray:
     """
     k = np.arange(1, n + 1)
     return _frozen(np.sin(np.pi * (np.outer(k, k) % (2 * n + 2)) / (n + 1)))
+
+
+def _axis_slice(axis: int, start, stop) -> tuple[slice, ...]:
+    return (slice(None),) * axis + (slice(start, stop),)
 
 
 def _sine_fft(lines: np.ndarray, axis: int) -> np.ndarray:
@@ -333,111 +341,93 @@ def _sine_solve(alpha: tuple[int, ...], r: np.ndarray) -> np.ndarray:
 def _solve_constant(alpha: tuple[int, ...]) -> np.ndarray:
     """The a == 1 solution, the sine-transform solve of a row of ones.
 
-    It is checked with one matrix-free apply of the a == 1 operator;
-    |A| is the operator's largest eigenvalue.
+    It is checked with one apply of the a == 1 operator, which
+    ``_operator`` builds with no modes; |A| is its largest eigenvalue.
     """
     counts = interior_counts(alpha)
     u = _sine_solve(alpha, np.ones((1, math.prod(counts))))
-    faces = [np.full((1, *_face_shape(counts, i)), h**-2) for i, h in enumerate(mesh_sizes(alpha))]
+    diag, couplings, _ = _operator(alpha, np.zeros((1, 0)), ())
     _check_backward_error(f"sine-transform solve at alpha = {alpha}",
-                          _apply_flux(faces, u), u, _laplacian_eigenvalues(alpha).max())
+                          _apply(diag, couplings, u), u, _laplacian_eigenvalues(alpha).max())
     return u[0].reshape(counts)
 
 
-def _face_shape(counts: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """The dim-i staggered grid: midpoints along axis i, interior nodes elsewhere."""
-    return counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
+@lru_cache(maxsize=64)
+def _trig_table(level: int, modes: tuple[Mode, ...], axis: int, staggered: bool) -> np.ndarray:
+    """The (K, n) trig factors of all K modes along ``axis``, at the midpoints or the nodes."""
+    rows = [_axis_trig(level, mode.k[axis], mode.ell[axis], staggered) for mode in modes]
+    return _frozen(np.array(rows).reshape(len(modes), interior_counts((level,))[0] + staggered))
 
 
-def _staggered_coefficients(alpha, Y: np.ndarray, modes) -> list[np.ndarray]:
-    """Coefficient a on each dim-i staggered grid (midpoints along i, nodes elsewhere).
+def _operator(alpha: tuple[int, ...], Y: np.ndarray, modes) -> tuple:
+    """The flux-form operators A(y) of the rows of ``Y`` as a flat stencil:
+    each one's (P, N) diagonal, one (stride, w) coupling per axis, and its
+    infinity norm.  ``w[:, k]`` couples node k to node k + stride and is 0
+    at the last node of each grid line, whose neighbour is a Dirichlet value.
 
-    One (P, *grid) array per dimension, one leading row per row of
-    ``Y``.  kappa is accumulated mode by mode from cached per-axis trig
-    factors, so each row's coefficients do not depend on the batch.
-    """
-    counts = interior_counts(alpha)
-    active = _active_columns(Y, modes)
-    staggered = []
-    for i in range(len(alpha)):
-        shape = _face_shape(counts, i)
-        kappa = np.zeros((len(Y), math.prod(shape)))
-        for j in active:
-            mode = modes[j]
-            factors = [_axis_trig(level, k, ell, axis == i)
-                       for axis, (level, k, ell) in enumerate(zip(alpha, mode.k, mode.ell))]
-            kappa += Y[:, j : j + 1] * (mode.amplitude * reduce(np.multiply.outer, factors)).ravel()
-        with np.errstate(over="ignore", invalid="ignore"):
-            staggered.append(np.exp(kappa).reshape(len(Y), *shape))
-    return staggered
-
-
-def _face_coefficients(alpha, Y: np.ndarray, modes) -> list[np.ndarray]:
-    """The staggered coefficients a / h_i^2 of the flux-form operators A(y).
-
+    The coefficients a / h_i^2 live on the dim-i face grid (midpoints
+    along axis i), built one at a time: node m along axis i gains faces m
+    and m + 1 on its diagonal and couples to node m + 1 through face m + 1.
     Raises ``SolverError`` when a coefficient is not finite and positive.
     """
-    faces = []
-    for a, h in zip(_staggered_coefficients(alpha, Y, modes), mesh_sizes(alpha)):
-        bad = ~(np.isfinite(a) & (a > 0)).reshape(len(a), -1).all(axis=1)
+    _active_columns(Y, modes)               # rejects nonzero columns past the modes
+    counts = interior_counts(alpha)
+    rows, size = len(Y), math.prod(counts)
+    scaled = np.zeros((rows, len(modes)))   # amplitude_j y_j, all K = len(modes) columns
+    scaled[:, : Y.shape[1]] = Y[:, : len(modes)]
+    scaled *= np.array([mode.amplitude for mode in modes])
+    diag, couplings = np.zeros((rows, size)), []
+    for i, h in enumerate(mesh_sizes(alpha)):
+        *leading, last = [_trig_table(level, modes, axis, axis == i)
+                          for axis, level in enumerate(alpha)]
+        # psi_j / A_j = lead[j, l] last[j, b] over the grid lines l along the
+        # last axis, so kappa is one (L, K) @ (K, n) product per row, whose
+        # shapes do not depend on P: no row's kappa depends on the batch.
+        lead = leading[0]
+        for factor in leading[1:]:
+            lines = lead.shape[1] * factor.shape[1]
+            lead = (lead[:, :, None] * factor[:, None, :]).reshape(len(modes), lines)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = (lead.T @ (scaled[:, :, None] * last)).reshape(rows, -1)
+            np.exp(a, out=a)
+        # NaN fails both comparisons.
+        bad = ~((a.min(axis=1) > 0) & (a.max(axis=1) < np.inf))
         if bad.any():
             raise SolverError(f"coefficient exp(kappa) at alpha = {alpha} is not finite "
-                              f"and positive (row {int(np.argmax(bad))})")
-        faces.append(a / h**2)
-    return faces
+                              f"and positive", row=int(np.argmax(bad)))
+        a /= h**2
+        n, stride = counts[i], math.prod(counts[i + 1 :])
+        faces = a.reshape(rows, -1, n + 1, stride)
+        w = np.empty((rows, size))
+        east = w.reshape(rows, -1, n, stride)
+        east[...] = faces[:, :, 1:]
+        diag += w
+        diag.reshape(rows, -1, n, stride)[...] += faces[:, :, :-1]
+        east[:, :, -1] = 0.0
+        couplings.append((stride, w))
+        del a, faces
+    # |A| sums the diagonal and both couplings of each node along each axis.
+    total = diag.flatten()
+    for stride, w in couplings:
+        total += w.reshape(-1)
+        total[stride:] += w.reshape(-1)[:-stride]
+    return diag, couplings, total.reshape(rows, size).max(axis=1)
 
 
-def _grid_shape(faces: list[np.ndarray]) -> tuple[int, ...]:
-    """The interior grid behind a list of staggered coefficients."""
-    return (faces[0].shape[1] - 1,) + faces[0].shape[2:]
-
-
-def _axis_slice(axis: int, start, stop) -> tuple[slice, ...]:
-    return (slice(None),) * axis + (slice(start, stop),)
-
-
-def _apply_flux(faces: list[np.ndarray], u: np.ndarray) -> np.ndarray:
-    """A u for every row of ``u``, a (P, N) array, matrix-free.
-
-    ``faces`` holds each axis's staggered coefficients a / h_i^2, one
-    leading row per operator.  Along axis i the flux c (u_m - u_{m-1})
-    sits on the cell faces m = 0..n_i, with u zero outside the grid, and
-    A u gains the flux difference c_m (u_m - u_{m-1}) - c_{m+1} (u_{m+1} - u_m).
-    Every operation is elementwise within a row.
+def _apply(diag: np.ndarray, couplings, u: np.ndarray) -> np.ndarray:
+    """A u for every row of ``u``, a (P, N) array, from ``_operator``'s
+    stencil: diag u - w u[+stride] - w u[-stride] along each axis, on
+    contiguous slices of the flattened rows.  A shift leaves a grid line,
+    or a row, only where w is 0, so for finite u no row's result depends
+    on the other rows.
     """
-    counts = _grid_shape(faces)
-    grid = u.reshape(len(u), *counts)
-    au = np.zeros_like(grid)
-    for axis, (c, n) in enumerate(zip(faces, counts), start=1):
-        flux = np.empty(c.shape)
-        np.subtract(grid[_axis_slice(axis, 1, None)], grid[_axis_slice(axis, None, -1)],
-                    out=flux[_axis_slice(axis, 1, n)])
-        flux[_axis_slice(axis, 0, 1)] = grid[_axis_slice(axis, 0, 1)]
-        np.negative(grid[_axis_slice(axis, n - 1, n)], out=flux[_axis_slice(axis, n, n + 1)])
-        flux *= c
-        au += flux[_axis_slice(axis, 0, n)]
-        au -= flux[_axis_slice(axis, 1, n + 1)]
-    return au.reshape(u.shape)
-
-
-def _diagonal_and_norm(faces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Each operator's (P, N) diagonal and its infinity norm, the largest
-    absolute row sum.
-
-    The diagonal gains both faces around a node along every axis; the
-    off-diagonal magnitudes are the same faces except those on the
-    boundary, where the neighbour is a Dirichlet value.
-    """
-    rows, counts = len(faces[0]), _grid_shape(faces)
-    diag = np.zeros((rows, *counts))
-    off = np.zeros((rows, *counts))
-    for axis, (c, n) in enumerate(zip(faces, counts), start=1):
-        diag += c[_axis_slice(axis, 0, n)]
-        diag += c[_axis_slice(axis, 1, n + 1)]
-        inner = c[_axis_slice(axis, 1, n)]
-        off[_axis_slice(axis, 1, n)] += inner
-        off[_axis_slice(axis, 0, n - 1)] += inner
-    return diag.reshape(rows, -1), (diag + off).reshape(rows, -1).max(axis=1)
+    au = diag * u
+    flat, shifted = au.reshape(-1), u.reshape(-1)
+    for stride, w in couplings:
+        inner = w.reshape(-1)[:-stride]
+        flat[:-stride] -= inner * shifted[stride:]
+        flat[stride:] -= inner * shifted[:-stride]
+    return au
 
 
 def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
@@ -449,16 +439,16 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
     (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  It is spectrally
     equivalent to A, so the iteration count does not grow with N.
 
-    All rows advance together through one matrix-free apply of their
-    operators (``_apply_flux``), each with its own step lengths.  A row
-    stops at |r| <= CG_RTOL |b| and then leaves the working set, so its
-    iterates and its result do not depend on the other rows.  Raises
-    ``SolverError`` when a coefficient is not finite and positive, when a
-    row is still running after PCG_MAX_ITERATIONS, or when a solution's
-    backward error exceeds RESIDUAL_TOL.
+    The operators are built once (``_operator``), and all rows advance
+    together through one stencil apply (``_apply``), each with its own
+    step lengths.  A row stops at |r| <= CG_RTOL |b| and then leaves the
+    working set, so its iterates and its result do not depend on the
+    other rows.  Raises ``SolverError`` when a coefficient is not finite
+    and positive, when a row is still running after PCG_MAX_ITERATIONS,
+    or when a solution's backward error exceeds RESIDUAL_TOL.
     """
-    faces = full = _face_coefficients(alpha, Y, modes)
-    diag, norm_a = _diagonal_and_norm(faces)
+    diag, couplings, norm_a = _operator(alpha, Y, modes)
+    full = diag, couplings
     rows, size = diag.shape
     tol = CG_RTOL * math.sqrt(size)
     scale = np.sqrt(sum(2.0 / h**2 for h in mesh_sizes(alpha)) / diag)
@@ -472,7 +462,7 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
     # than fresh temporaries on batches of 1e4 to 1e5 entries.
     tmp = np.empty_like(x)
     for _ in range(PCG_MAX_ITERATIONS):
-        q = _apply_flux(faces, p)
+        q = _apply(diag, couplings, p)
         step = (rz / np.sum(np.multiply(p, q, out=tmp), axis=1))[:, None]
         x += np.multiply(step, p, out=tmp)
         r -= np.multiply(step, q, out=tmp)
@@ -482,8 +472,8 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
             keep = ~done
             if not keep.any():
                 break
-            work, x, r, p, rz, scale = (a[keep] for a in (work, x, r, p, rz, scale))
-            faces = [c[keep] for c in faces]
+            work, x, r, p, rz, scale, diag = (a[keep] for a in (work, x, r, p, rz, scale, diag))
+            couplings = [(stride, w[keep]) for stride, w in couplings]
             tmp = np.empty_like(x)
         z = scale * _sine_solve(alpha, scale * r)
         rz_next = np.sum(np.multiply(r, z, out=tmp), axis=1)
@@ -494,7 +484,7 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
         worst = float(np.max(_row_norms(r))) / math.sqrt(size)
         raise SolverError(f"PCG at alpha = {alpha} did not converge in "
                           f"{PCG_MAX_ITERATIONS} iterations", residual=worst)
-    _check_backward_error(f"PCG solve at alpha = {alpha}", _apply_flux(full, u), u, norm_a)
+    _check_backward_error(f"PCG solve at alpha = {alpha}", _apply(*full, u), u, norm_a)
     return u
 
 
@@ -569,7 +559,11 @@ def solve_qoi_batch(alpha, Y, field_spec: FieldSpec, qoi_spec: QoISpec) -> np.nd
         rows = max(1, _BLOCK_ENTRIES // len(window))
         for start in range(0, len(todo), rows):
             block = todo[start : start + rows]
-            out[block] = np.sum(_solve_pcg(alpha, Y[block], modes) * window, axis=1)
+            try:
+                out[block] = np.sum(_solve_pcg(alpha, Y[block], modes) * window, axis=1)
+            except SolverError as error:
+                error.row = None if error.row is None else int(block[error.row])
+                raise
         return qoi_spec.scale * math.prod(mesh_sizes(alpha)) * out
     (level,), (h,) = alpha, mesh_sizes(alpha)
     tail, x_tail = _window_tails(level, qoi_spec)
@@ -577,7 +571,11 @@ def solve_qoi_batch(alpha, Y, field_spec: FieldSpec, qoi_spec: QoISpec) -> np.nd
     rows = max(1, _BLOCK_ENTRIES // len(tail))
     for start in range(0, len(Y), rows):
         block = Y[start : start + rows]
-        b, flux = _flux_form_1d(level, block, modes)
+        try:
+            b, flux = _flux_form_1d(level, block, modes)
+        except SolverError as error:
+            error.row += start
+            raise
         out[start : start + len(block)] = (flux * (b * tail).sum(axis=1)
                                            - (b * x_tail).sum(axis=1))
     return qoi_spec.scale * h * h * out

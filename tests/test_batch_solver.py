@@ -12,9 +12,8 @@ from miscpde import misc_core, pde_solver
 from miscpde.misc_core import IndexSet, MiscEvaluator, MixedIndex, corners
 from miscpde.pde_solver import (
     _BLOCK_ENTRIES,
-    _apply_flux,
-    _diagonal_and_norm,
-    _face_coefficients,
+    _apply,
+    _operator,
     _sine_solve,
     DiscreteSolution,
     SolverError,
@@ -105,6 +104,20 @@ class TestGuards:
         with pytest.raises(SolverError):
             solve((3,), {1: float(y1)}, field1)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_error_names_the_row_within_the_batch(self, field1, qoi1, field3, qoi3, d):
+        field_spec, qoi_spec, alpha = (field1, qoi1, (6,)) if d == 1 else (field3, qoi3, (1, 1, 1))
+        rows = random_rows(np.random.default_rng(5), 200, 2)
+        rows[:10] = 0.0
+        rows[150] = [1e3, 0.0]
+        # Row 150 lies past the first block: 85 rows of 192 midpoints in 1-D,
+        # and in 3-D, where the zero rows leave the PCG blocks, 131 rows.
+        assert 140 >= _BLOCK_ENTRIES // (unknowns(alpha) + (d == 1))
+        with pytest.raises(SolverError) as info:
+            solve_qoi_batch(alpha, rows, field_spec, qoi_spec)
+        assert info.value.row == 150
+        assert "(row 150)" in str(info.value) and "np.float64" not in str(info.value)
+
     def test_variables_beyond_the_modes_rejected(self, field1, qoi1):
         rows = np.zeros((2, field1.max_modes + 2))
         solve_qoi_batch((2,), rows, field1, qoi1)  # zero columns are harmless
@@ -182,16 +195,15 @@ class TestJacobiPCG:
 
 
 class TestMatrixFreeOperator:
-    """The flux-form operator applied matrix-free, against an assembled CSR matrix."""
+    """The flux-form operator as a flat stencil, against an assembled CSR matrix."""
 
     @pytest.mark.parametrize("alpha", [(1, 1, 1), (2, 1, 3), (1, 1, 6)])
     def test_apply_and_norm_match_the_assembled_operator(self, field3, assembled_operator, alpha):
         rng = np.random.default_rng(70 + sum(alpha))
         rows = random_rows(rng, 3, field3.max_modes)
         u = rng.uniform(-1.0, 1.0, (3, unknowns(alpha)))
-        faces = _face_coefficients(alpha, rows, mode_ordering(field3))
-        applied = _apply_flux(faces, u)
-        diagonals, norms = _diagonal_and_norm(faces)
+        diagonals, couplings, norms = _operator(alpha, rows, mode_ordering(field3))
+        applied = _apply(diagonals, couplings, u)
         for row, vector, got, diagonal, norm in zip(rows, u, applied, diagonals, norms):
             matrix = assembled_operator(alpha, {j + 1: float(v) for j, v in enumerate(row)}, field3)
             expected = matrix @ vector
@@ -200,23 +212,37 @@ class TestMatrixFreeOperator:
             expected_norm = abs(matrix).sum(axis=1).max()
             assert abs(norm - expected_norm) <= 1e-13 * expected_norm
 
+    @pytest.mark.parametrize("alpha", [(1, 1, 1), (2, 1, 3), (1, 1, 6)])
+    def test_apply_after_rows_are_dropped(self, field3, assembled_operator, alpha):
+        # PCG drops converged rows from the diagonal and every coupling.
+        rng = np.random.default_rng(75 + sum(alpha))
+        rows = random_rows(rng, 4, field3.max_modes)
+        diagonals, couplings, _ = _operator(alpha, rows, mode_ordering(field3))
+        keep = np.array([False, True, False, True])
+        u = rng.uniform(-1.0, 1.0, (2, unknowns(alpha)))
+        applied = _apply(diagonals[keep], [(stride, w[keep]) for stride, w in couplings], u)
+        for row, vector, got in zip(rows[keep], u, applied):
+            matrix = assembled_operator(alpha, {j + 1: float(v) for j, v in enumerate(row)}, field3)
+            expected = matrix @ vector
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
 
 class TestSineTransformPreconditioner:
     """z = S L^-1 (S r): the a == 1 sine-transform solve with diagonal scaling."""
 
     @pytest.mark.parametrize("alpha", [(1, 1, 1), (2, 2, 2), (3, 3, 3), (1, 1, 6), (1, 1, 10)])
     def test_iterations_per_row_do_not_grow_with_the_grid(self, field3, monkeypatch, alpha):
-        # Counts the applies of the matrix-free operator, which every CG
+        # Counts the applies of the stencil operator, which every CG
         # iteration makes once, whatever its preconditioner.
         matvecs = 0
-        apply = pde_solver._apply_flux
+        apply = pde_solver._apply
 
-        def counting(faces, u):
+        def counting(diag, couplings, u):
             nonlocal matvecs
             matvecs += 1
-            return apply(faces, u)
+            return apply(diag, couplings, u)
 
-        monkeypatch.setattr(pde_solver, "_apply_flux", counting)
+        monkeypatch.setattr(pde_solver, "_apply", counting)
         rng = np.random.default_rng(40)
         for _ in range(3):
             matvecs = 0
@@ -240,16 +266,16 @@ class TestSineTransformPreconditioner:
             return transform(flipped, counts)
 
         matvecs = 0
-        apply = pde_solver._apply_flux
+        apply = pde_solver._apply
 
-        def counting(faces, u):
+        def counting(diag, couplings, u):
             nonlocal matvecs
             matvecs += 1
             assert matvecs <= 500, "PCG still running after 500 iterations"
-            return apply(faces, u)
+            return apply(diag, couplings, u)
 
         monkeypatch.setattr(pde_solver, "_sine_solve", reversed_lines)
-        monkeypatch.setattr(pde_solver, "_apply_flux", counting)
+        monkeypatch.setattr(pde_solver, "_apply", counting)
         with pytest.raises(SolverError, match="did not converge"):
             solve(alpha, {j: 1.0 for j in range(1, field3.max_modes + 1)}, field3)
 

@@ -10,6 +10,7 @@ from miscpde.cli import (
     ConfigError,
     budgets_from_config,
     compare_driver,
+    fit_driver,
     fitted_slope,
     lebesgue_rows,
     mimc_plan,
@@ -20,8 +21,8 @@ from miscpde.cli import (
     synthetic_fit_check,
     write_csv,
 )
-from miscpde.adaptation import ErrorModel
-from miscpde.misc_core import IndexSet
+from miscpde.adaptation import ErrorModel, isotropic_work_model, sweep_apriori
+from miscpde.misc_core import IndexSet, MiscEvaluator
 
 
 def write_config(path: Path, text: str) -> Path:
@@ -173,6 +174,38 @@ class TestSmallDrivers:
             study_driver(field1, qoi1, [80.0], mode="deterministic", threads=2)
         with pytest.raises(ValueError, match="threads must be 1"):
             compare_driver(field1, qoi1, [80.0], model, n_random_vars=1, seed=0, threads=2)
+
+
+@pytest.fixture(scope="module", params=[1, 3])
+def tiny_study(request, field1, qoi1, field3, qoi3):
+    """A fitted model and budgets of a tiny a-priori study in 1-D or 3-D."""
+    if request.param == 1:
+        return field1, qoi1, fit_driver(field1, qoi1, n_modes=4, depth=2), [80.0, 320.0, 1280.0]
+    return field3, qoi3, fit_driver(field3, qoi3, n_modes=3, depth=2), [2000.0, 8000.0]
+
+
+class TestStudyEvaluationOrder:
+    """``study_driver`` evaluates its largest set first; no value depends on it."""
+
+    @pytest.mark.parametrize("reference", [None, 0.25])
+    def test_estimates_match_fresh_evaluators(self, tiny_study, reference):
+        field_spec, qoi_spec, model, budgets = tiny_study
+        study = study_driver(field_spec, qoi_spec, budgets, error_model=model, reference=reference)
+        for record, index_set in zip(study.records, study.sets):
+            fresh = MiscEvaluator(field_spec, qoi_spec).evaluate(index_set, mode="combination")
+            assert record.estimate.hex() == fresh.value.hex()
+            assert record.work == fresh.work
+        # Budget order on one evaluator, the reference set last, solves the same points.
+        sets = list(study.sets)
+        if reference is None:
+            needed = [*budgets, 4.0 * budgets[-1]]
+            sets.append(sweep_apriori(isotropic_work_model(field_spec.d), model, needed, 2)[-1].index_set)
+        ascending = MiscEvaluator(field_spec, qoi_spec)
+        values = [ascending.evaluate(index_set, mode="combination").value for index_set in sets]
+        if reference is None:
+            assert study.reference.hex() == values[-1].hex()
+        assert study.evaluator.cache.misses == ascending.cache.misses
+        assert study.evaluator.solved_dof == ascending.solved_dof
 
 
 class TestCommands:

@@ -208,6 +208,62 @@ print(json.dumps({"matrix_max": _SINE_MATRIX_MAX, "checked": checked}))
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+# Row-by-row invariance of the d > 1 operator, whose kappa is a matrix
+# product over the modes, and of the values solved with it.  The rows
+# activate different columns: y_1 alone, every column, and none.
+OPERATOR_INVARIANCE_SCRIPT = """
+import json
+
+import numpy as np
+
+from miscpde import FieldSpec, default_qoi_spec
+from miscpde.pde_solver import _operator, solve_qoi_batch
+from miscpde.random_field import mode_ordering
+
+field, window = FieldSpec(3, 4.5, 10), default_qoi_spec(3)
+modes = mode_ordering(field)
+rng = np.random.default_rng(11)
+rows = np.zeros((6, len(modes)))
+rows[0, 0], rows[3, 0] = 0.8, -0.6
+rows[1], rows[4] = rng.uniform(-1.0, 1.0, (2, len(modes)))
+
+
+def operator_rows(Y):
+    diag, couplings, norm = _operator(alpha, Y, modes)
+    return [[diag[k], *(w[k] for _, w in couplings), norm[k : k + 1]] for k in range(len(Y))]
+
+
+def same(first, second):
+    return all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+checked = {}
+for alpha in [(1, 1, 1), (2, 1, 3), (3, 3, 3), (4, 3, 2)]:
+    whole, values = operator_rows(rows), solve_qoi_batch(alpha, rows, field, window)
+    alone = [operator_rows(rows[k : k + 1])[0] for k in range(len(rows))]
+    reversed_ = operator_rows(rows[::-1])[::-1]
+    alone_values = [solve_qoi_batch(alpha, rows[k : k + 1], field, window)[0] for k in range(len(rows))]
+    reversed_values = solve_qoi_batch(alpha, rows[::-1], field, window)[::-1]
+    checked[str(alpha)] = (all(same(a, w) and same(r, w) for a, r, w in zip(alone, reversed_, whole))
+                           and np.array_equal(values, alone_values)
+                           and np.array_equal(values, reversed_values))
+print(json.dumps(checked))
+"""
+
+
+def run_with_threads(script: str, threads: str) -> str:
+    """Runs ``script`` in a fresh interpreter with the given BLAS thread
+    count ("default" leaves the environment's); returns its last line."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    if threads != "default":
+        env.update(dict.fromkeys(THREAD_VARIABLES, threads))
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
 class TestSineTransform:
     @pytest.mark.parametrize("axis", range(3))
     @pytest.mark.parametrize("level", range(1, 11))
@@ -222,17 +278,17 @@ class TestSineTransform:
 
     @pytest.mark.parametrize("threads", ["default", "1"])
     def test_solve_row_independent_of_batch_both_sides_of_the_switch(self, threads):
-        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
-        if threads != "default":
-            env.update(dict.fromkeys(THREAD_VARIABLES, threads))
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-        done = subprocess.run([sys.executable, "-c", INVARIANCE_SCRIPT], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        result = json.loads(done.stdout.strip().splitlines()[-1])
+        result = json.loads(run_with_threads(INVARIANCE_SCRIPT, threads))
         # Levels 6 and 7 sit on each side of the matrix/FFT switch.
         assert 191 <= result["matrix_max"] < 383
         assert all(result["checked"].values()), result["checked"]
+
+
+class TestOperatorInvariance:
+    @pytest.mark.parametrize("threads", ["default", "1"])
+    def test_operator_row_independent_of_batch(self, threads):
+        checked = json.loads(run_with_threads(OPERATOR_INVARIANCE_SCRIPT, threads))
+        assert len(checked) == 4 and all(checked.values()), checked
 
 
 class TestSineTransformResidual:

@@ -1,6 +1,6 @@
 """The paper's 3-D example at seven budgets, an opt-in slow test.
 
-Deselected by default; run it with ``pytest -m slow``.  It takes 13-17 s
+Deselected by default; run it with ``pytest -m slow``.  It takes 8-11 s
 on a shared 2-core host.
 """
 
