@@ -1,23 +1,28 @@
 """Profit-driven construction of estimator index sets and rate fitting.
 
 A mixed index's profit is its modeled error contribution per unit of
-modeled work.  One greedy sweep admits candidates best profit first, a
-whole profit class at a time, and stops at the first class that would
-take the set's exact degrees of freedom past the work budget.  Since
-the order does not depend on the budget, the set of every budget of a
-study is a checkpoint of one sweep up to the largest
-(``sweep_apriori``), in the manner of dimension-adaptive quadrature
-(Gerstner & Griebel, Computing 71, 2003).  Error contributions follow
-the fitted exponential decay model C_E * exp(-sum_j m(beta_j - 1) * g_j)
-* 2^(-|alpha| * r_fem); work contributions the geometric model
-C_W * 2^(sum_i gamma_i d_i alpha_i + |beta - 1|).  A brute-force mode
-computes the true difference magnitudes over a small universe instead,
-which serves as a benchmark.
+modeled work.  MISC keeps the mixed differences by the knapsack rule of
+arXiv:1511.05393, as for quasi-optimal sparse grids (Nobile, Tamellini
+& Tempone, Numer. Math. 2016): every index whose profit clears a
+threshold.  Error contributions follow the fitted exponential decay
+model C_E * exp(-sum_j m(beta_j - 1) * g_j) * 2^(-|alpha| * r_fem);
+work contributions the geometric model
+C_W * 2^(sum_i gamma_i d_i alpha_i + |beta - 1|).  The profit is then a
+product of one factor per coordinate, each below 1 above the base
+level, so every threshold set is downward closed and a walk over the
+coordinates lists it directly (``sweep_apriori``).  The set of a work
+budget is the longest run of whole profit classes, best first, whose
+exact degrees of freedom fit; the sets of all the budgets of a study
+are prefixes of one listing.  A brute-force mode computes the true
+difference magnitudes over a small universe instead, which serves as a
+benchmark.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -27,9 +32,11 @@ import numpy as np
 
 from . import quadrature
 from .misc_core import (
+    _NEW_NODES,
     IndexSet,
     MiscEvaluator,
     MixedIndex,
+    _unknowns,
     dof_work,
     root_index,
 )
@@ -137,204 +144,176 @@ def error_contribution_model(index: MixedIndex, model: ErrorModel) -> float:
     return model.c_e * math.exp(-decay) * 2.0 ** (-sum(index.alpha) * model.r_fem)
 
 
-def _tie_break(index: MixedIndex):
-    return (sum(index.alpha) + index.beta.excess(), index.alpha, index.beta.items())
-
-
 @dataclass
 class BuildResult:
     """Constructed set plus the diagnostics the builder saw."""
 
     index_set: IndexSet
     eps: float                         # smallest admitted profit
-    profits: dict[MixedIndex, ProfitEntry]
+    profits: dict[MixedIndex, ProfitEntry]   # the members, by descending profit
     dof_work_total: int
     next_profit: float | None          # profit of the first class over the budget; None if none was left
 
 
-def _candidate_variables(active: set[int], n_rates: int, frontier_width: int) -> list[int]:
-    deepest = max(active, default=0)
-    fresh = range(deepest + 1, min(deepest + frontier_width, n_rates) + 1)
-    return sorted(set(active) | set(fresh))
-
-
-def _bumps(beta_items: tuple[tuple[int, int], ...], variables: Iterable[int]):
-    """``beta_items`` with each of the ascending ``variables`` raised one
-    level in turn."""
-    k, n = 0, len(beta_items)
-    for j in variables:
-        while k < n and beta_items[k][0] < j:
-            k += 1
-        if k < n and beta_items[k][0] == j:
-            yield beta_items[:k] + ((j, beta_items[k][1] + 1),) + beta_items[k + 1 :]
-        else:
-            yield beta_items[:k] + ((j, 2),) + beta_items[k:]
+# Slack on the walk's log-profit bounds, far above the rounding of their
+# float sums, so that no candidate above the cut is missed.
+_SLACK = 1e-9
+_LN2 = math.log(2.0)
 
 
 def build_set_apriori(
     work_model: WorkModel,
     error_model: ErrorModel,
     work_budget: float,
-    frontier_width: int = 2,
     universe: IndexSet | None = None,
 ) -> BuildResult:
     """The set of one work budget: ``sweep_apriori`` with one checkpoint."""
-    return sweep_apriori(work_model, error_model, [work_budget], frontier_width, universe)[0]
+    return sweep_apriori(work_model, error_model, [work_budget], universe)[0]
 
 
 def sweep_apriori(
     work_model: WorkModel,
     error_model: ErrorModel,
     budgets: Sequence[float],
-    frontier_width: int = 2,
     universe: IndexSet | None = None,
 ) -> list[BuildResult]:
-    """The sets of several strictly increasing work budgets from one greedy sweep.
+    """The sets of several strictly increasing work budgets: prefixes of one
+    listing, by (-profit, alpha, beta items), of the candidates whose
+    profit clears a cut (``_walk``).
 
-    The root is always admitted.  Then candidates leave the heap one
-    profit class at a time, best first.  Only admissible candidates are
-    offered: each admitted member offers its children, and a child
-    enters the heap, with its profit computed, once all its parents are
-    in (the admissible frontier of Gerstner & Griebel, Computing 71,
-    2003), so every set is downward closed by construction.  Because
-    every rate is positive, a parent's profit is strictly higher than
-    its child's, so the best candidate is always admissible and
-    offering the others early would change no admission.  Before a class
-    is admitted, every budget that the set's exact degrees of freedom
-    would exceed with it checkpoints the set as it stands, with
-    ``next_profit`` the class's profit; nothing is bisected, and a class
-    that fits a budget exactly is admitted.  When no candidate is left,
-    every remaining budget checkpoints the whole set with
-    ``next_profit = None``.  The order of admission within a class
-    changes no result.  The greedy order does not depend on the
-    budgets, so entry k equals the one-budget build of ``budgets[k]``
-    member for member and in every diagnostic.
-
-    New stochastic variables enter the candidate pool in mode order, at
-    most ``frontier_width`` (at least 1) beyond the deepest variable
-    activated so far.  An optional ``universe`` restricts the
-    candidates, which makes the result comparable to a brute-force
-    benchmark over the same universe.  Candidates are plain
-    ``(alpha, beta items)`` tuples until they leave the heap.
+    Candidates are the mixed indices over the fitted variables, or the
+    members of ``universe`` among them, for comparison with a brute-force
+    benchmark.  A budget's set is the longest prefix of whole profit
+    classes whose exact DOF fit, ``eps`` its last class's profit and
+    ``next_profit`` the next one's, None when the candidates ran out.
+    Each profit factor is below 1 above the base level, so parents come
+    before children and every prefix is downward closed.  Profits are
+    the float expressions of ``error_contribution_model`` over
+    ``work_contribution``, so classes are exact and entry k equals the
+    build of ``budgets[k]`` alone.  A listed candidate past
+    ``quadrature.MAX_LEVEL`` raises ``QuadratureLevelError``.
     """
     budgets = list(budgets)
     if not budgets or any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError(f"budgets must be non-empty and strictly increasing, got {budgets}")
-    if frontier_width < 1:
-        raise ValueError(f"frontier_width must be at least 1, got {frontier_width}")
-    root = (1,) * work_model.spatial_dim
-    root_dof = dof_work(MixedIndex(root, SparseLevelVector()))
+    root_dof = dof_work(root_index(work_model.spatial_dim))
     if root_dof > budgets[0]:
         raise BudgetError(f"budget {budgets[0]} cannot hold the root index (work {root_dof})")
-    n_rates = len(error_model.g_tilde)
-    allowed = None if universe is None else {(m.alpha, m.beta.items()) for m in universe}
-    # The terms of ``error_contribution_model`` and ``work_contribution``,
-    # memoized: the same float expressions, combined in the same order, so
-    # each profit is bit-identical.
-    alpha_terms: dict = {}    # alpha -> (2^(-|alpha| r_fem), work exponent)
-    decay_terms: dict = {}    # (j, b) -> m(b - 1) * g_j
-    waiting: dict = {}        # candidate -> parents in so far, while some are not
-    heap: list = []
-    admitted: dict[MixedIndex, ProfitEntry] = {}   # in admission order
-    covered: dict[int, int] = {}   # dropped variable -> leading members that offered it
-    spent_dof = 0
-    eps = math.inf
-    active: set[int] = set()
-    offered = _candidate_variables(active, n_rates, frontier_width)
+    if universe is None:
+        candidates, cut = _walk(work_model, error_model, budgets[-1])
+    else:
+        candidates = [(error_contribution_model(m, error_model), work_contribution(m, work_model),
+                       m.alpha, m.beta.items(), dof_work(m))
+                      for m in universe if m.beta.last_variable() <= len(error_model.g_tilde)]
+        cut = 0.0
+    listing = sorted((-(d_e / d_w), alpha, items, d_e, d_w, dof)
+                     for d_e, d_w, alpha, items, dof in candidates if d_e / d_w >= cut)
+    vectors = {items: SparseLevelVector(items) for items in {row[2] for row in listing}}
+    entries = [ProfitEntry(MixedIndex(alpha, vectors[items]), d_e, d_w)
+               for _, alpha, items, d_e, d_w, _ in listing]
+    # The size of the listing up to the end of each profit class, and its DOF.
+    sizes, totals = [], []
+    for k, spent in enumerate(itertools.accumulate(row[5] for row in listing)):
+        if k + 1 == len(listing) or listing[k + 1][0] != listing[k][0]:
+            sizes.append(k + 1)
+            totals.append(spent)
+    ends = [bisect.bisect_right(totals, budget) - 1 for budget in budgets]
+    sets = IndexSet.prefixes([entry.index for entry in entries], [sizes[c] for c in ends])
+    return [
+        BuildResult(index_set=index_set, eps=entries[sizes[c] - 1].profit,
+                    profits={entry.index: entry for entry in entries[:sizes[c]]},
+                    dof_work_total=totals[c],
+                    next_profit=entries[sizes[c]].profit if c + 1 < len(sizes) else None)
+        for index_set, c in zip(sets, ends)
+    ]
 
-    def profit_terms(alpha, items, excess: int) -> tuple[float, float]:
-        terms = alpha_terms.get(alpha)
-        if terms is None:
-            terms = alpha_terms[alpha] = (
-                2.0 ** (-sum(alpha) * error_model.r_fem),
-                sum(g * d * a for g, d, a in zip(work_model.gamma, work_model.dims, alpha)),
-            )
-        decay = 0.0
-        for item in items:
-            term = decay_terms.get(item)
-            if term is None:
-                j, b = item
-                term = decay_terms[item] = (
-                    quadrature.level_to_nodes(b - 1) * error_model.g_tilde[j - 1])
-            decay += term
-        return (error_model.c_e * math.exp(-decay) * terms[0],
-                work_model.c_w * 2.0 ** (terms[1] + excess))
 
-    def offer(alpha, items, n_parents: int, excess: int) -> None:
-        """One more of the ``n_parents`` parents of (alpha, items) is in."""
-        key = (alpha, items)
-        if allowed is not None and key not in allowed:
-            return
-        if n_parents > 1:
-            count = waiting.get(key, 0) + 1
-            if count < n_parents:
-                waiting[key] = count
-                return
-            del waiting[key]
-        d_e, d_w = profit_terms(alpha, items, excess)
-        heapq.heappush(heap, (-(d_e / d_w), alpha, items, d_e, d_w))
+def _alpha_terms(alpha: tuple[int, ...], work_model: WorkModel, error_model: ErrorModel):
+    """(log factor, alpha, 2^(-|alpha| r_fem), work exponent, unknowns):
+    the spatial terms of the profit, as in ``error_contribution_model``
+    and ``work_contribution``, and of ``dof_work``."""
+    exponent = sum(g * d * a for g, d, a in zip(work_model.gamma, work_model.dims, alpha))
+    return (-_LN2 * (sum(alpha) * error_model.r_fem + exponent), alpha,
+            2.0 ** (-sum(alpha) * error_model.r_fem), exponent, _unknowns(alpha))
 
-    def offer_bumps(index: MixedIndex, variables) -> None:
-        # A child's parents: one per spatial level above 1, one per variable.
-        n_alpha, excess = sum(a > 1 for a in index.alpha), index.beta.excess() + 1
-        for child in _bumps(index.beta.items(), variables):
-            offer(index.alpha, child, n_alpha + len(child), excess)
 
-    def admit(index: MixedIndex, d_e: float, d_w: float, dof: int) -> None:
-        nonlocal spent_dof, eps, offered
-        entry = ProfitEntry(index, d_e, d_w)
-        admitted[index] = entry
-        spent_dof += dof
-        eps = min(eps, entry.profit)
-        alpha, items = index.alpha, index.beta.items()
-        n_parents, excess = sum(a > 1 for a in alpha) + len(items), index.beta.excess()
-        for i, a in enumerate(alpha):
-            offer(alpha[:i] + (a + 1,) + alpha[i + 1 :], items, n_parents + (a == 1), excess)
-        offer_bumps(index, offered)
-        variables = {j for j, _ in items}
-        if not variables <= active:
-            active.update(variables)
-            grown = _candidate_variables(active, n_rates, frontier_width)
-            if grown != offered:
-                # The variable frontier moved.  Every member admitted so
-                # far has offered each dropped variable; each fresh one
-                # goes to the members that have not offered it yet.
-                for j in offered:
-                    if j not in grown:
-                        covered[j] = len(admitted)
-                fresh = [j for j in grown if j not in offered]
-                offered = grown
-                for j in fresh:
-                    for member in list(admitted)[covered.pop(j, 0):]:
-                        offer_bumps(member, (j,))
+def _walk(work_model: WorkModel, error_model: ErrorModel, budget: float):
+    """The candidates whose profit clears a cut just below the profit
+    class that takes the DOF above it past ``budget``, as
+    (d_e, d_w, alpha, beta items, DOF), and the cut as a profit.
 
-    def checkpoint(next_profit: float | None) -> BuildResult:
-        return BuildResult(
-            index_set=IndexSet(admitted),
-            eps=eps,
-            profits=dict(admitted),
-            dof_work_total=spent_dof,
-            next_profit=next_profit,
-        )
+    The log profit is log(c_e / c_w) plus a spatial and a quadrature log
+    factor.  Listed down to a floor by descending factor, with running
+    sums of unknowns and new nodes, the spatial and the quadrature level
+    vectors give the DOF above any log profit at one bisection per
+    spatial vector.  The floor goes down until that DOF passes the
+    budget; then the crossing is bisected to within the slack.
+    """
+    offset = math.log(error_model.c_e) - math.log(work_model.c_w)
+    root = _alpha_terms((1,) * work_model.spatial_dim, work_model, error_model)
+    top = offset + root[0]   # the root's log profit
+    steps = [-_LN2 * (error_model.r_fem + g * d) for g, d in zip(work_model.gamma, work_model.dims)]
 
-    admit(MixedIndex(root, SparseLevelVector()), *profit_terms(root, (), 0), root_dof)
-    results: list[BuildResult] = []
+    def above(c: float):
+        """Each spatial vector with the number of quadrature vectors
+        that take it to a log profit of at least ``c``."""
+        for spatial in alphas:
+            if c - offset - spatial[0] > 0:
+                break
+            yield spatial, bisect.bisect_right(lowest, offset + spatial[0] - c)
+
+    def work_above(c: float) -> float:
+        return sum(spatial[4] * nodes[n] for spatial, n in above(c))
+
+    # In the shipped studies the first floor already holds the budget.
+    depth = 2.0 * math.log(budget / root[4]) + 1.0
     while True:
-        group = []
-        if heap:
-            group = [heapq.heappop(heap)]
-            while heap and heap[0][0] == group[0][0]:
-                group.append(heapq.heappop(heap))
-        indices = [MixedIndex(alpha, SparseLevelVector(items)) for _, alpha, items, _, _ in group]
-        dofs = [dof_work(index) for index in indices]
-        profit = -group[0][0] if group else None
-        while len(results) < len(budgets) and (
-                not group or spent_dof + sum(dofs) > budgets[len(results)]):
-            results.append(checkpoint(profit))
-        if len(results) == len(budgets):
-            return results
-        for (_, _, _, d_e, d_w), index, dof in zip(group, indices, dofs):
-            admit(index, d_e, d_w, dof)
+        levels = [range(1, int(depth / -step) + 2) for step in steps]
+        alphas = sorted((_alpha_terms(alpha, work_model, error_model)
+                         for alpha in itertools.product(*levels)
+                         if sum(s * a for s, a in zip(steps, alpha)) >= sum(steps) - depth),
+                        key=lambda terms: -terms[0])
+        betas = _quadrature_walk(error_model, -depth)
+        lowest = [-quad[0] for quad in betas]
+        nodes = [0, *itertools.accumulate(quad[4] for quad in betas)]
+        if work_above(top - depth + 2 * _SLACK) > budget:
+            break
+        depth *= 2
+    lo, hi = top - depth + 2 * _SLACK, top
+    while hi - lo > _SLACK:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if work_above(mid) > budget else (lo, mid)
+    cut = lo - _SLACK
+    return [(error_model.c_e * quad[2] * spatial[2],
+             work_model.c_w * 2.0 ** (spatial[3] + quad[3]), spatial[1], quad[1], spatial[4] * quad[4])
+            for spatial, n in above(cut - _SLACK) for quad in betas[:n]], math.exp(cut)
+
+
+def _quadrature_walk(error_model: ErrorModel, floor: float):
+    """(log factor, items, exp(-decay), |beta - 1|, new nodes) of every
+    quadrature level vector over the fitted variables with a log factor
+    of at least ``floor``, by descending factor.  The walk adds variables
+    in increasing order, so the decay sums in the order of
+    ``error_contribution_model``; a level past the cap gets infinitely
+    many new nodes and ends its branch."""
+    g = error_model.g_tilde
+    # The largest factor of one level above the base among variables j, j + 1, ...
+    best = [max(-gj - _LN2 for gj in g[j:]) for j in range(len(g))]
+    found, stack = [], [((), 1, 0.0, 0, 1)]
+    while stack:
+        items, first, decay, excess, nodes = stack.pop()
+        log_factor = -decay - _LN2 * excess
+        found.append((log_factor, items, math.exp(-decay), excess, nodes))
+        for j in range(first, len(g) + 1):
+            if nodes == math.inf or log_factor + best[j - 1] < floor:
+                break
+            for b in range(2, quadrature.MAX_LEVEL + 2):
+                term = decay + quadrature.level_to_nodes(b - 1) * g[j - 1]
+                if -term - _LN2 * (excess + b - 1) < floor:
+                    break
+                stack.append((items + ((j, b),), j + 1, term, excess + b - 1,
+                              nodes * (_NEW_NODES[b] if b <= quadrature.MAX_LEVEL else math.inf)))
+    return sorted(found, key=lambda terms: -terms[0])
 
 
 BRUTE_FORCE_CAP = 500
@@ -384,13 +363,13 @@ def build_set_bruteforce(
             children.setdefault(parent, []).append(m)
 
     def candidate(m: MixedIndex):
-        return (-entries[m].profit, _tie_break(m), m)
+        return (-entries[m].profit, sum(m.alpha) + m.beta.excess(), m.alpha, m.beta.items(), m)
 
     heap = [candidate(root)]
     admitted = []
     spent = 0
     while heap:
-        _, _, best = heapq.heappop(heap)
+        *_, best = heapq.heappop(heap)
         if spent + dof_work(best) > work_budget:
             continue
         admitted.append(best)

@@ -68,7 +68,11 @@ def parse_config(path: str | Path) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text())
+    entries = parse_config_text(path.read_text())
+    if "adaptivity.frontier_width" in entries:
+        raise ConfigError("config key 'adaptivity.frontier_width' was removed: a-priori sets "
+                          "now range over every fitted variable; delete the key")
+    return entries
 
 
 class Config:
@@ -370,7 +374,6 @@ def study_driver(
     mode: str = "apriori",
     error_model: ErrorModel | None = None,
     gamma: float = 1.0,
-    frontier_width: int = 2,
     universe: IndexSet | None = None,
     reference: float | None = None,
     reference_factor: float = 4.0,
@@ -380,8 +383,9 @@ def study_driver(
 
     Budgets must be finite, positive and strictly increasing.  Without an
     explicit reference value, a set at ``reference_factor`` times the
-    largest budget provides it.  In the a-priori modes one greedy sweep
-    up to the largest budget needed yields every set.  One evaluator
+    largest budget provides it.  In the a-priori modes one listing of
+    the candidates by profit, down to the largest budget needed, yields
+    every set (``adaptation.sweep_apriori``).  One evaluator
     evaluates them largest first (the reference set, then the budgets in
     descending order), so the largest set solves nearly every point in a
     few large batches and the others reuse them.  No value depends on
@@ -401,9 +405,9 @@ def study_driver(
         built = {budget: adaptation.build_set_bruteforce(
             universe, field_spec, qoi_spec, budget, evaluator).index_set for budget in needed}
     else:
-        results = adaptation.sweep_apriori(isotropic_work_model(field_spec.d, gamma), error_model,
-                                           needed, frontier_width)
-        built = {budget: result.index_set for budget, result in zip(needed, results)}
+        work_model = isotropic_work_model(field_spec.d, gamma)
+        built = {budget: result.index_set for budget, result in
+                 zip(needed, adaptation.sweep_apriori(work_model, error_model, needed))}
 
     if reference is None:
         reference = evaluator.evaluate(built[reference_budget], mode="combination").value
@@ -477,14 +481,13 @@ def compare_driver(
     n_random_vars: int,
     seed: int,
     gamma: float = 1.0,
-    frontier_width: int = 2,
     reference: float | None = None,
     threads: int = 1,  # kept only because perfbench/workloads.py passes threads=1
 ) -> CompareResult:
     """Paired convergence curves: collocation estimator vs the Monte Carlo baseline."""
     study = study_driver(
         field_spec, qoi_spec, budgets, mode="apriori", error_model=error_model,
-        gamma=gamma, frontier_width=frontier_width, reference=reference, threads=threads,
+        gamma=gamma, reference=reference, threads=threads,
     )
     rows = []
     for i, (budget, record) in enumerate(zip(budgets, study.records)):
@@ -506,14 +509,17 @@ def compare_driver(
 
 
 def reference_fingerprint(field_spec: FieldSpec, qoi_spec: QoISpec, gamma: float,
-                          mode: str, budget: float, model: ErrorModel | None) -> str:
-    payload = json.dumps({
+                          mode: str, budget: float, model: ErrorModel | None,
+                          universe: IndexSet | None = None) -> str:
+    payload = {
         "d": field_spec.d, "nu": field_spec.nu, "max_modes": field_spec.max_modes,
         "sigma": qoi_spec.sigma, "x0": list(qoi_spec.x0), "gamma": gamma,
         "mode": mode, "budget": budget,
         "model": model.to_json() if model else None,
-    }, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    }
+    if universe is not None:
+        payload["universe"] = [m.sort_key() for m in universe]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def read_reference(path: Path) -> tuple[str | None, float]:
@@ -626,20 +632,10 @@ def reference_factor_from_config(cfg: Config) -> float:
     return factor
 
 
-def frontier_width_from_config(cfg: Config) -> int:
-    """How many variables past the deepest active one a sweep may open."""
-    width = cfg.get_int("adaptivity.frontier_width", 2)
-    if width < 1:
-        raise ConfigError(f"config key 'adaptivity.frontier_width': expected an integer >= 1, "
-                          f"got {width}")
-    return width
-
-
 def _study_from_config(cfg: Config, args):
     field_spec, qoi_spec, gamma = problem_from_config(cfg)
     mode = cfg.get_str("adaptivity.mode", "apriori")
     budgets = budgets_from_config(cfg, field_spec.d)
-    frontier = frontier_width_from_config(cfg)
     reference_factor = reference_factor_from_config(cfg)
     error_model = _study_model(mode, field_spec, load_model(cfg) if mode == "apriori" else None,
                                cfg.get_float("adaptivity.r_fem"))
@@ -649,7 +645,7 @@ def _study_from_config(cfg: Config, args):
     ref_raw = cfg.get_str("output.reference", "auto")
     ref_path = Path(args.out) / "reference.json"
     fingerprint = reference_fingerprint(
-        field_spec, qoi_spec, gamma, mode, budgets[-1] * reference_factor, error_model,
+        field_spec, qoi_spec, gamma, mode, budgets[-1] * reference_factor, error_model, universe,
     )
     if ref_raw != "auto":
         try:
@@ -661,7 +657,7 @@ def _study_from_config(cfg: Config, args):
 
     study = study_driver(
         field_spec, qoi_spec, budgets, mode=mode, error_model=error_model, gamma=gamma,
-        frontier_width=frontier, universe=universe, reference=reference,
+        universe=universe, reference=reference,
         reference_factor=reference_factor,
     )
     if ref_raw == "auto":
@@ -694,8 +690,7 @@ def cmd_compare(args) -> int:
     budgets = budgets_from_config(cfg, field_spec.d)
     n_vars = cfg.get_int("mimc.random_vars", min(8, field_spec.max_modes))
     result = compare_driver(
-        field_spec, qoi_spec, budgets, error_model, n_vars, seed=args.seed,
-        gamma=gamma, frontier_width=frontier_width_from_config(cfg),
+        field_spec, qoi_spec, budgets, error_model, n_vars, seed=args.seed, gamma=gamma,
     )
     out = Path(args.out) / "compare.csv"
     write_csv(out, COMPARE_COLUMNS, result.rows, footer={"reference": result.reference})

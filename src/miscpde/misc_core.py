@@ -132,6 +132,27 @@ class IndexSet:
         self._member_set = frozenset(members)
         self._coefficients: dict[MixedIndex, int] | None = None
 
+    @classmethod
+    def prefixes(cls, listing: Sequence[MixedIndex], lengths: Iterable[int]) -> list["IndexSet"]:
+        """The sets of the first n members of ``listing``, one per n in
+        ``lengths``.  One pass checks that each member's parents come
+        before it, which makes every prefix downward closed."""
+        keys = [m.sort_key() for m in listing]
+        seen: set = set()
+        for m, key in zip(listing, keys):
+            if key in seen or not seen.issuperset(_parent_levels(*key)):
+                raise IndexSetError(f"{m} is listed twice or before one of its parents")
+            seen.add(key)
+        ranked = sorted(range(len(listing)), key=keys.__getitem__)
+        sets = []
+        for n in lengths:
+            index_set = cls.__new__(cls)
+            index_set._members = tuple(listing[k] for k in ranked if k < n)
+            index_set._member_set = frozenset(index_set._members)
+            index_set._coefficients = None
+            sets.append(index_set)
+        return sets
+
     @property
     def members(self) -> tuple[MixedIndex, ...]:
         return self._members

@@ -14,7 +14,7 @@ from miscpde.adaptation import (
     ProfitEntry,
     RateFitError,
     WorkModel,
-    _candidate_variables,
+    _quadrature_walk,
     box_universe,
     build_set_apriori,
     build_set_bruteforce,
@@ -34,7 +34,7 @@ from miscpde.misc_core import (
     is_downward_closed,
     root_index,
 )
-from miscpde.quadrature import SparseLevelVector
+from miscpde.quadrature import QuadratureLevelError, SparseLevelVector, level_to_nodes
 
 SLV = SparseLevelVector
 
@@ -139,14 +139,13 @@ class TestAprioriConstruction:
         with pytest.raises(BudgetError):
             build_set_apriori(self.wm, self.em, work_budget=3)
 
-    def test_frontier_bounds_new_variables(self):
-        # Wide rates would activate many variables; the frontier admits
-        # them only a bounded distance past the deepest active one.
-        em = ErrorModel(r_fem=2.0, g_tilde=(0.3,) * 8)
-        narrow = build_set_apriori(self.wm, em, work_budget=2000, frontier_width=1)
-        assert is_downward_closed(narrow.index_set.members)
-        wide = build_set_apriori(self.wm, em, work_budget=2000, frontier_width=4)
-        assert wide.index_set.last_variable() >= narrow.index_set.last_variable()
+    def test_slow_late_variable_enters_before_earlier_ones(self):
+        # Variable 4 decays slowest, so it enters the set while variables
+        # 2 and 3 stay out: no variable waits for the ones before it.
+        em = ErrorModel(r_fem=2.0, g_tilde=(0.6, 6.0, 6.0, 0.3))
+        result = build_set_apriori(self.wm, em, work_budget=800)
+        support = {j for m in result.index_set for j in m.beta.support}
+        assert {1, 4} <= support and not {2, 3} & support
 
     def test_universe_restriction(self):
         universe = box_universe(1, 2, 2, 1)
@@ -159,16 +158,17 @@ class TestAprioriConstruction:
 # coefficients from scratch.  For each budget: the sha256 of
 # IndexSet.to_json() (members and coefficients), eps and next_profit.
 # d1 holds budgets 1279 and 1280: at 1280 a profit class fills the
-# budget exactly and is admitted.  deterministic_d1 starts at the root's
-# own work, 5.
+# budget exactly and is admitted.  d1_unordered's rates are not in mode
+# order; its digests, recorded when a sweep could open at most four
+# variables past the deepest active one, are those of the threshold sets.
+# deterministic_d1 starts at the root's own work, 5.
 ORACLE_SETTINGS = {
-    "d1": (1, 1.0, ErrorModel(2.0, (0.6, 1.1, 1.9, 2.4, 3.0, 3.5), 0.7), 2, None),
-    "d1_fw1": (1, 1.0, ErrorModel(2.0, (2.5, 2.0) + (0.3,) * 6), 1, None),
-    "d1_fw4": (1, 1.0, ErrorModel(2.0, (2.5, 2.0) + (0.3,) * 6), 4, None),
-    "d3": (3, 1.5, ErrorModel(3.0, (0.8, 1.2, 1.6, 2.0), 2.5), 2, None),
-    "universe": (1, 1.0, ErrorModel(2.0, (0.6, 1.1)), 2, (5, 3, 2)),
-    "deterministic_d1": (1, 1.0, ErrorModel(2.0, ()), 2, None),
-    "deterministic_d3": (3, 1.0, ErrorModel(2.0, ()), 2, None),
+    "d1": (1, 1.0, ErrorModel(2.0, (0.6, 1.1, 1.9, 2.4, 3.0, 3.5), 0.7), None),
+    "d1_unordered": (1, 1.0, ErrorModel(2.0, (2.5, 2.0) + (0.3,) * 6), None),
+    "d3": (3, 1.5, ErrorModel(3.0, (0.8, 1.2, 1.6, 2.0), 2.5), None),
+    "universe": (1, 1.0, ErrorModel(2.0, (0.6, 1.1)), (5, 3, 2)),
+    "deterministic_d1": (1, 1.0, ErrorModel(2.0, ()), None),
+    "deterministic_d3": (3, 1.0, ErrorModel(2.0, ()), None),
 }
 
 BUDGET_ORACLE = {
@@ -190,19 +190,7 @@ BUDGET_ORACLE = {
         (327680, "6aa5dd45c489834e8c7105916c7fe3804e46e4f04da31dc54db25887623b02c1",
          1.014667151430613e-09, 1.0036539412348753e-09),
     ],
-    "d1_fw1": [
-        (100, "550045eff07b247af0a557cb4516b6b8620f184df8df36b5ee62dde5863b9a3a",
-         0.005130312413993675, 0.017150363627938325),
-        (400, "a5eacc2446e056fa8883a9ee06ace8691b0cac38868d265f92d3a772b7a72028",
-         0.005130312413993675, 0.012705301866893724),
-        (1600, "fd939ae4feffbd4750c5c8ae01c6f8623aa1f2c5abede4218dd454d16163656e",
-         0.005130312413993675, 0.004706159561128158),
-        (6400, "a1ccfec5f46875606b3cc0da0188ef06ac44efb0f33fa9523ebcb7360fce8287",
-         0.0019003144570380616, 0.001743204376159608),
-        (25600, "9fcfdbd5df37502804f839c05a80a6e3a0e8645d3101b854cab83a03eb212574",
-         0.00047834542286321073, 0.00047834542286321057),
-    ],
-    "d1_fw4": [
+    "d1_unordered": [
         (100, "fe5f75901e5a305fba26babc24235c16cf389867016e170d56c1d2dc3d57833d",
          0.04630113879260737, 0.017150363627938325),
         (400, "154f46e89bac70f0f6a6bc550310dbcf590b748a97754ecfce243759fe074c05",
@@ -257,9 +245,9 @@ BUDGET_ORACLE = {
 }
 
 def oracle_setting(name):
-    d, gamma, error_model, frontier_width, box = ORACLE_SETTINGS[name]
+    d, gamma, error_model, box = ORACLE_SETTINGS[name]
     universe = box_universe(d, *box) if box else None
-    return isotropic_work_model(d, gamma), error_model, frontier_width, universe
+    return isotropic_work_model(d, gamma), error_model, universe
 
 
 def assert_matches_oracle(result, digest, eps, next_profit, work_model, error_model):
@@ -276,10 +264,9 @@ def assert_matches_oracle(result, digest, eps, next_profit, work_model, error_mo
 class TestSweepOracle:
     @pytest.mark.parametrize("name", sorted(BUDGET_ORACLE))
     def test_sweep_reproduces_every_budget(self, name, oracle_coefficients):
-        work_model, error_model, frontier_width, universe = oracle_setting(name)
+        work_model, error_model, universe = oracle_setting(name)
         rows = BUDGET_ORACLE[name]
-        results = sweep_apriori(work_model, error_model, [row[0] for row in rows],
-                                frontier_width, universe)
+        results = sweep_apriori(work_model, error_model, [row[0] for row in rows], universe)
         assert len(results) == len(rows)
         for result, (_, digest, eps, next_profit) in zip(results, rows):
             assert_matches_oracle(result, digest, eps, next_profit, work_model, error_model)
@@ -291,38 +278,42 @@ class TestSweepOracle:
 
     @pytest.mark.parametrize("name", sorted(BUDGET_ORACLE))
     def test_single_builds_reproduce_every_budget(self, name):
-        work_model, error_model, frontier_width, universe = oracle_setting(name)
+        work_model, error_model, universe = oracle_setting(name)
         for budget, digest, eps, next_profit in BUDGET_ORACLE[name]:
             result = build_set_apriori(work_model, error_model, work_budget=budget,
-                                       frontier_width=frontier_width, universe=universe)
+                                       universe=universe)
             assert_matches_oracle(result, digest, eps, next_profit, work_model, error_model)
 
     def test_budgets_must_increase(self):
-        work_model, error_model, _, _ = oracle_setting("d1")
+        work_model, error_model, _ = oracle_setting("d1")
         for budgets in ([], [320, 80], [80, 80]):
             with pytest.raises(ValueError):
                 sweep_apriori(work_model, error_model, budgets)
         with pytest.raises(BudgetError):
             sweep_apriori(work_model, error_model, [3, 80])
 
-    @pytest.mark.parametrize("width", [0, -1])
-    def test_frontier_width_below_one_rejected(self, width):
-        work_model, error_model, _, _ = oracle_setting("d1")
-        with pytest.raises(ValueError, match="frontier_width"):
-            sweep_apriori(work_model, error_model, [80], frontier_width=width)
+    def test_level_past_the_cap_raises(self):
+        # Each level of variable 1 halves the profit and a spatial level
+        # divides it by 2^61, so the sets climb variable 1 alone, with
+        # 5 * 2^(b - 1) + 5 DOF up to level b.  The set of 5 * 2^40 would
+        # end at level 30, and the class after it is level 31, past the cap.
+        work_model, error_model = isotropic_work_model(1), ErrorModel(60.0, (1e-12,))
+        top = sweep_apriori(work_model, error_model, [5 * 2**20])[0]
+        assert top.index_set.max_beta_level() == 20
+        with pytest.raises(QuadratureLevelError):
+            sweep_apriori(work_model, error_model, [5 * 2**20, 5 * 2**40])
 
 
-def eager_sweep(work_model, error_model, budgets, frontier_width=2, universe=None):
+def eager_sweep(work_model, error_model, budgets, universe=None):
     """The greedy sweep as first written, the reference for ``sweep_apriori``:
-    every admitted member offers every child at once, with its profit,
-    whether or not the child's other parents are in."""
+    every admitted member offers every child at once, in every fitted
+    variable, with its profit, whether or not the child's other parents
+    are in."""
     root = (1,) * work_model.spatial_dim
-    n_rates = len(error_model.g_tilde)
+    variables = range(1, len(error_model.g_tilde) + 1)
     allowed = None if universe is None else {(m.alpha, m.beta.items()) for m in universe}
     seen, heap, admitted = set(), [], {}
-    state = {"spent": 0, "eps": math.inf,
-             "offered": _candidate_variables(set(), n_rates, frontier_width)}
-    active = set()
+    state = {"spent": 0, "eps": math.inf}
 
     def push(alpha, items):
         if (alpha, items) in seen or (allowed is not None and (alpha, items) not in allowed):
@@ -346,18 +337,8 @@ def eager_sweep(work_model, error_model, budgets, frontier_width=2, universe=Non
         state["eps"] = min(state["eps"], entry.profit)
         for i in range(len(alpha)):
             push(alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], items)
-        for j in state["offered"]:
+        for j in variables:
             push(alpha, bump(items, j))
-        variables = {j for j, _ in items}
-        if not variables <= active:
-            active.update(variables)
-            grown = _candidate_variables(active, n_rates, frontier_width)
-            if grown != state["offered"]:
-                fresh = [j for j in grown if j not in state["offered"]]
-                state["offered"] = grown
-                for member in admitted:
-                    for j in fresh:
-                        push(member.alpha, bump(member.beta.items(), j))
 
     def checkpoint(next_profit):
         return BuildResult(IndexSet(admitted), state["eps"], dict(admitted), state["spent"],
@@ -402,8 +383,8 @@ def result_bits(result):
 def random_sweep_setting(seed):
     """A random sweep over d = 1..3.  Rates come from a pool of four values,
     so equal rates, and profit classes of several members, are common;
-    rates out of mode order move the variable frontier past inactive
-    variables, which drops them from the offered directions."""
+    with rates out of mode order, a variable can enter before an earlier
+    one."""
     rng = random.Random(seed)
     d = 1 + seed % 3
     error_model = ErrorModel(
@@ -419,30 +400,147 @@ def random_sweep_setting(seed):
     root_dof = 5**d
     steps = sorted(rng.sample(range(0, 9 - d), 4))
     budgets = [root_dof * 4**t for t in steps]
-    return work_model, error_model, budgets, 1 + seed // 6 % 3, universe
+    return work_model, error_model, budgets, universe
 
 
 class TestRandomizedSweepOracle:
     @pytest.mark.parametrize("seed", range(36))
     def test_sweep_matches_eager_sweep(self, seed):
-        work_model, error_model, budgets, width, universe = random_sweep_setting(seed)
-        expected = eager_sweep(work_model, error_model, budgets, width, universe)
-        results = sweep_apriori(work_model, error_model, budgets, width, universe)
+        work_model, error_model, budgets, universe = random_sweep_setting(seed)
+        expected = eager_sweep(work_model, error_model, budgets, universe)
+        results = sweep_apriori(work_model, error_model, budgets, universe)
         assert [result_bits(r) for r in results] == [result_bits(r) for r in expected]
 
-    def test_settings_cover_profit_classes_and_dropped_variables(self):
-        classes = dropped = 0
+    def test_settings_cover_profit_classes_and_unordered_variables(self):
+        classes = unordered = 0
         for seed in range(36):
-            work_model, error_model, budgets, width, universe = random_sweep_setting(seed)
-            top = sweep_apriori(work_model, error_model, budgets, width, universe)[-1]
+            work_model, error_model, budgets, universe = random_sweep_setting(seed)
+            top = sweep_apriori(work_model, error_model, budgets, universe)[-1]
             profits = [entry.profit for entry in top.profits.values()]
             classes += len(profits) > len(set(profits))
-            # A dropped variable: one activated after a deeper one.
+            # A variable that enters after a later one.
             order = []
             for m in top.profits:
                 order += [j for j in m.beta.support if j not in order]
-            dropped += order != sorted(order)
-        assert classes >= 20 and dropped >= 3
+            unordered += order != sorted(order)
+        assert classes >= 20 and unordered >= 3
+
+
+def random_threshold_setting(d, kind, seed):
+    """Random error and work models in dimension ``d``, with cost exponents
+    that differ per axis, and three budgets.  ``kind`` "box" adds a box
+    universe, and "exhausted" the same box with a fourth budget at its
+    whole work, so that the candidates run out."""
+    rng = random.Random(100 * d + seed)
+    error_model = ErrorModel(
+        r_fem=rng.choice((1.0, 2.0, 3.0)),
+        g_tilde=tuple(rng.choice((0.5, 0.9, 1.4, 2.0))
+                      for _ in range(rng.randint(0, 4 if d == 1 else 3))),
+        c_e=rng.choice((0.5, 1.0, 2.5)),
+    )
+    work_model = WorkModel(tuple(rng.choice((1.0, 1.5, 2.0)) for _ in range(d)), (1,) * d,
+                           c_w=rng.choice((1.0, 3.0)))
+    budgets = [5**d * 4**t for t in sorted(rng.sample(range(5 if d == 1 else 4), 3))]
+    universe = None
+    if kind is not None:
+        universe = box_universe(d, *{1: (5, 3, 3), 3: (3, 2, 2)}[d])
+        if kind == "exhausted":
+            budgets.append(universe.nominal_work())
+    return work_model, error_model, budgets, universe
+
+
+def threshold_oracle(work_model, error_model, budgets, candidates):
+    """Per budget, (members, eps, next_profit, DOF) of the longest prefix of
+    whole profit classes whose DOF fits, over ``candidates`` by descending
+    profit, with profits from the public model functions."""
+    n_rates = len(error_model.g_tilde)
+    rows = sorted(
+        ((-(error_contribution_model(m, error_model) / work_contribution(m, work_model)), m)
+         for m in candidates if m.beta.last_variable() <= n_rates),
+        key=lambda row: (row[0], row[1].sort_key()),
+    )
+    classes, profits = [], []
+    for key, group in itertools.groupby(rows, key=lambda row: row[0]):
+        classes.append([m for _, m in group])
+        profits.append(-key)
+    out = []
+    for budget in budgets:
+        members, spent, k = set(), 0, 0
+        while k < len(classes) and spent + sum(map(dof_work, classes[k])) <= budget:
+            members.update(classes[k])
+            spent += sum(map(dof_work, classes[k]))
+            k += 1
+        out.append((members, profits[k - 1], profits[k] if k < len(classes) else None, spent))
+    return out
+
+
+def box_around(result, n_rates):
+    """Every mixed index with each spatial level, and each level of
+    variables 1..n_rates, at most two above the highest in ``result``'s
+    set, and the box's outer face: the members at a top level."""
+    d = result.index_set.spatial_dim
+    top_alpha = [max(m.alpha[i] for m in result.index_set) + 2 for i in range(d)]
+    top_beta = [max(m.beta.level(j) for m in result.index_set) + 2 for j in range(1, n_rates + 1)]
+    box, face = [], []
+    for alpha in itertools.product(*(range(1, a + 1) for a in top_alpha)):
+        for levels in itertools.product(*(range(1, b + 1) for b in top_beta)):
+            m = MixedIndex(alpha, SLV({j + 1: b for j, b in enumerate(levels)}))
+            box.append(m)
+            if any(a == t for a, t in zip(alpha, top_alpha)) or any(
+                    b == t for b, t in zip(levels, top_beta)):
+                face.append(m)
+    return box, face
+
+
+class TestThresholdOracle:
+    """Every checkpoint is the class-prefix set of the candidates by
+    descending profit (enumerated over a box that provably holds it), and
+    the unrestricted greedy sweep's checkpoint."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", [None, "box", "exhausted"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_checkpoints_are_threshold_sets(self, d, kind, seed):
+        work_model, error_model, budgets, universe = random_threshold_setting(d, kind, seed)
+        results = sweep_apriori(work_model, error_model, budgets, universe)
+        if universe is None:
+            candidates, face = box_around(results[-1], len(error_model.g_tilde))
+            # Profits fall along every axis, so no candidate outside the
+            # box reaches the largest budget's next class.
+            assert all(error_contribution_model(m, error_model) / work_contribution(m, work_model)
+                       < results[-1].next_profit for m in face)
+        else:
+            candidates = universe.members
+        expected = threshold_oracle(work_model, error_model, budgets, candidates)
+        for result, (members, eps, next_profit, spent) in zip(results, expected):
+            assert set(result.index_set.members) == members
+            assert (result.eps, result.next_profit, result.dof_work_total) == (
+                eps, next_profit, spent)
+            profits = [entry.profit for entry in result.profits.values()]
+            assert profits == sorted(profits, reverse=True)
+        if kind == "exhausted":
+            assert results[-1].next_profit is None
+        eager = eager_sweep(work_model, error_model, budgets, universe)
+        assert [result_bits(r) for r in results] == [result_bits(r) for r in eager]
+
+
+class TestQuadratureWalk:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lists_every_level_vector_above_the_floor(self, seed):
+        # Rates in any order: the walk may prune a branch only when no
+        # later variable can clear the floor.
+        rng = random.Random(seed)
+        g = tuple(rng.choice((0.2, 0.5, 1.4, 3.0, 6.0)) for _ in range(rng.randint(1, 4)))
+        floor = -rng.uniform(2.0, 9.0)
+        walked = _quadrature_walk(ErrorModel(2.0, g), floor)
+        expected = set()
+        for levels in itertools.product(range(1, 9), repeat=len(g)):
+            items = tuple((j + 1, b) for j, b in enumerate(levels) if b > 1)
+            if -sum(level_to_nodes(b - 1) * g[j - 1] + (b - 1) * math.log(2.0)
+                    for j, b in items) >= floor:
+                expected.add(items)
+        assert {items for _, items, *_ in walked} == expected
+        assert [terms[0] for terms in walked] == sorted((terms[0] for terms in walked), reverse=True)
 
 
 class TestBruteForce:

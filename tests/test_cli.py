@@ -199,7 +199,7 @@ class TestStudyEvaluationOrder:
         sets = list(study.sets)
         if reference is None:
             needed = [*budgets, 4.0 * budgets[-1]]
-            sets.append(sweep_apriori(isotropic_work_model(field_spec.d), model, needed, 2)[-1].index_set)
+            sets.append(sweep_apriori(isotropic_work_model(field_spec.d), model, needed)[-1].index_set)
         ascending = MiscEvaluator(field_spec, qoi_spec)
         values = [ascending.evaluate(index_set, mode="combination").value for index_set in sets]
         if reference is None:
@@ -261,21 +261,20 @@ class TestCommands:
         assert self.run("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "compare"])
-    @pytest.mark.parametrize("width", ["0", "-1"])
-    def test_bad_frontier_width_exits_2(self, tmp_path, capsys, command, width):
-        # A width below 1 offers no stochastic variable, so the study would
-        # quietly run deterministic-only.
+    @pytest.mark.parametrize("command", ["fit", "run", "compare"])
+    def test_removed_frontier_width_exits_2(self, tmp_path, capsys, command):
+        # Sets range over every fitted variable; a config that still sets
+        # the old frontier width would not get what it asks for.
         model = tmp_path / "model.json"
         model.write_text(ErrorModel(r_fem=2.0, g_tilde=(1.0, 1.5)).to_json())
         cfg = write_config(tmp_path / "w.cfg", BASE_1D.replace("deterministic", "apriori")
                            + f"adaptivity.model_file = {model}\n"
-                           + f"adaptivity.frontier_width = {width}\nmimc.random_vars = 2\n")
+                           + "adaptivity.frontier_width = 2\nmimc.random_vars = 2\n")
         out = tmp_path / "o"
         assert self.run(command, "--config", str(cfg), "--out", str(out)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
-        assert "adaptivity.frontier_width" in err[0]
+        assert "'adaptivity.frontier_width' was removed" in err[0]
         assert not out.exists()
 
     def test_unknown_mode_exits_2(self, tmp_path, capsys):
@@ -298,6 +297,24 @@ class TestCommands:
             stored = IndexSet.from_json((out / f"set_budget_{int(budget)}.json").read_text())
             assert set(stored.members) <= universe
             assert stored.nominal_work() == int(record["work"]) <= budget
+
+    def test_reference_cache_tells_bruteforce_universes_apart(self, tmp_path):
+        # Two brute-force runs into one directory: the second universe's
+        # reference is its own, as in a fresh directory.
+        base = BASE_1D.replace("deterministic", "bruteforce")
+        first = write_config(tmp_path / "u432.cfg", base + "adaptivity.universe_alpha = 4\n"
+                             "adaptivity.universe_beta = 3\nadaptivity.universe_vars = 2\n")
+        second = write_config(tmp_path / "u421.cfg", base + "adaptivity.universe_alpha = 4\n"
+                              "adaptivity.universe_beta = 2\nadaptivity.universe_vars = 1\n")
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        assert self.run("run", "--config", str(first), "--out", str(shared)) == 0
+        stale = cli.read_reference(shared / "reference.json")[1]
+        assert self.run("run", "--config", str(second), "--out", str(shared)) == 0
+        assert self.run("run", "--config", str(second), "--out", str(fresh)) == 0
+        value = cli.read_reference(fresh / "reference.json")[1]
+        assert value != stale
+        assert cli.read_reference(shared / "reference.json")[1] == value
+        assert (shared / "runs.csv").read_bytes() == (fresh / "runs.csv").read_bytes()
 
     def test_infeasible_budget_exits_3(self, tmp_path):
         cfg = write_config(

@@ -124,6 +124,20 @@ class TestIndexSet:
             rest = closed - {m}
             assert is_downward_closed(rest) == (not any(dominates(x, m) for x in rest))
 
+    def test_prefixes_of_a_listing(self):
+        # Every prefix of a listing that puts parents first is the
+        # IndexSet of its members; a child before its parent is refused.
+        closed = downward_closure({MixedIndex((2, 1), SLV({1: 3})), MixedIndex((1, 3), SLV({2: 2}))})
+        listing = sorted(closed, key=lambda m: (sum(m.alpha) + m.beta.excess(), m.sort_key()))
+        lengths = range(1, len(listing) + 1)
+        for n, index_set in zip(lengths, IndexSet.prefixes(listing, lengths)):
+            assert index_set == IndexSet(listing[:n])
+            assert all(m in index_set for m in listing[:n])
+            assert not any(m in index_set for m in listing[n:])
+        for bad in ([listing[1], listing[0]], [listing[0], listing[0]]):
+            with pytest.raises(IndexSetError):
+                IndexSet.prefixes(bad, [2])
+
     def test_diagnostics(self):
         iset = IndexSet(downward_closure({MixedIndex((3, 1), SLV({2: 2, 5: 3}))}))
         assert iset.max_alpha_level() == 3
