@@ -158,6 +158,7 @@ class BuildResult:
 # Slack on the walk's log-profit bounds, far above the rounding of their
 # float sums, so that no candidate above the cut is missed.
 _SLACK = 1e-9
+_NODES = tuple(itertools.accumulate(_NEW_NODES))   # level_to_nodes(b), indexed by b
 _LN2 = math.log(2.0)
 
 
@@ -308,7 +309,7 @@ def _quadrature_walk(error_model: ErrorModel, floor: float):
             if nodes == math.inf or log_factor + best[j - 1] < floor:
                 break
             for b in range(2, quadrature.MAX_LEVEL + 2):
-                term = decay + quadrature.level_to_nodes(b - 1) * g[j - 1]
+                term = decay + _NODES[b - 1] * g[j - 1]
                 if -term - _LN2 * (excess + b - 1) < floor:
                     break
                 stack.append((items + ((j, b),), j + 1, term, excess + b - 1,

@@ -15,6 +15,7 @@ the grids an evaluation needs in one batch per spatial level.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -57,7 +58,7 @@ class MixedIndex:
 
     def parents(self) -> Iterable["MixedIndex"]:
         """Immediate predecessors: one component decremented (floor 1)."""
-        for alpha, beta_items in _parent_levels(self.alpha, self.beta.items()):
+        for _, (alpha, beta_items) in _parent_levels(self.alpha, self.beta.items()):
             yield MixedIndex(alpha, SparseLevelVector(beta_items))
 
 
@@ -66,18 +67,46 @@ def root_index(spatial_dim: int) -> MixedIndex:
 
 
 def _parent_levels(alpha: tuple[int, ...], beta_items: tuple[tuple[int, int], ...]):
-    """``MixedIndex.parents`` on plain (alpha, beta items) tuples."""
+    """``MixedIndex.parents`` on plain (alpha, beta items) tuples, each with
+    its direction: -1 - i lowers alpha_i, j lowers beta_j."""
     for i, a in enumerate(alpha):
         if a > 1:
-            yield alpha[:i] + (a - 1,) + alpha[i + 1 :], beta_items
+            yield -1 - i, (alpha[:i] + (a - 1,) + alpha[i + 1 :], beta_items)
     for k, (j, b) in enumerate(beta_items):
         lowered = ((j, b - 1),) if b > 2 else ()
-        yield alpha, beta_items[:k] + lowered + beta_items[k + 1 :]
+        yield j, (alpha, beta_items[:k] + lowered + beta_items[k + 1 :])
+
+
+def _parent_links(keys: Sequence, listed: bool = False) -> dict[int, tuple[list[int], list[int]]]:
+    """{direction: (parent positions, child positions)} over the sort keys
+    ``keys``, children ascending.  No keys, mixed spatial dimensions or a
+    missing parent raise ``IndexSetError``; when ``listed``, so do a
+    repeated key and a parent listed after its child."""
+    dims = {len(alpha) for alpha, _ in keys}
+    if len(dims) != 1:
+        raise IndexSetError(f"members of one spatial dimension needed, got {sorted(dims)}")
+    position = {} if listed else {key: k for k, key in enumerate(keys)}
+    links: dict[int, tuple[list[int], list[int]]] = {}
+    for k, key in enumerate(keys):
+        if listed and position.setdefault(key, k) != k:
+            raise IndexSetError(f"{key} is listed twice")
+        for direction, parent in _parent_levels(*key):
+            p = position.get(parent)
+            if p is None:
+                raise IndexSetError(f"{key} lacks its parent {parent}"
+                                    + (" before it" if listed else ""))
+            parents, children = links.get(direction) or links.setdefault(direction, ([], []))
+            parents.append(p)
+            children.append(k)
+    return links
 
 
 def is_downward_closed(members: Iterable[MixedIndex]) -> bool:
-    keys = {m.sort_key() for m in members}
-    return all(parent in keys for key in keys for parent in _parent_levels(*key))
+    try:
+        _parent_links(list({m.sort_key() for m in members}))
+    except IndexSetError:
+        return False
+    return True
 
 
 def corners(levels: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
@@ -116,39 +145,36 @@ class IndexSet:
     """Immutable downward-closed collection of mixed indices.
 
     Combination coefficients always telescope to 1; they are computed
-    lazily from the members.
+    lazily from the parent links among the members.
     """
 
     def __init__(self, members: Iterable[MixedIndex]):
         members = sorted(set(members), key=MixedIndex.sort_key)
-        if not members:
-            raise IndexSetError("an index set needs at least one member")
-        dims = {m.spatial_dim for m in members}
-        if len(dims) != 1:
-            raise IndexSetError(f"mixed spatial dimensions in one set: {sorted(dims)}")
-        if not is_downward_closed(members):
-            raise IndexSetError("index set is not downward closed")
         self._members = tuple(members)
         self._member_set = frozenset(members)
+        # Parent links between positions of _listing, which starts with the members.
+        self._listing = self._members
+        self._links = _parent_links([m.sort_key() for m in members])
         self._coefficients: dict[MixedIndex, int] | None = None
 
     @classmethod
     def prefixes(cls, listing: Sequence[MixedIndex], lengths: Iterable[int]) -> list["IndexSet"]:
         """The sets of the first n members of ``listing``, one per n in
-        ``lengths``.  One pass checks that each member's parents come
-        before it, which makes every prefix downward closed."""
+        ``lengths``.  One walk checks that each member's parents come
+        before it, which makes every prefix downward closed; a prefix's
+        links are the walk's links with a child position below n."""
+        listing = tuple(listing)
         keys = [m.sort_key() for m in listing]
-        seen: set = set()
-        for m, key in zip(listing, keys):
-            if key in seen or not seen.issuperset(_parent_levels(*key)):
-                raise IndexSetError(f"{m} is listed twice or before one of its parents")
-            seen.add(key)
+        links = _parent_links(keys, listed=True)
         ranked = sorted(range(len(listing)), key=keys.__getitem__)
         sets = []
         for n in lengths:
+            if not 1 <= n <= len(listing):
+                raise IndexSetError(f"no prefix of length {n} in a listing of {len(listing)}")
             index_set = cls.__new__(cls)
             index_set._members = tuple(listing[k] for k in ranked if k < n)
             index_set._member_set = frozenset(index_set._members)
+            index_set._listing, index_set._links = listing, links
             index_set._coefficients = None
             sets.append(index_set)
         return sets
@@ -236,25 +262,23 @@ class IndexSet:
 
 
 def combination_coefficients(index_set: IndexSet) -> dict[MixedIndex, int]:
-    """Signed counts c_m = sum of (-1)^|offset| over binary forward offsets
-    with m + offset in the set; over any downward-closed set they sum to 1.
+    """Signed counts c_m = sum over e in {0,1}^D of (-1)^|e| chi_S(m + e), D
+    the spatial and stochastic directions; over a downward-closed S they sum to 1.
 
-    Computed backwards on dense level vectors alpha + (beta_1..beta_n),
-    n the set's last variable: each member adds its sign to every corner
-    of the binary box below it, which costs 2^(number of its above-base
-    coordinates) instead of 2^(all active directions).  Every corner of
-    a member of a downward-closed set is itself a member.
+    The sum factors as prod_d (I - T_d) chi_S, T_d one level forward in
+    direction d: c starts at 1 on S, and each direction takes one signed
+    pass over its parent links, c[parent] -= c[child] with the values from
+    before the pass, one step per link.  Every intermediate value stays on
+    S: it is a signed sum of chi_S(m + e), and by downward closure m not in
+    S implies m + e not in S, so it is 0 off S.
     """
-    n = index_set.last_variable()
-    dense = {}
-    for m in index_set.members:
-        levels = m.beta.as_dict()
-        dense[m] = m.alpha + tuple(levels.get(j, 1) for j in range(1, n + 1))
-    counts: dict[tuple[int, ...], int] = {}
-    for levels in dense.values():
-        for sign, lowered in corners(levels):
-            counts[lowered] = counts.get(lowered, 0) + sign
-    return {m: counts[levels] for m, levels in dense.items()}
+    n = len(index_set)
+    c = [1] * n
+    for parents, children in index_set._links.values():
+        previous = c[:]
+        for p, k in zip(parents, children[: bisect.bisect_left(children, n)]):
+            c[p] -= previous[k]
+    return dict(zip(index_set._listing, c))
 
 
 # Uncached points that one evaluation holds before it solves them.  The

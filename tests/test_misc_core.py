@@ -134,9 +134,21 @@ class TestIndexSet:
             assert index_set == IndexSet(listing[:n])
             assert all(m in index_set for m in listing[:n])
             assert not any(m in index_set for m in listing[n:])
-        for bad in ([listing[1], listing[0]], [listing[0], listing[0]]):
+        for bad in ([listing[1], listing[0]], [listing[0], listing[0]], [listing[0], listing[-1]]):
             with pytest.raises(IndexSetError):
                 IndexSet.prefixes(bad, [2])
+
+    def test_prefixes_reject_what_the_constructor_rejects(self):
+        listing = [root_index(1), MixedIndex((2,), SLV()), MixedIndex((1,), SLV({1: 2}))]
+        with pytest.raises(IndexSetError, match="spatial dimension"):
+            IndexSet([root_index(1), root_index(2)])
+        with pytest.raises(IndexSetError, match="spatial dimension"):
+            IndexSet.prefixes([root_index(1), root_index(2)], [1])
+        with pytest.raises(IndexSetError, match="spatial dimension"):
+            IndexSet.prefixes([], [1])
+        for n in (0, 4):
+            with pytest.raises(IndexSetError, match=f"length {n}"):
+                IndexSet.prefixes(listing, [3, n])
 
     def test_diagnostics(self):
         iset = IndexSet(downward_closure({MixedIndex((3, 1), SLV({2: 2, 5: 3}))}))
@@ -204,6 +216,34 @@ class TestCombinationCoefficients:
         gap = IndexSet(downward_closure({MixedIndex((2,) * spatial_dim, SLV({2: 3, 4: 2}))}))
         for iset in [gap] + [random_closed_set(rng, spatial_dim) for _ in range(20)]:
             assert iset.coefficients == oracle_coefficients(iset.members)
+
+    @pytest.mark.parametrize("spatial_dim", [1, 3])
+    def test_prefixes_of_random_listings(self, spatial_dim):
+        # Parents-first listings in random order; every prefix's
+        # coefficients come from the listing's links.
+        rng = np.random.default_rng(17)
+        gap = IndexSet(downward_closure({MixedIndex((2,) * spatial_dim, SLV({2: 3, 4: 2}))}))
+        for iset in [gap] + [random_closed_set(rng, spatial_dim, max_members=30) for _ in range(5)]:
+            listing, rest = [], list(iset.members)
+            while rest:
+                ready = [m for m in rest if all(p in listing for p in m.parents())]
+                listing.append(ready[rng.integers(len(ready))])
+                rest.remove(listing[-1])
+            lengths = range(1, len(listing) + 1)
+            for n, prefix in zip(lengths, IndexSet.prefixes(listing, lengths)):
+                assert prefix.coefficients == oracle_coefficients(listing[:n])
+                assert prefix.coefficients == IndexSet(listing[:n]).coefficients
+
+    def test_full_binary_box(self):
+        # {1,2}^14: two spatial directions and twelve variables.  Only the
+        # top member keeps a coefficient; the box below it has 2^14 corners.
+        members = [MixedIndex(bits[:2], SLV({j + 1: b for j, b in enumerate(bits[2:]) if b > 1}))
+                   for bits in itertools.product((1, 2), repeat=14)]
+        top = members[-1]
+        iset = IndexSet(members)
+        assert len(iset) == 2**14 and top.beta.active_count() == 12
+        assert iset.coefficients[top] == 1
+        assert all(c == 0 for m, c in iset.coefficients.items() if m != top)
 
     def test_telescoping_sum(self):
         rng = np.random.default_rng(5)
