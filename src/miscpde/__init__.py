@@ -5,7 +5,6 @@ and analytic convergence-rate predictors."""
 
 from .adaptation import (
     ErrorModel,
-    WorkModel,
     build_set_apriori,
     build_set_bruteforce,
     error_contribution_model,

@@ -6,16 +6,17 @@ arXiv:1511.05393, as for quasi-optimal sparse grids (Nobile, Tamellini
 & Tempone, Numer. Math. 2016): every index whose profit clears a
 threshold.  Error contributions follow the fitted exponential decay
 model C_E * exp(-sum_j m(beta_j - 1) * g_j) * 2^(-|alpha| * r_fem);
-work contributions the geometric model
-C_W * 2^(sum_i gamma_i d_i alpha_i + |beta - 1|).  The profit is then a
-product of one factor per coordinate, each below 1 above the base
-level, so every threshold set is downward closed and a walk over the
-coordinates lists it directly (``sweep_apriori``).  The set of a work
-budget is the longest run of whole profit classes, best first, whose
-exact degrees of freedom fit; the sets of all the budgets of a study
-are prefixes of one listing.  A brute-force mode computes the true
-difference magnitudes over a small universe instead, which serves as a
-benchmark.
+work contributions the paper's model 2^(sum_i d_i gamma_i alpha_i +
+|beta - 1|) with one spatial direction per axis, the solver's one cost
+exponent gamma and unit constant: 2^(sum_i gamma alpha_i + |beta - 1|).
+The profit is then a product of one factor per coordinate, each below
+1 above the base level, so every threshold set is downward closed and
+a walk over the coordinates lists it directly (``sweep_apriori``).  The
+set of a work budget is the longest run of whole profit classes, best
+first, whose exact degrees of freedom fit; the sets of all the budgets
+of a study are prefixes of one listing.  The brute-force benchmark
+computes the true difference magnitudes over a small universe instead;
+it is the only builder that takes a universe.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .misc_core import (
 )
 from .pde_solver import QoISpec
 from .quadrature import SparseLevelVector
-from .random_field import FieldSpec
+from .random_field import FieldSpec, mode_ordering
 
 
 class BudgetError(ValueError):
@@ -55,31 +56,6 @@ class RateFitError(ValueError):
     def __init__(self, message: str, unidentifiable: tuple[int, ...] = ()):
         super().__init__(message)
         self.unidentifiable = unidentifiable
-
-
-@dataclass(frozen=True)
-class WorkModel:
-    """Geometric cost model: per-dimension exponents and a constant."""
-
-    gamma: tuple[float, ...]
-    dims: tuple[int, ...]
-    c_w: float = 1.0
-
-    def __post_init__(self):
-        if len(self.gamma) != len(self.dims):
-            raise ValueError("gamma and dims must have the same length")
-        if any(g < 1 for g in self.gamma):
-            raise ValueError("cost exponents gamma must be >= 1")
-        if not self.c_w > 0:
-            raise ValueError("work constant must be positive")
-
-    @property
-    def spatial_dim(self) -> int:
-        return len(self.gamma)
-
-
-def isotropic_work_model(spatial_dim: int, gamma: float = 1.0) -> WorkModel:
-    return WorkModel((gamma,) * spatial_dim, (1,) * spatial_dim)
 
 
 @dataclass(frozen=True)
@@ -96,6 +72,8 @@ class ErrorModel:
             raise ValueError("spatial rate must be positive")
         if any(not g > 0 for g in self.g_tilde):
             raise ValueError("stochastic rates must be positive")
+        if not 0 < self.c_e < math.inf:
+            raise ValueError(f"model constant c_e must be positive and finite, got {self.c_e}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -114,22 +92,11 @@ class ErrorModel:
         return cls(data["r_fem"], tuple(data["g_tilde"]), data["c_e"], data["residual"])
 
 
-@dataclass(frozen=True)
-class ProfitEntry:
-    index: MixedIndex
-    d_e: float
-    d_w: float
-
-    @property
-    def profit(self) -> float:
-        return self.d_e / self.d_w
-
-
-def work_contribution(index: MixedIndex, model: WorkModel) -> float:
-    """C_W * 2^(sum_i gamma_i d_i alpha_i + |beta - 1|)."""
-    exponent = sum(g * d * a for g, d, a in zip(model.gamma, model.dims, index.alpha))
+def work_contribution(index: MixedIndex, gamma: float = 1.0) -> float:
+    """2^(sum_i gamma * alpha_i + |beta - 1|)."""
+    exponent = sum(gamma * a for a in index.alpha)
     exponent += sum(b - 1 for _, b in index.beta.items())
-    return model.c_w * 2.0**exponent
+    return 2.0**exponent
 
 
 def error_contribution_model(index: MixedIndex, model: ErrorModel) -> float:
@@ -144,17 +111,6 @@ def error_contribution_model(index: MixedIndex, model: ErrorModel) -> float:
     return model.c_e * math.exp(-decay) * 2.0 ** (-sum(index.alpha) * model.r_fem)
 
 
-@dataclass
-class BuildResult:
-    """Constructed set plus the diagnostics the builder saw."""
-
-    index_set: IndexSet
-    eps: float                         # smallest admitted profit
-    profits: dict[MixedIndex, ProfitEntry]   # the members, by descending profit
-    dof_work_total: int
-    next_profit: float | None          # profit of the first class over the budget; None if none was left
-
-
 # Slack on the walk's log-profit bounds, far above the rounding of their
 # float sums, so that no candidate above the cut is missed.
 _SLACK = 1e-9
@@ -162,98 +118,73 @@ _NODES = tuple(itertools.accumulate(_NEW_NODES))   # level_to_nodes(b), indexed 
 _LN2 = math.log(2.0)
 
 
-def build_set_apriori(
-    work_model: WorkModel,
-    error_model: ErrorModel,
-    work_budget: float,
-    universe: IndexSet | None = None,
-) -> BuildResult:
+def build_set_apriori(error_model: ErrorModel, work_budget: float, d: int,
+                      gamma: float = 1.0) -> IndexSet:
     """The set of one work budget: ``sweep_apriori`` with one checkpoint."""
-    return sweep_apriori(work_model, error_model, [work_budget], universe)[0]
+    return sweep_apriori(error_model, [work_budget], d, gamma)[0]
 
 
-def sweep_apriori(
-    work_model: WorkModel,
-    error_model: ErrorModel,
-    budgets: Sequence[float],
-    universe: IndexSet | None = None,
-) -> list[BuildResult]:
-    """The sets of several strictly increasing work budgets: prefixes of one
-    listing, by (-profit, alpha, beta items), of the candidates whose
+def sweep_apriori(error_model: ErrorModel, budgets: Sequence[float], d: int,
+                  gamma: float = 1.0) -> list[IndexSet]:
+    """The sets of several strictly increasing work budgets in ``d``
+    spatial dimensions: prefixes of one listing, by (-profit, alpha,
+    beta items), of the mixed indices over the fitted variables whose
     profit clears a cut (``_walk``).
 
-    Candidates are the mixed indices over the fitted variables, or the
-    members of ``universe`` among them, for comparison with a brute-force
-    benchmark.  A budget's set is the longest prefix of whole profit
-    classes whose exact DOF fit, ``eps`` its last class's profit and
-    ``next_profit`` the next one's, None when the candidates ran out.
-    Each profit factor is below 1 above the base level, so parents come
-    before children and every prefix is downward closed.  Profits are
-    the float expressions of ``error_contribution_model`` over
-    ``work_contribution``, so classes are exact and entry k equals the
-    build of ``budgets[k]`` alone.  A listed candidate past
+    A budget's set is the longest prefix of whole profit classes whose
+    exact DOF fit.  Each profit factor is below 1 above the base level,
+    so parents come before children and every prefix is downward closed.
+    Profits are the float expressions of ``error_contribution_model``
+    over ``work_contribution``, so classes are exact and entry k equals
+    the build of ``budgets[k]`` alone.  A listed candidate past
     ``quadrature.MAX_LEVEL`` raises ``QuadratureLevelError``.
     """
     budgets = list(budgets)
     if not budgets or any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError(f"budgets must be non-empty and strictly increasing, got {budgets}")
-    root_dof = dof_work(root_index(work_model.spatial_dim))
+    if not gamma >= 1:
+        raise ValueError(f"the cost exponent gamma must be >= 1, got {gamma}")
+    root_dof = dof_work(root_index(d))
     if root_dof > budgets[0]:
         raise BudgetError(f"budget {budgets[0]} cannot hold the root index (work {root_dof})")
-    if universe is None:
-        candidates, cut = _walk(work_model, error_model, budgets[-1])
-    else:
-        candidates = [(error_contribution_model(m, error_model), work_contribution(m, work_model),
-                       m.alpha, m.beta.items(), dof_work(m))
-                      for m in universe if m.beta.last_variable() <= len(error_model.g_tilde)]
-        cut = 0.0
-    listing = sorted((-(d_e / d_w), alpha, items, d_e, d_w, dof)
-                     for d_e, d_w, alpha, items, dof in candidates if d_e / d_w >= cut)
+    listing = sorted(_walk(error_model, budgets[-1], d, gamma)[0])
     vectors = {items: SparseLevelVector(items) for items in {row[2] for row in listing}}
-    entries = [ProfitEntry(MixedIndex(alpha, vectors[items]), d_e, d_w)
-               for _, alpha, items, d_e, d_w, _ in listing]
     # The size of the listing up to the end of each profit class, and its DOF.
     sizes, totals = [], []
-    for k, spent in enumerate(itertools.accumulate(row[5] for row in listing)):
+    for k, spent in enumerate(itertools.accumulate(row[3] for row in listing)):
         if k + 1 == len(listing) or listing[k + 1][0] != listing[k][0]:
             sizes.append(k + 1)
             totals.append(spent)
     ends = [bisect.bisect_right(totals, budget) - 1 for budget in budgets]
-    sets = IndexSet.prefixes([entry.index for entry in entries], [sizes[c] for c in ends])
-    return [
-        BuildResult(index_set=index_set, eps=entries[sizes[c] - 1].profit,
-                    profits={entry.index: entry for entry in entries[:sizes[c]]},
-                    dof_work_total=totals[c],
-                    next_profit=entries[sizes[c]].profit if c + 1 < len(sizes) else None)
-        for index_set, c in zip(sets, ends)
-    ]
+    return IndexSet.prefixes([MixedIndex(alpha, vectors[items]) for _, alpha, items, _ in listing],
+                             [sizes[c] for c in ends])
 
 
-def _alpha_terms(alpha: tuple[int, ...], work_model: WorkModel, error_model: ErrorModel):
+def _alpha_terms(alpha: tuple[int, ...], gamma: float, r_fem: float):
     """(log factor, alpha, 2^(-|alpha| r_fem), work exponent, unknowns):
     the spatial terms of the profit, as in ``error_contribution_model``
     and ``work_contribution``, and of ``dof_work``."""
-    exponent = sum(g * d * a for g, d, a in zip(work_model.gamma, work_model.dims, alpha))
-    return (-_LN2 * (sum(alpha) * error_model.r_fem + exponent), alpha,
-            2.0 ** (-sum(alpha) * error_model.r_fem), exponent, _unknowns(alpha))
+    exponent = sum(gamma * a for a in alpha)
+    return (-_LN2 * (sum(alpha) * r_fem + exponent), alpha,
+            2.0 ** (-sum(alpha) * r_fem), exponent, _unknowns(alpha))
 
 
-def _walk(work_model: WorkModel, error_model: ErrorModel, budget: float):
+def _walk(error_model: ErrorModel, budget: float, d: int, gamma: float):
     """The candidates whose profit clears a cut just below the profit
-    class that takes the DOF above it past ``budget``, as
-    (d_e, d_w, alpha, beta items, DOF), and the cut as a profit.
+    class that takes the DOF above it past ``budget``, as rows
+    (-profit, alpha, beta items, DOF), and the cut as a profit.
 
-    The log profit is log(c_e / c_w) plus a spatial and a quadrature log
+    The log profit is log(c_e) plus a spatial and a quadrature log
     factor.  Listed down to a floor by descending factor, with running
     sums of unknowns and new nodes, the spatial and the quadrature level
     vectors give the DOF above any log profit at one bisection per
     spatial vector.  The floor goes down until that DOF passes the
     budget; then the crossing is bisected to within the slack.
     """
-    offset = math.log(error_model.c_e) - math.log(work_model.c_w)
-    root = _alpha_terms((1,) * work_model.spatial_dim, work_model, error_model)
+    offset = math.log(error_model.c_e)
+    root = _alpha_terms((1,) * d, gamma, error_model.r_fem)
     top = offset + root[0]   # the root's log profit
-    steps = [-_LN2 * (error_model.r_fem + g * d) for g, d in zip(work_model.gamma, work_model.dims)]
+    steps = [-_LN2 * (error_model.r_fem + gamma)] * d
 
     def above(c: float):
         """Each spatial vector with the number of quadrature vectors
@@ -270,7 +201,7 @@ def _walk(work_model: WorkModel, error_model: ErrorModel, budget: float):
     depth = 2.0 * math.log(budget / root[4]) + 1.0
     while True:
         levels = [range(1, int(depth / -step) + 2) for step in steps]
-        alphas = sorted((_alpha_terms(alpha, work_model, error_model)
+        alphas = sorted((_alpha_terms(alpha, gamma, error_model.r_fem)
                          for alpha in itertools.product(*levels)
                          if sum(s * a for s, a in zip(steps, alpha)) >= sum(steps) - depth),
                         key=lambda terms: -terms[0])
@@ -285,9 +216,12 @@ def _walk(work_model: WorkModel, error_model: ErrorModel, budget: float):
         mid = (lo + hi) / 2
         lo, hi = (mid, hi) if work_above(mid) > budget else (lo, mid)
     cut = lo - _SLACK
-    return [(error_model.c_e * quad[2] * spatial[2],
-             work_model.c_w * 2.0 ** (spatial[3] + quad[3]), spatial[1], quad[1], spatial[4] * quad[4])
-            for spatial, n in above(cut - _SLACK) for quad in betas[:n]], math.exp(cut)
+    floor = math.exp(cut)
+    rows = [(-profit, spatial[1], quad[1], spatial[4] * quad[4])
+            for spatial, n in above(cut - _SLACK) for quad in betas[:n]
+            if (profit := error_model.c_e * quad[2] * spatial[2] / 2.0 ** (spatial[3] + quad[3]))
+            >= floor]
+    return rows, floor
 
 
 def _quadrature_walk(error_model: ErrorModel, floor: float):
@@ -320,21 +254,13 @@ def _quadrature_walk(error_model: ErrorModel, floor: float):
 BRUTE_FORCE_CAP = 500
 
 
-@dataclass
-class BruteForceResult:
-    index_set: IndexSet
-    eps: float
-    profits: dict[MixedIndex, ProfitEntry]   # actual |difference| over actual work
-    dof_work_total: int
-
-
 def build_set_bruteforce(
     universe: IndexSet,
     field_spec: FieldSpec,
     qoi_spec: QoISpec,
     work_budget: float,
     evaluator: MiscEvaluator | None = None,
-) -> BruteForceResult:
+) -> IndexSet:
     """Benchmark construction from exact difference magnitudes.
 
     Every universe member is evaluated once (the universe must be small:
@@ -352,9 +278,7 @@ def build_set_bruteforce(
     if dof_work(root) > work_budget:
         raise BudgetError(f"budget {work_budget} cannot hold the root index")
     evaluator = evaluator or MiscEvaluator(field_spec, qoi_spec)
-    entries: dict[MixedIndex, ProfitEntry] = {}
-    for m in universe.members:
-        entries[m] = ProfitEntry(m, abs(evaluator.mixed_difference(m)), float(dof_work(m)))
+    profits = {m: abs(evaluator.mixed_difference(m)) / float(dof_work(m)) for m in universe.members}
     waiting: dict[MixedIndex, int] = {}            # member -> parents not in yet
     children: dict[MixedIndex, list[MixedIndex]] = {}
     for m in universe.members:
@@ -364,7 +288,7 @@ def build_set_bruteforce(
             children.setdefault(parent, []).append(m)
 
     def candidate(m: MixedIndex):
-        return (-entries[m].profit, sum(m.alpha) + m.beta.excess(), m.alpha, m.beta.items(), m)
+        return (-profits[m], sum(m.alpha) + m.beta.excess(), m.alpha, m.beta.items(), m)
 
     heap = [candidate(root)]
     admitted = []
@@ -379,22 +303,14 @@ def build_set_bruteforce(
             waiting[child] -= 1
             if not waiting[child]:
                 heapq.heappush(heap, candidate(child))
-    index_set = IndexSet(admitted)
-    return BruteForceResult(
-        index_set=index_set,
-        eps=entries[admitted[-1]].profit,
-        profits=entries,
-        dof_work_total=index_set.nominal_work(),
-    )
+    return IndexSet(admitted)
 
 
 def box_universe(spatial_dim: int, max_alpha: int, max_beta: int, n_vars: int) -> IndexSet:
     """Small rectangular universe for brute-force benchmarking."""
-    import itertools as it
-
     members = []
-    for alpha in it.product(range(1, max_alpha + 1), repeat=spatial_dim):
-        for levels in it.product(range(1, max_beta + 1), repeat=n_vars):
+    for alpha in itertools.product(range(1, max_alpha + 1), repeat=spatial_dim):
+        for levels in itertools.product(range(1, max_beta + 1), repeat=n_vars):
             beta = SparseLevelVector({j + 1: b for j, b in enumerate(levels)})
             members.append(MixedIndex(alpha, beta))
     return IndexSet(members)
@@ -488,8 +404,6 @@ def pilot_samples(
     if n_modes > field_spec.max_modes:
         raise ValueError("cannot sweep more variables than the field enumerates")
     evaluator = evaluator or MiscEvaluator(field_spec, qoi_spec)
-    from .random_field import mode_ordering
-
     modes = mode_ordering(field_spec)
     base = abs(evaluator.tensor_value((1,) * field_spec.d, SparseLevelVector()))
     floor = 1e-13 * max(1.0, base)

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import adaptation, misc_core, pde_solver, quadrature, theory
-from .adaptation import ErrorModel, isotropic_work_model
+from .adaptation import ErrorModel
 from .misc_core import IndexSet, MiscEvaluator, mimc_estimate
 from .pde_solver import QoISpec, default_qoi_spec
 from .random_field import FieldSpec
@@ -170,9 +170,9 @@ def problem_from_config(cfg: Config) -> tuple[FieldSpec, QoISpec, float]:
 
 def budgets_from_config(cfg: Config, d: int) -> tuple[float, ...]:
     raw = cfg.get_str("adaptivity.budgets", "auto")
-    if raw.startswith("auto"):
+    if raw == "auto" or raw.startswith("auto:"):
         try:
-            steps = int(raw.split(":", 1)[1]) if ":" in raw else 6
+            steps = int(raw[len("auto:"):]) if raw != "auto" else 6
         except ValueError as exc:
             raise ConfigError(f"adaptivity.budgets: expected auto:<steps>, got {raw!r}") from exc
         if steps < 1:
@@ -403,11 +403,9 @@ def study_driver(
     needed = sorted(set(budgets) | ({reference_budget} if reference is None else set()))
     if mode == "bruteforce":
         built = {budget: adaptation.build_set_bruteforce(
-            universe, field_spec, qoi_spec, budget, evaluator).index_set for budget in needed}
+            universe, field_spec, qoi_spec, budget, evaluator) for budget in needed}
     else:
-        work_model = isotropic_work_model(field_spec.d, gamma)
-        built = {budget: result.index_set for budget, result in
-                 zip(needed, adaptation.sweep_apriori(work_model, error_model, needed))}
+        built = dict(zip(needed, adaptation.sweep_apriori(error_model, needed, field_spec.d, gamma)))
 
     if reference is None:
         reference = evaluator.evaluate(built[reference_budget], mode="combination").value
@@ -447,8 +445,8 @@ def mimc_plan(budget: float, d: int, r_fem: float,
     Isotropic levels 1..L with the usual variance/cost balance
     M_l ~ sqrt(V_l / c_l); L is the deepest level whose per-sample cost
     stays within a quarter of the budget.  A sample costs
-    sum(unknowns ** gamma) over the level's corners, the work model of
-    ``isotropic_work_model``.
+    sum(unknowns ** gamma) over the level's corners, with the cost
+    exponent gamma of ``adaptation.work_contribution``.
     """
     levels: list[tuple[int, ...]] = []
     costs: list[float] = []
@@ -592,6 +590,10 @@ def cmd_fit(args) -> int:
     field_spec, qoi_spec, _ = problem_from_config(cfg)
     depth = cfg.get_int("adaptivity.pilot_depth", 3)
     n_modes = cfg.get_int("adaptivity.pilot_modes", 8)
+    if depth < 2 or not 1 <= n_modes <= field_spec.max_modes:
+        raise ConfigError(
+            "adaptivity.pilot_depth must be >= 2 and pilot_modes in 1..problem.max_modes = "
+            f"{field_spec.max_modes}, got {depth} and {n_modes}")
     r_fem = cfg.get_float("adaptivity.r_fem", default_r_fem(field_spec.nu, field_spec.d))
     model = fit_driver(field_spec, qoi_spec, n_modes, depth, r_fem)
     out = Path(args.out) / "model.json"

@@ -9,18 +9,15 @@ import pytest
 
 from miscpde.adaptation import (
     BudgetError,
-    BuildResult,
     ErrorModel,
-    ProfitEntry,
     RateFitError,
-    WorkModel,
     _quadrature_walk,
+    _walk,
     box_universe,
     build_set_apriori,
     build_set_bruteforce,
     error_contribution_model,
     fit_rates,
-    isotropic_work_model,
     pilot_level,
     pilot_samples,
     sweep_apriori,
@@ -48,16 +45,48 @@ def synthetic_samples(truth, n_vars=3, depth=3, alpha=(1,)):
     return out
 
 
+def profit(m, error_model, gamma=1.0):
+    """The modelled profit, from the public model functions."""
+    return error_contribution_model(m, error_model) / work_contribution(m, gamma)
+
+
+def children(m, n_rates):
+    """m with one spatial level, or one level of a variable 1..n_rates, added."""
+    for i in range(m.spatial_dim):
+        yield MixedIndex(m.alpha[:i] + (m.alpha[i] + 1,) + m.alpha[i + 1:], m.beta)
+    for j in range(1, n_rates + 1):
+        yield MixedIndex(m.alpha, SLV({**dict(m.beta.items()), j: m.beta.level(j) + 1}))
+
+
+def next_profit(index_set, error_model, gamma=1.0, allowed=None):
+    """The best profit outside ``index_set``, among ``allowed`` if given,
+    or None if every candidate is in.  Profits fall along every axis, so
+    the best candidate outside a downward-closed set is a child of a
+    member."""
+    outside = {c for m in index_set for c in children(m, len(error_model.g_tilde))
+               if c not in index_set and (allowed is None or c in allowed)}
+    return max((profit(c, error_model, gamma) for c in outside), default=None)
+
+
+def digest(index_set):
+    """sha256 of ``IndexSet.to_json()``: the members and their coefficients."""
+    return hashlib.sha256(index_set.to_json().encode()).hexdigest()
+
+
 class TestModels:
     def test_work_contribution_values(self):
-        wm1 = isotropic_work_model(1)
-        assert work_contribution(root_index(1), wm1) == 2.0
-        assert work_contribution(root_index(3), isotropic_work_model(3)) == 8.0
+        assert work_contribution(root_index(1)) == 2.0
+        assert work_contribution(root_index(3)) == 8.0
+        assert work_contribution(root_index(3), 1.5) == 2.0**4.5
+        # The exponent sums gamma * alpha_i term by term, as the walk does;
+        # gamma * |alpha| rounds differently here.
+        tilted = MixedIndex((1, 4, 1), SLV())
+        assert work_contribution(tilted, 1.1) == 2.0 ** (1.1 * 1 + 1.1 * 4 + 1.1 * 1)
+        assert work_contribution(tilted, 1.1) != 2.0 ** (1.1 * 6)
 
     def test_work_doubles_per_quadrature_level(self):
-        wm = isotropic_work_model(1)
-        base = work_contribution(MixedIndex((2,), SLV({1: 2})), wm)
-        bumped = work_contribution(MixedIndex((2,), SLV({1: 3})), wm)
+        base = work_contribution(MixedIndex((2,), SLV({1: 2})))
+        bumped = work_contribution(MixedIndex((2,), SLV({1: 3})))
         assert bumped == 2.0 * base
 
     def test_error_contribution_root(self):
@@ -83,8 +112,11 @@ class TestModels:
             ErrorModel(r_fem=0.0, g_tilde=())
         with pytest.raises(ValueError):
             ErrorModel(r_fem=2.0, g_tilde=(0.0,))
-        with pytest.raises(ValueError):
-            WorkModel((0.5,), (1,))
+        for c_e in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="c_e"):
+                ErrorModel(r_fem=2.0, g_tilde=(0.5,), c_e=c_e)
+        with pytest.raises(ValueError, match="gamma"):
+            sweep_apriori(ErrorModel(r_fem=2.0, g_tilde=()), [80], 1, gamma=0.5)
 
     def test_error_model_roundtrip(self):
         em = ErrorModel(r_fem=2.0, g_tilde=(0.31, 1.7), c_e=3.3, residual=0.125)
@@ -92,65 +124,56 @@ class TestModels:
 
 
 class TestAprioriConstruction:
-    wm = isotropic_work_model(1)
     em = ErrorModel(r_fem=2.0, g_tilde=(0.6, 1.1, 1.9, 2.4))
 
     def test_root_budget_holds_only_the_root(self):
-        result = build_set_apriori(self.wm, self.em, work_budget=5)
-        assert result.index_set.members == (root_index(1),)
+        assert build_set_apriori(self.em, 5, 1).members == (root_index(1),)
 
     def test_deterministic_sets_are_contiguous(self):
         # Without stochastic rates the profit is 2^(-3 alpha), so every
         # budget's set is {alpha <= astar} for some astar.
         em0 = ErrorModel(r_fem=2.0, g_tilde=())
         for budget in (5, 16, 100, 1000):
-            members = build_set_apriori(self.wm, em0, work_budget=budget).index_set.members
+            members = build_set_apriori(em0, budget, 1).members
             assert set(members) == {MixedIndex((a,), SLV()) for a in range(1, len(members) + 1)}
 
-    def test_eps_is_the_smallest_admitted_profit(self):
+    def test_admitted_profits_exceed_every_excluded_one(self):
         for budget in (5, 600, 20000):
-            result = build_set_apriori(self.wm, self.em, work_budget=budget)
-            assert result.eps == min(entry.profit for entry in result.profits.values())
+            index_set = build_set_apriori(self.em, budget, 1)
+            smallest = min(profit(m, self.em) for m in index_set)
+            assert smallest > next_profit(index_set, self.em)
 
     def test_budget_monotonicity(self):
-        small = build_set_apriori(self.wm, self.em, work_budget=200)
-        large = build_set_apriori(self.wm, self.em, work_budget=2000)
-        assert set(small.index_set.members) < set(large.index_set.members)
+        small = build_set_apriori(self.em, 200, 1)
+        large = build_set_apriori(self.em, 2000, 1)
+        assert set(small.members) < set(large.members)
 
     def test_always_downward_closed(self):
         for budget in (50, 600, 20000):
-            result = build_set_apriori(self.wm, self.em, work_budget=budget)
-            assert is_downward_closed(result.index_set.members)
+            assert is_downward_closed(build_set_apriori(self.em, budget, 1).members)
 
     def test_budget_mode_maximality(self):
-        # A larger budget's sweep admits the same members first, then the
-        # class that stopped this one, which would overflow the budget.
-        result = build_set_apriori(self.wm, self.em, work_budget=600)
-        assert result.dof_work_total <= 600
-        assert result.next_profit is not None
-        admitted = list(build_set_apriori(self.wm, self.em, work_budget=10**6).profits.values())
-        prefix, after = admitted[:len(result.index_set)], admitted[len(result.index_set):]
-        assert {entry.index for entry in prefix} == set(result.index_set.members)
-        stopping = list(itertools.takewhile(lambda e: e.profit == result.next_profit, after))
-        assert stopping
-        assert result.dof_work_total + sum(dof_work(e.index) for e in stopping) > 600
+        # A larger budget's set holds this one and then the whole class
+        # that stopped it, which would overflow the budget.
+        small = build_set_apriori(self.em, 600, 1)
+        assert small.nominal_work() <= 600
+        rest = [m for m in build_set_apriori(self.em, 10**6, 1) if m not in small]
+        best = max(profit(m, self.em) for m in rest)
+        assert best == next_profit(small, self.em)
+        stopping = [m for m in rest if profit(m, self.em) == best]
+        assert small.nominal_work() + sum(map(dof_work, stopping)) > 600
 
     def test_budget_too_small(self):
         with pytest.raises(BudgetError):
-            build_set_apriori(self.wm, self.em, work_budget=3)
+            build_set_apriori(self.em, 3, 1)
 
     def test_slow_late_variable_enters_before_earlier_ones(self):
         # Variable 4 decays slowest, so it enters the set while variables
         # 2 and 3 stay out: no variable waits for the ones before it.
         em = ErrorModel(r_fem=2.0, g_tilde=(0.6, 6.0, 6.0, 0.3))
-        result = build_set_apriori(self.wm, em, work_budget=800)
-        support = {j for m in result.index_set for j in m.beta.support}
+        index_set = build_set_apriori(em, 800, 1)
+        support = {j for m in index_set for j in m.beta.support}
         assert {1, 4} <= support and not {2, 3} & support
-
-    def test_universe_restriction(self):
-        universe = box_universe(1, 2, 2, 1)
-        result = build_set_apriori(self.wm, self.em, work_budget=10**6, universe=universe)
-        assert set(result.index_set.members) == set(universe.members)
 
 
 # Oracle for the a-priori builder, recorded from the implementation that
@@ -161,7 +184,9 @@ class TestAprioriConstruction:
 # budget exactly and is admitted.  d1_unordered's rates are not in mode
 # order; its digests, recorded when a sweep could open at most four
 # variables past the deepest active one, are those of the threshold sets.
-# deterministic_d1 starts at the root's own work, 5.
+# deterministic_d1 starts at the root's own work, 5.  The universe rows,
+# recorded when the a-priori builder took a universe, now check
+# ``threshold_oracle`` over that universe.
 ORACLE_SETTINGS = {
     "d1": (1, 1.0, ErrorModel(2.0, (0.6, 1.1, 1.9, 2.4, 3.0, 3.5), 0.7), None),
     "d1_unordered": (1, 1.0, ErrorModel(2.0, (2.5, 2.0) + (0.3,) * 6), None),
@@ -246,107 +271,86 @@ BUDGET_ORACLE = {
 
 def oracle_setting(name):
     d, gamma, error_model, box = ORACLE_SETTINGS[name]
-    universe = box_universe(d, *box) if box else None
-    return isotropic_work_model(d, gamma), error_model, universe
+    return d, gamma, error_model, box_universe(d, *box) if box else None
 
 
-def assert_matches_oracle(result, digest, eps, next_profit, work_model, error_model):
-    assert hashlib.sha256(result.index_set.to_json().encode()).hexdigest() == digest
-    assert result.eps == eps
-    assert result.next_profit == next_profit
-    assert result.dof_work_total == result.index_set.nominal_work()
-    assert result.profits == {
-        m: ProfitEntry(m, error_contribution_model(m, error_model), work_contribution(m, work_model))
-        for m in result.index_set
-    }
+def assert_matches_oracle(index_set, row, error_model, gamma, allowed=None):
+    """The set's digest, and ``eps`` and ``next_profit`` derived from its members."""
+    _, expected_digest, eps, next_eps = row
+    assert digest(index_set) == expected_digest
+    assert min(profit(m, error_model, gamma) for m in index_set) == eps
+    assert next_profit(index_set, error_model, gamma, allowed) == next_eps
 
 
 class TestSweepOracle:
     @pytest.mark.parametrize("name", sorted(BUDGET_ORACLE))
     def test_sweep_reproduces_every_budget(self, name, oracle_coefficients):
-        work_model, error_model, universe = oracle_setting(name)
+        d, gamma, error_model, universe = oracle_setting(name)
         rows = BUDGET_ORACLE[name]
-        results = sweep_apriori(work_model, error_model, [row[0] for row in rows], universe)
-        assert len(results) == len(rows)
-        for result, (_, digest, eps, next_profit) in zip(results, rows):
-            assert_matches_oracle(result, digest, eps, next_profit, work_model, error_model)
+        budgets = [row[0] for row in rows]
+        if universe is None:
+            sets = sweep_apriori(error_model, budgets, d, gamma)
+        else:
+            # The a-priori builder takes no universe; these rows check the
+            # oracle that stands in for it in the brute-force benchmark.
+            sets = [IndexSet(members) for members, *_ in
+                    threshold_oracle(error_model, budgets, universe.members, gamma)]
+        assert len(sets) == len(rows)
+        for index_set, row in zip(sets, rows):
+            assert_matches_oracle(index_set, row, error_model, gamma,
+                                  None if universe is None else set(universe.members))
             # The forward-offset oracle enumerates every active direction,
             # which is too slow beyond small sets.
-            if len(result.index_set) <= 25:
-                assert result.index_set.coefficients == oracle_coefficients(
-                    result.index_set.members)
+            if len(index_set) <= 25:
+                assert index_set.coefficients == oracle_coefficients(index_set.members)
 
-    @pytest.mark.parametrize("name", sorted(BUDGET_ORACLE))
+    @pytest.mark.parametrize("name", sorted(set(BUDGET_ORACLE) - {"universe"}))
     def test_single_builds_reproduce_every_budget(self, name):
-        work_model, error_model, universe = oracle_setting(name)
-        for budget, digest, eps, next_profit in BUDGET_ORACLE[name]:
-            result = build_set_apriori(work_model, error_model, work_budget=budget,
-                                       universe=universe)
-            assert_matches_oracle(result, digest, eps, next_profit, work_model, error_model)
+        d, gamma, error_model, _ = oracle_setting(name)
+        for row in BUDGET_ORACLE[name]:
+            assert_matches_oracle(build_set_apriori(error_model, row[0], d, gamma), row,
+                                  error_model, gamma)
 
     def test_budgets_must_increase(self):
-        work_model, error_model, _ = oracle_setting("d1")
+        d, gamma, error_model, _ = oracle_setting("d1")
         for budgets in ([], [320, 80], [80, 80]):
             with pytest.raises(ValueError):
-                sweep_apriori(work_model, error_model, budgets)
+                sweep_apriori(error_model, budgets, d, gamma)
         with pytest.raises(BudgetError):
-            sweep_apriori(work_model, error_model, [3, 80])
+            sweep_apriori(error_model, [3, 80], d, gamma)
 
     def test_level_past_the_cap_raises(self):
         # Each level of variable 1 halves the profit and a spatial level
         # divides it by 2^61, so the sets climb variable 1 alone, with
         # 5 * 2^(b - 1) + 5 DOF up to level b.  The set of 5 * 2^40 would
         # end at level 30, and the class after it is level 31, past the cap.
-        work_model, error_model = isotropic_work_model(1), ErrorModel(60.0, (1e-12,))
-        top = sweep_apriori(work_model, error_model, [5 * 2**20])[0]
-        assert top.index_set.max_beta_level() == 20
+        error_model = ErrorModel(60.0, (1e-12,))
+        top = sweep_apriori(error_model, [5 * 2**20], 1)[0]
+        assert top.max_beta_level() == 20
         with pytest.raises(QuadratureLevelError):
-            sweep_apriori(work_model, error_model, [5 * 2**20, 5 * 2**40])
+            sweep_apriori(error_model, [5 * 2**20, 5 * 2**40], 1)
 
 
-def eager_sweep(work_model, error_model, budgets, universe=None):
+def eager_sweep(error_model, budgets, d, gamma=1.0):
     """The greedy sweep as first written, the reference for ``sweep_apriori``:
     every admitted member offers every child at once, in every fitted
     variable, with its profit, whether or not the child's other parents
     are in."""
-    root = (1,) * work_model.spatial_dim
-    variables = range(1, len(error_model.g_tilde) + 1)
-    allowed = None if universe is None else {(m.alpha, m.beta.items()) for m in universe}
-    seen, heap, admitted = set(), [], {}
-    state = {"spent": 0, "eps": math.inf}
+    seen, heap, admitted = set(), [], []
+    state = {"spent": 0}
 
-    def push(alpha, items):
-        if (alpha, items) in seen or (allowed is not None and (alpha, items) not in allowed):
-            return
-        seen.add((alpha, items))
-        index = MixedIndex(alpha, SLV(items))
-        d_e = error_contribution_model(index, error_model)
-        d_w = work_contribution(index, work_model)
-        heapq.heappush(heap, (-(d_e / d_w), alpha, items, d_e, d_w))
+    def push(m):
+        if m not in seen:
+            seen.add(m)
+            heapq.heappush(heap, (-profit(m, error_model, gamma), m.alpha, m.beta.items(), m))
 
-    def bump(items, j):
-        levels = dict(items)
-        levels[j] = levels.get(j, 1) + 1
-        return tuple(sorted(levels.items()))
+    def admit(m):
+        admitted.append(m)
+        state["spent"] += dof_work(m)
+        for child in children(m, len(error_model.g_tilde)):
+            push(child)
 
-    def admit(alpha, items, d_e, d_w):
-        index = MixedIndex(alpha, SLV(items))
-        entry = ProfitEntry(index, d_e, d_w)
-        admitted[index] = entry
-        state["spent"] += dof_work(index)
-        state["eps"] = min(state["eps"], entry.profit)
-        for i in range(len(alpha)):
-            push(alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], items)
-        for j in variables:
-            push(alpha, bump(items, j))
-
-    def checkpoint(next_profit):
-        return BuildResult(IndexSet(admitted), state["eps"], dict(admitted), state["spent"],
-                           next_profit)
-
-    root_member = MixedIndex(root, SLV())
-    admit(root, (), error_contribution_model(root_member, error_model),
-          work_contribution(root_member, work_model))
+    admit(root_index(d))
     results = []
     while True:
         group = []
@@ -354,30 +358,14 @@ def eager_sweep(work_model, error_model, budgets, universe=None):
             group = [heapq.heappop(heap)]
             while heap and heap[0][0] == group[0][0]:
                 group.append(heapq.heappop(heap))
-        dofs = [dof_work(MixedIndex(alpha, SLV(items))) for _, alpha, items, _, _ in group]
-        profit = -group[0][0] if group else None
+        dofs = [dof_work(m) for *_, m in group]
         while len(results) < len(budgets) and (
                 not group or state["spent"] + sum(dofs) > budgets[len(results)]):
-            results.append(checkpoint(profit))
+            results.append(IndexSet(admitted))
         if len(results) == len(budgets):
             return results
-        for _, alpha, items, d_e, d_w in group:
-            admit(alpha, items, d_e, d_w)
-
-
-def bits(value):
-    return None if value is None else value.hex()
-
-
-def result_bits(result):
-    """Every field of a ``BuildResult``, floats as ``float.hex``."""
-    return (
-        [(m.sort_key(), bits(e.d_e), bits(e.d_w)) for m, e in result.profits.items()],
-        bits(result.eps),
-        bits(result.next_profit),
-        result.dof_work_total,
-        hashlib.sha256(result.index_set.to_json().encode()).hexdigest(),
-    )
+        for *_, m in group:
+            admit(m)
 
 
 def random_sweep_setting(seed):
@@ -392,45 +380,38 @@ def random_sweep_setting(seed):
         g_tilde=tuple(rng.choice((0.3, 0.7, 1.2, 2.0)) for _ in range(rng.randint(0, 6))),
         c_e=rng.choice((0.5, 1.0, 2.5)),
     )
-    work_model = isotropic_work_model(d, rng.choice((1.0, 1.5, 2.0)))
-    universe = None
-    if seed % 2:
-        shape = {1: (6, 4, 3), 2: (4, 3, 2), 3: (3, 2, 2)}[d]
-        universe = box_universe(d, *shape)
-    root_dof = 5**d
+    gamma = rng.choice((1.0, 1.5, 2.0))
     steps = sorted(rng.sample(range(0, 9 - d), 4))
-    budgets = [root_dof * 4**t for t in steps]
-    return work_model, error_model, budgets, universe
+    budgets = [5**d * 4**t for t in steps]
+    return error_model, budgets, d, gamma
 
 
 class TestRandomizedSweepOracle:
     @pytest.mark.parametrize("seed", range(36))
     def test_sweep_matches_eager_sweep(self, seed):
-        work_model, error_model, budgets, universe = random_sweep_setting(seed)
-        expected = eager_sweep(work_model, error_model, budgets, universe)
-        results = sweep_apriori(work_model, error_model, budgets, universe)
-        assert [result_bits(r) for r in results] == [result_bits(r) for r in expected]
+        setting = random_sweep_setting(seed)
+        assert list(map(digest, sweep_apriori(*setting))) == list(map(digest, eager_sweep(*setting)))
 
     def test_settings_cover_profit_classes_and_unordered_variables(self):
         classes = unordered = 0
         for seed in range(36):
-            work_model, error_model, budgets, universe = random_sweep_setting(seed)
-            top = sweep_apriori(work_model, error_model, budgets, universe)[-1]
-            profits = [entry.profit for entry in top.profits.values()]
+            error_model, budgets, d, gamma = random_sweep_setting(seed)
+            top = sweep_apriori(error_model, budgets, d, gamma)[-1]
+            listing = sorted(((-profit(m, error_model, gamma), m.sort_key()), m) for m in top)
+            profits = [key[0] for key, _ in listing]
             classes += len(profits) > len(set(profits))
             # A variable that enters after a later one.
             order = []
-            for m in top.profits:
+            for _, m in listing:
                 order += [j for j in m.beta.support if j not in order]
             unordered += order != sorted(order)
         assert classes >= 20 and unordered >= 3
 
 
-def random_threshold_setting(d, kind, seed):
-    """Random error and work models in dimension ``d``, with cost exponents
-    that differ per axis, and three budgets.  ``kind`` "box" adds a box
-    universe, and "exhausted" the same box with a fourth budget at its
-    whole work, so that the candidates run out."""
+def random_threshold_setting(d, seed):
+    """Random error models in dimension ``d``, a cost exponent that is not
+    a dyadic fraction in some settings (so that the work exponent's sum
+    depends on its order), and three budgets."""
     rng = random.Random(100 * d + seed)
     error_model = ErrorModel(
         r_fem=rng.choice((1.0, 2.0, 3.0)),
@@ -438,25 +419,18 @@ def random_threshold_setting(d, kind, seed):
                       for _ in range(rng.randint(0, 4 if d == 1 else 3))),
         c_e=rng.choice((0.5, 1.0, 2.5)),
     )
-    work_model = WorkModel(tuple(rng.choice((1.0, 1.5, 2.0)) for _ in range(d)), (1,) * d,
-                           c_w=rng.choice((1.0, 3.0)))
+    gamma = rng.choice((1.0, 1.4, 1.5, 2.0))
     budgets = [5**d * 4**t for t in sorted(rng.sample(range(5 if d == 1 else 4), 3))]
-    universe = None
-    if kind is not None:
-        universe = box_universe(d, *{1: (5, 3, 3), 3: (3, 2, 2)}[d])
-        if kind == "exhausted":
-            budgets.append(universe.nominal_work())
-    return work_model, error_model, budgets, universe
+    return error_model, budgets, d, gamma
 
 
-def threshold_oracle(work_model, error_model, budgets, candidates):
+def threshold_oracle(error_model, budgets, candidates, gamma=1.0):
     """Per budget, (members, eps, next_profit, DOF) of the longest prefix of
     whole profit classes whose DOF fits, over ``candidates`` by descending
     profit, with profits from the public model functions."""
     n_rates = len(error_model.g_tilde)
     rows = sorted(
-        ((-(error_contribution_model(m, error_model) / work_contribution(m, work_model)), m)
-         for m in candidates if m.beta.last_variable() <= n_rates),
+        ((-profit(m, error_model, gamma), m) for m in candidates if m.beta.last_variable() <= n_rates),
         key=lambda row: (row[0], row[1].sort_key()),
     )
     classes, profits = [], []
@@ -474,13 +448,13 @@ def threshold_oracle(work_model, error_model, budgets, candidates):
     return out
 
 
-def box_around(result, n_rates):
+def box_around(members, n_rates):
     """Every mixed index with each spatial level, and each level of
-    variables 1..n_rates, at most two above the highest in ``result``'s
-    set, and the box's outer face: the members at a top level."""
-    d = result.index_set.spatial_dim
-    top_alpha = [max(m.alpha[i] for m in result.index_set) + 2 for i in range(d)]
-    top_beta = [max(m.beta.level(j) for m in result.index_set) + 2 for j in range(1, n_rates + 1)]
+    variables 1..n_rates, at most two above the highest in ``members``,
+    and the box's outer face: the members at a top level."""
+    d = members[0].spatial_dim
+    top_alpha = [max(m.alpha[i] for m in members) + 2 for i in range(d)]
+    top_beta = [max(m.beta.level(j) for m in members) + 2 for j in range(1, n_rates + 1)]
     box, face = [], []
     for alpha in itertools.product(*(range(1, a + 1) for a in top_alpha)):
         for levels in itertools.product(*(range(1, b + 1) for b in top_beta)):
@@ -495,33 +469,58 @@ def box_around(result, n_rates):
 class TestThresholdOracle:
     """Every checkpoint is the class-prefix set of the candidates by
     descending profit (enumerated over a box that provably holds it), and
-    the unrestricted greedy sweep's checkpoint."""
+    the greedy sweep's checkpoint."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_checkpoints_are_threshold_sets(self, d, seed):
+        error_model, budgets, d, gamma = random_threshold_setting(d, seed)
+        sets = sweep_apriori(error_model, budgets, d, gamma)
+        candidates, face = box_around(sets[-1].members, len(error_model.g_tilde))
+        expected = threshold_oracle(error_model, budgets, candidates, gamma)
+        # Profits fall along every axis, so no candidate outside the box
+        # reaches the largest budget's next class.
+        assert all(profit(m, error_model, gamma) < expected[-1][2] for m in face)
+        for index_set, (members, eps, next_eps, spent) in zip(sets, expected):
+            assert set(index_set.members) == members
+            assert index_set.nominal_work() == spent
+            assert min(profit(m, error_model, gamma) for m in index_set) == eps
+            assert next_profit(index_set, error_model, gamma) == next_eps
+        eager = eager_sweep(error_model, budgets, d, gamma)
+        assert list(map(digest, sets)) == list(map(digest, eager))
+
+
+class TestWalk:
+    """``_walk`` lists exactly the candidates whose profit clears its cut,
+    each with the profit of the public model functions, bit for bit."""
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("kind", [None, "box", "exhausted"])
     @pytest.mark.parametrize("d", [1, 3])
-    def test_checkpoints_are_threshold_sets(self, d, kind, seed):
-        work_model, error_model, budgets, universe = random_threshold_setting(d, kind, seed)
-        results = sweep_apriori(work_model, error_model, budgets, universe)
-        if universe is None:
-            candidates, face = box_around(results[-1], len(error_model.g_tilde))
-            # Profits fall along every axis, so no candidate outside the
-            # box reaches the largest budget's next class.
-            assert all(error_contribution_model(m, error_model) / work_contribution(m, work_model)
-                       < results[-1].next_profit for m in face)
-        else:
-            candidates = universe.members
-        expected = threshold_oracle(work_model, error_model, budgets, candidates)
-        for result, (members, eps, next_profit, spent) in zip(results, expected):
-            assert set(result.index_set.members) == members
-            assert (result.eps, result.next_profit, result.dof_work_total) == (
-                eps, next_profit, spent)
-            profits = [entry.profit for entry in result.profits.values()]
-            assert profits == sorted(profits, reverse=True)
-        if kind == "exhausted":
-            assert results[-1].next_profit is None
-        eager = eager_sweep(work_model, error_model, budgets, universe)
-        assert [result_bits(r) for r in results] == [result_bits(r) for r in eager]
+    def test_rows_are_the_candidates_above_the_cut(self, d, seed):
+        error_model, budgets, d, gamma = random_threshold_setting(d, seed)
+        rows, cut = _walk(error_model, budgets[-1], d, gamma)
+        listed = {MixedIndex(alpha, SLV(items)): (-key, dof) for key, alpha, items, dof in rows}
+        assert len(listed) == len(rows)
+        for m, (p, dof) in listed.items():
+            assert p.hex() == profit(m, error_model, gamma).hex()
+            assert dof == dof_work(m)
+        box, face = box_around(list(listed), len(error_model.g_tilde))
+        assert all(profit(m, error_model, gamma) < cut for m in face)
+        assert set(listed) == {m for m in box if profit(m, error_model, gamma) >= cut}
+        # The cut lies below the class that takes the DOF past the budget.
+        assert sum(dof for _, dof in listed.values()) > budgets[-1]
+
+    def test_a_class_just_below_the_cut_is_left_out(self):
+        # Variable 2's first level lies 1.8e-9 in log profit below variable
+        # 1's, which crosses each budget: inside the walk's slack, yet
+        # below the cut.
+        error_model = ErrorModel(2.0, (1.0, 1.0 + 1.8e-9))
+        near = MixedIndex((1,), SLV({2: 2}))
+        for budget in (5, 9, 10, 12):
+            rows, cut = _walk(error_model, budget, 1, 1.0)
+            assert all(-key >= cut for key, *_ in rows)
+            assert near not in {MixedIndex(alpha, SLV(items)) for _, alpha, items, _ in rows}
+            assert cut * (1 - 3e-9) < profit(near, error_model) < cut
 
 
 class TestQuadratureWalk:
@@ -543,43 +542,41 @@ class TestQuadratureWalk:
         assert [terms[0] for terms in walked] == sorted((terms[0] for terms in walked), reverse=True)
 
 
+
 class TestBruteForce:
     def test_single_member_universe(self, field1, qoi1):
         universe = box_universe(1, 1, 1, 0)
-        result = build_set_bruteforce(universe, field1, qoi1, work_budget=5)
-        assert result.index_set.members == (root_index(1),)
-        root_entry = result.profits[root_index(1)]
-        assert root_entry.d_w == 5.0
-        assert root_entry.profit > 0
+        index_set = build_set_bruteforce(universe, field1, qoi1, work_budget=5)
+        assert index_set.members == (root_index(1),)
+        assert dof_work(root_index(1)) == 5
+        assert abs(MiscEvaluator(field1, qoi1).mixed_difference(root_index(1))) > 0
 
-    def test_profits_reproducible(self, field1, qoi1):
+    def test_sets_reproducible(self, field1, qoi1):
         universe = box_universe(1, 3, 2, 1)
         first = build_set_bruteforce(universe, field1, qoi1, work_budget=100)
         second = build_set_bruteforce(universe, field1, qoi1, work_budget=100)
-        assert {m: e.d_e for m, e in first.profits.items()} == {
-            m: e.d_e for m, e in second.profits.items()
-        }
+        assert first.to_json() == second.to_json()
 
     def test_budget_respected_and_closed(self, field1, qoi1):
         universe = box_universe(1, 4, 2, 2)
-        result = build_set_bruteforce(universe, field1, qoi1, work_budget=120)
-        assert result.dof_work_total <= 120
-        assert is_downward_closed(result.index_set.members)
+        index_set = build_set_bruteforce(universe, field1, qoi1, work_budget=120)
+        assert index_set.nominal_work() <= 120
+        assert is_downward_closed(index_set.members)
 
     def test_benchmark_ordering_at_matched_work(self, field1, qoi1):
         # Within a shared 45-member universe the exact-profit greedy beats
-        # (or ties) the model-driven set against the universe-limited truth.
+        # (or ties) the model-driven threshold set over the same universe
+        # against the universe-limited truth.
         universe = box_universe(1, 5, 3, 2)
         ev = MiscEvaluator(field1, qoi1)
         reference = ev.evaluate(universe).value
         samples = pilot_samples(field1, qoi1, 4, 3, ev)
         model = fit_rates(samples, 2.0)
-        for budget in (60, 100, 150):
+        budgets = (60, 100, 150)
+        for budget, (members, *_) in zip(budgets, threshold_oracle(model, budgets, universe.members)):
             bf = build_set_bruteforce(universe, field1, qoi1, work_budget=budget, evaluator=ev)
-            ap = build_set_apriori(isotropic_work_model(1), model,
-                                   work_budget=budget, universe=universe)
-            err_bf = abs(ev.evaluate(bf.index_set).value - reference)
-            err_ap = abs(ev.evaluate(ap.index_set).value - reference)
+            err_bf = abs(ev.evaluate(bf).value - reference)
+            err_ap = abs(ev.evaluate(IndexSet(members)).value - reference)
             assert err_bf <= err_ap
 
     def test_universe_cap(self, field1, qoi1):
@@ -590,19 +587,21 @@ class TestBruteForce:
             build_set_bruteforce(big, field1, qoi1, work_budget=100)
 
 
-def rescan_bruteforce(universe, profits, work_budget):
+def rescan_bruteforce(universe, evaluator, work_budget):
     """The brute-force greedy as first written, the reference for
-    ``build_set_bruteforce``: after every admission, rescan the whole
-    universe for members whose parents are all in and that fit the
-    budget, and admit the best.  Also says whether the best member with
-    all parents in was ever passed over for not fitting."""
+    ``build_set_bruteforce``: profits are |mixed difference| over DOF;
+    after every admission, rescan the whole universe for members whose
+    parents are all in and that fit the budget, and admit the best.  Also
+    says whether the best member with all parents in was ever passed
+    over for not fitting."""
+    profits = {m: abs(evaluator.mixed_difference(m)) / dof_work(m) for m in universe.members}
+
     def key(m):
-        return (-profits[m].profit, sum(m.alpha) + m.beta.excess(), m.alpha, m.beta.items())
+        return (-profits[m], sum(m.alpha) + m.beta.excess(), m.alpha, m.beta.items())
 
     root = root_index(universe.spatial_dim)
     closed = {root}
     spent = dof_work(root)
-    eps = profits[root].profit
     skipped = False
     while True:
         frontier = [m for m in universe.members
@@ -614,9 +613,9 @@ def rescan_bruteforce(universe, profits, work_budget):
         skipped |= best != min(frontier, key=key)
         closed.add(best)
         spent += dof_work(best)
-        eps = profits[best].profit
     index_set = IndexSet(closed)
-    return index_set, eps, index_set.nominal_work(), skipped
+    assert index_set.nominal_work() == spent
+    return index_set, skipped
 
 
 class SyntheticDifferences:
@@ -635,11 +634,10 @@ class TestBruteForceOracle:
     def check(self, universe, budgets, evaluator):
         skipped = 0
         for budget in budgets:
-            result = build_set_bruteforce(universe, None, None, budget, evaluator)
-            index_set, eps, work, passed_over = rescan_bruteforce(universe, result.profits, budget)
-            assert result.index_set == index_set
-            assert result.eps == eps
-            assert result.dof_work_total == work
+            index_set = build_set_bruteforce(universe, None, None, budget, evaluator)
+            expected, passed_over = rescan_bruteforce(universe, evaluator, budget)
+            assert index_set == expected
+            assert index_set.nominal_work() <= budget
             skipped += passed_over
         return skipped
 

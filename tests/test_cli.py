@@ -21,7 +21,7 @@ from miscpde.cli import (
     synthetic_fit_check,
     write_csv,
 )
-from miscpde.adaptation import ErrorModel, isotropic_work_model, sweep_apriori
+from miscpde.adaptation import ErrorModel, sweep_apriori
 from miscpde.misc_core import IndexSet, MiscEvaluator
 
 
@@ -199,7 +199,7 @@ class TestStudyEvaluationOrder:
         sets = list(study.sets)
         if reference is None:
             needed = [*budgets, 4.0 * budgets[-1]]
-            sets.append(sweep_apriori(isotropic_work_model(field_spec.d), model, needed)[-1].index_set)
+            sets.append(sweep_apriori(model, needed, field_spec.d)[-1])
         ascending = MiscEvaluator(field_spec, qoi_spec)
         values = [ascending.evaluate(index_set, mode="combination").value for index_set in sets]
         if reference is None:
@@ -397,7 +397,8 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "unknowns = 11" in out
 
-    @pytest.mark.parametrize("budgets", ["auto:x", "100,abc", "auto:0", "0,80", "-20,80"])
+    @pytest.mark.parametrize("budgets", ["auto:x", "100,abc", "auto:0", "0,80", "-20,80",
+                                         "autox", "auto6", "auto:"])
     def test_bad_budgets_exit_2(self, tmp_path, capsys, budgets):
         cfg = write_config(tmp_path / "b.cfg", BASE_1D.replace("20,80,320", budgets))
         assert self.run("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
@@ -448,6 +449,38 @@ class TestCommands:
         )
         assert self.run(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("c_e", ["0.0", "-1.0", "Infinity"])
+    def test_bad_model_constant_exits_2(self, tmp_path, capsys, command, c_e):
+        model = write_config(tmp_path / "model.json",
+                             f'{{"r_fem": 2.0, "c_e": {c_e}, "g_tilde": [1.0], "residual": 0.0}}')
+        cfg = write_config(
+            tmp_path / "m.cfg",
+            "problem.d = 1\nproblem.nu = 2.5\nproblem.max_modes = 12\n"
+            f"adaptivity.mode = apriori\nadaptivity.model_file = {model}\n"
+            "adaptivity.budgets = 20,80\nmimc.random_vars = 2\n",
+        )
+        out = tmp_path / "o"
+        assert self.run(command, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "c_e" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pilot", [
+        "adaptivity.pilot_modes = 9\n",
+        "adaptivity.pilot_modes = 0\n",
+        "adaptivity.pilot_depth = 1\n",
+    ], ids=["modes-beyond-max-modes", "modes-0", "depth-1"])
+    def test_bad_pilot_settings_exit_2(self, tmp_path, capsys, pilot):
+        cfg = write_config(tmp_path / "f.cfg",
+                           "problem.d = 1\nproblem.nu = 2.5\nproblem.max_modes = 8\n" + pilot)
+        out = tmp_path / "o"
+        assert self.run("fit", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "adaptivity.pilot_depth" in err[0]
+        assert not out.exists()
 
     def test_compare_command_seeded(self, tmp_path):
         out = tmp_path / "o"
