@@ -20,7 +20,7 @@ from .misc_core import (
     combination_coefficients,
     mimc_estimate,
 )
-from .pde_solver import DiscreteSolution, QoISpec, default_qoi_spec, qoi, solve, solve_qoi
+from .pde_solver import QoISpec, default_qoi_spec, solve_qoi
 from .quadrature import (
     SparseLevelVector,
     cc_points,

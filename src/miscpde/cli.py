@@ -37,6 +37,14 @@ COMPARE_COLUMNS = ("budget", "misc_work", "misc_error", "mimc_work", "mimc_error
 R_DET_TABLE_MAX_S = 6
 # Deepest isotropic level of the Monte Carlo baseline's hierarchy.
 MIMC_MAX_LEVEL = 12
+# Every key a config file may set: those of the README's config block.
+CONFIG_KEYS = frozenset({
+    "problem.d", "problem.nu", "problem.max_modes", "problem.sigma", "problem.x0", "solver.gamma",
+    "adaptivity.mode", "adaptivity.model_file", "adaptivity.budgets", "adaptivity.pilot_depth",
+    "adaptivity.pilot_modes", "adaptivity.r_fem", "adaptivity.universe_alpha",
+    "adaptivity.universe_beta", "adaptivity.universe_vars",
+    "output.reference", "output.reference_factor", "mimc.random_vars",
+})
 
 
 class ConfigError(ValueError):
@@ -69,9 +77,9 @@ def parse_config(path: str | Path) -> dict[str, str]:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     entries = parse_config_text(path.read_text())
-    if "adaptivity.frontier_width" in entries:
-        raise ConfigError("config key 'adaptivity.frontier_width' was removed: a-priori sets "
-                          "now range over every fitted variable; delete the key")
+    for key in entries:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}: unknown config key {key!r}")
     return entries
 
 
@@ -109,16 +117,6 @@ class Config:
             return float(raw)
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: expected number, got {raw!r}") from exc
-
-    def get_bool(self, key, default=False):
-        raw = self._get(key, default, False)
-        if isinstance(raw, bool):
-            return raw
-        if raw.lower() in ("true", "yes", "1"):
-            return True
-        if raw.lower() in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"config key {key!r}: expected boolean, got {raw!r}")
 
     def get_floats(self, key, default=None, required=False):
         raw = self._get(key, default, required)
@@ -283,25 +281,11 @@ def fit_driver(
     n_modes: int,
     depth: int,
     r_fem: float | None = None,
-    evaluator: MiscEvaluator | None = None,
 ) -> ErrorModel:
     r_fem = r_fem if r_fem is not None else default_r_fem(field_spec.nu, field_spec.d)
-    evaluator = evaluator or MiscEvaluator(field_spec, qoi_spec)
+    evaluator = MiscEvaluator(field_spec, qoi_spec)
     samples = adaptation.pilot_samples(field_spec, qoi_spec, n_modes, depth, evaluator)
     return adaptation.fit_rates(samples, r_fem)
-
-
-def synthetic_fit_check(n_modes: int = 6, depth: int = 3) -> float:
-    """Self-test: regenerate pilot data from a known model and re-fit it."""
-    truth = ErrorModel(r_fem=2.0, g_tilde=tuple(0.3 + 0.25 * j for j in range(n_modes)), c_e=1.7)
-    samples = []
-    for j in range(1, n_modes + 1):
-        for t in range(1, depth + 1):
-            index = misc_core.MixedIndex((1,), quadrature.SparseLevelVector({j: 1 + t}))
-            samples.append((index, adaptation.error_contribution_model(index, truth)))
-    fitted = adaptation.fit_rates(samples, truth.r_fem)
-    drift = max(abs(a - b) for a, b in zip(fitted.g_tilde, truth.g_tilde))
-    return max(drift, abs(fitted.c_e - truth.c_e), fitted.residual)
 
 
 @dataclass
@@ -479,21 +463,25 @@ def compare_driver(
     n_random_vars: int,
     seed: int,
     gamma: float = 1.0,
-    reference: float | None = None,
     threads: int = 1,  # kept only because perfbench/workloads.py passes threads=1
 ) -> CompareResult:
     """Paired convergence curves: collocation estimator vs the Monte Carlo baseline."""
-    study = study_driver(
-        field_spec, qoi_spec, budgets, mode="apriori", error_model=error_model,
-        gamma=gamma, reference=reference, threads=threads,
-    )
+    study = study_driver(field_spec, qoi_spec, budgets, mode="apriori", error_model=error_model,
+                         gamma=gamma, threads=threads)
+    return _with_mimc(study, field_spec, qoi_spec, error_model.r_fem, n_random_vars, seed, gamma)
+
+
+def _with_mimc(study: StudyResult, field_spec: FieldSpec, qoi_spec: QoISpec, r_fem: float,
+              n_random_vars: int, seed: int, gamma: float) -> CompareResult:
+    """The study's errors beside those of a Monte Carlo estimate at each of
+    its budgets, planned by ``mimc_plan``, with seed + i at the i-th budget."""
     rows = []
-    for i, (budget, record) in enumerate(zip(budgets, study.records)):
-        levels, counts = mimc_plan(budget, field_spec.d, error_model.r_fem, gamma)
+    for i, record in enumerate(study.records):
+        levels, counts = mimc_plan(record.budget, field_spec.d, r_fem, gamma)
         mimc = mimc_estimate(levels, counts, field_spec, qoi_spec, n_random_vars, seed + i)
-        _require_finite(mimc.value, f"Monte Carlo estimate at budget {budget}")
+        _require_finite(mimc.value, f"Monte Carlo estimate at budget {record.budget}")
         rows.append((
-            budget,
+            record.budget,
             record.work,
             record.abs_error,
             mimc.work,
@@ -583,10 +571,6 @@ def cmd_predict(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = Config(parse_config(args.config), Path(args.config).parent)
-    if cfg.get_bool("fit.synthetic", False):
-        residual = synthetic_fit_check()
-        print(f"synthetic self-test residual = {residual:.3e}")
-        return EXIT_OK if residual < 1e-8 else EXIT_NUMERICAL
     field_spec, qoi_spec, _ = problem_from_config(cfg)
     depth = cfg.get_int("adaptivity.pilot_depth", 3)
     n_modes = cfg.get_int("adaptivity.pilot_modes", 8)
@@ -687,13 +671,17 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = Config(parse_config(args.config), Path(args.config).parent)
-    field_spec, qoi_spec, gamma = problem_from_config(cfg)
-    error_model = load_model(cfg)
-    budgets = budgets_from_config(cfg, field_spec.d)
-    n_vars = cfg.get_int("mimc.random_vars", min(8, field_spec.max_modes))
-    result = compare_driver(
-        field_spec, qoi_spec, budgets, error_model, n_vars, seed=args.seed, gamma=gamma,
-    )
+    mode = cfg.get_str("adaptivity.mode", "apriori")
+    if mode != "apriori":
+        raise ConfigError(f"compare pairs the Monte Carlo baseline with the a-priori sets; "
+                          f"adaptivity.mode must be apriori, got {mode!r}")
+    max_modes = problem_from_config(cfg)[0].max_modes
+    n_vars = cfg.get_int("mimc.random_vars", min(8, max_modes))
+    if not 0 <= n_vars <= max_modes:
+        raise ConfigError(f"mimc.random_vars must be in 0..problem.max_modes = {max_modes}, "
+                          f"got {n_vars}")
+    study, field_spec, qoi_spec, gamma, error_model = _study_from_config(cfg, args)
+    result = _with_mimc(study, field_spec, qoi_spec, error_model.r_fem, n_vars, args.seed, gamma)
     out = Path(args.out) / "compare.csv"
     write_csv(out, COMPARE_COLUMNS, result.rows, footer={"reference": result.reference})
     for row in result.rows:

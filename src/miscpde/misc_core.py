@@ -77,24 +77,22 @@ def _parent_levels(alpha: tuple[int, ...], beta_items: tuple[tuple[int, int], ..
         yield j, (alpha, beta_items[:k] + lowered + beta_items[k + 1 :])
 
 
-def _parent_links(keys: Sequence, listed: bool = False) -> dict[int, tuple[list[int], list[int]]]:
+def _parent_links(keys: Sequence) -> dict[int, tuple[list[int], list[int]]]:
     """{direction: (parent positions, child positions)} over the sort keys
-    ``keys``, children ascending.  No keys, mixed spatial dimensions or a
-    missing parent raise ``IndexSetError``; when ``listed``, so do a
-    repeated key and a parent listed after its child."""
+    ``keys``, children ascending.  No keys, mixed spatial dimensions, a
+    repeated key or a parent missing before its child raise ``IndexSetError``."""
     dims = {len(alpha) for alpha, _ in keys}
     if len(dims) != 1:
         raise IndexSetError(f"members of one spatial dimension needed, got {sorted(dims)}")
-    position = {} if listed else {key: k for k, key in enumerate(keys)}
+    position = {}
     links: dict[int, tuple[list[int], list[int]]] = {}
     for k, key in enumerate(keys):
-        if listed and position.setdefault(key, k) != k:
+        if position.setdefault(key, k) != k:
             raise IndexSetError(f"{key} is listed twice")
         for direction, parent in _parent_levels(*key):
             p = position.get(parent)
             if p is None:
-                raise IndexSetError(f"{key} lacks its parent {parent}"
-                                    + (" before it" if listed else ""))
+                raise IndexSetError(f"{key} lacks its parent {parent} before it")
             parents, children = links.get(direction) or links.setdefault(direction, ([], []))
             parents.append(p)
             children.append(k)
@@ -103,7 +101,7 @@ def _parent_links(keys: Sequence, listed: bool = False) -> dict[int, tuple[list[
 
 def is_downward_closed(members: Iterable[MixedIndex]) -> bool:
     try:
-        _parent_links(list({m.sort_key() for m in members}))
+        IndexSet(members)
     except IndexSetError:
         return False
     return True
@@ -150,11 +148,18 @@ class IndexSet:
 
     def __init__(self, members: Iterable[MixedIndex]):
         members = sorted(set(members), key=MixedIndex.sort_key)
+        # Every parent is one level below its child, so listing by total
+        # level puts parents first; the stable sort keeps sort-key order
+        # within a level.
+        listing = sorted(members, key=lambda m: sum(m.alpha) + m.beta.excess())
+        self._set_up(listing, _parent_links([m.sort_key() for m in listing]), members)
+
+    def _set_up(self, listing: Sequence[MixedIndex], links: dict, members: Sequence[MixedIndex]):
+        """Members in sort-key order; ``links`` are the parent links between
+        positions of ``listing``, whose first len(members) entries are the members."""
         self._members = tuple(members)
-        self._member_set = frozenset(members)
-        # Parent links between positions of _listing, which starts with the members.
-        self._listing = self._members
-        self._links = _parent_links([m.sort_key() for m in members])
+        self._member_set = frozenset(self._members)
+        self._listing, self._links = listing, links
         self._coefficients: dict[MixedIndex, int] | None = None
 
     @classmethod
@@ -165,17 +170,14 @@ class IndexSet:
         links are the walk's links with a child position below n."""
         listing = tuple(listing)
         keys = [m.sort_key() for m in listing]
-        links = _parent_links(keys, listed=True)
+        links = _parent_links(keys)
         ranked = sorted(range(len(listing)), key=keys.__getitem__)
         sets = []
         for n in lengths:
             if not 1 <= n <= len(listing):
                 raise IndexSetError(f"no prefix of length {n} in a listing of {len(listing)}")
             index_set = cls.__new__(cls)
-            index_set._members = tuple(listing[k] for k in ranked if k < n)
-            index_set._member_set = frozenset(index_set._members)
-            index_set._listing, index_set._links = listing, links
-            index_set._coefficients = None
+            index_set._set_up(listing, links, [listing[k] for k in ranked if k < n])
             sets.append(index_set)
         return sets
 

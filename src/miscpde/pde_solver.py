@@ -21,7 +21,7 @@ value is bit-identical whatever the batch around it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Mapping, Sequence
 
@@ -131,18 +131,6 @@ def default_qoi_spec(d: int) -> QoISpec:
     if d == 3:
         return QoISpec(0.2, (0.3, 0.2, 0.6))
     raise ValueError(f"no default observation window for d = {d}")
-
-
-@dataclass(frozen=True)
-class DiscreteSolution:
-    """Nodal values over the interior tensor grid at refinement ``alpha``."""
-
-    alpha: tuple[int, ...]
-    values: np.ndarray = field(repr=False)
-
-    @property
-    def axes(self) -> tuple[np.ndarray, ...]:
-        return interior_axes(self.alpha)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -486,43 +474,6 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
                           f"{PCG_MAX_ITERATIONS} iterations", residual=worst)
     _check_backward_error(f"PCG solve at alpha = {alpha}", _apply(*full, u), u, norm_a)
     return u
-
-
-def solve(alpha: Sequence[int], y: Mapping[int, float], field_spec: FieldSpec) -> DiscreteSolution:
-    """Solve the unit-forcing Dirichlet problem at refinement ``alpha`` and parameters ``y``.
-
-    In 1-D the flux-form system is solved in closed form.  In higher
-    dimensions constant coefficients (y = 0) are solved by sine-transform
-    diagonalization and variable ones by conjugate gradients
-    preconditioned with the scaled sine-transform solve; both are
-    accepted only with normwise backward error
-    |1 - Au| / (|A| |u| + |1|) below 1e-10.
-    """
-    alpha = validate_alpha(alpha)
-    if len(alpha) != field_spec.d:
-        raise ValueError(f"alpha has {len(alpha)} components but the field is {field_spec.d}-dimensional")
-    modes = mode_ordering(field_spec)
-    row = _parameter_row(y, modes)
-    if len(alpha) == 1:
-        (level,), (h,) = alpha, mesh_sizes(alpha)
-        b, flux = _flux_form_1d(level, row, modes)
-        values = np.cumsum(h * (flux[0] - _midpoints(level)) * b[0])[:-1]
-        return DiscreteSolution(alpha, values)
-    if not row.any():
-        return DiscreteSolution(alpha, _solve_constant(alpha))
-    return DiscreteSolution(alpha, _solve_pcg(alpha, row, modes)[0].reshape(interior_counts(alpha)))
-
-
-def qoi(solution: DiscreteSolution, spec: QoISpec) -> float:
-    """Gaussian-window average of the solution by the tensor trapezoidal rule.
-
-    The solution extends by zero to the boundary, so interior nodes all
-    carry the plain product-h weight.
-    """
-    if len(solution.alpha) != spec.d:
-        raise ValueError(f"solution is {len(solution.alpha)}-dimensional but the window is {spec.d}-dimensional")
-    cell = math.prod(mesh_sizes(solution.alpha))
-    return float(spec.scale * cell * np.sum(solution.values * _window(solution.alpha, spec)))
 
 
 def solve_qoi(alpha, y, field_spec: FieldSpec, qoi_spec: QoISpec) -> float:

@@ -5,7 +5,7 @@ import pytest
 
 from miscpde import FieldSpec, default_qoi_spec
 from miscpde.misc_core import MiscEvaluator
-from miscpde.pde_solver import interior_axes, mesh_sizes
+from miscpde.pde_solver import _flux_form_1d, _midpoints, _window, interior_axes, mesh_sizes
 from miscpde.random_field import a_on_axes, mode_ordering
 
 
@@ -42,6 +42,34 @@ def oracle_coefficients():
 def shared_evaluator1(field1, qoi1):
     """One warm cache for tests that only read estimator values."""
     return MiscEvaluator(field1, qoi1)
+
+
+@pytest.fixture(scope="session")
+def field_1d():
+    """The 1-D discrete solution at one parameter row, from the closed
+    form's own b = 1/a and flux constant C: u = cumsum(h (C - x_m) b),
+    whose last entry is the boundary value u_{n+1} = 0."""
+
+    def build(level, row, field_spec):
+        (h,) = mesh_sizes((level,))
+        b, flux = _flux_form_1d(level, np.atleast_2d(row), mode_ordering(field_spec))
+        return np.cumsum(h * (flux[0] - _midpoints(level)) * b[0])[:-1]
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def window_average():
+    """The quantity of interest of nodal values on the interior grid: the
+    window-weighted tensor trapezoidal sum, every interior node carrying
+    the plain product-h weight, since the solution is 0 on the boundary."""
+
+    def average(alpha, values, spec):
+        window = _window(alpha, spec)
+        return float(spec.scale * math.prod(mesh_sizes(alpha))
+                     * np.sum(np.reshape(values, window.shape) * window))
+
+    return average
 
 
 @pytest.fixture(scope="session")

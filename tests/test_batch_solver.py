@@ -15,10 +15,8 @@ from miscpde.pde_solver import (
     _apply,
     _operator,
     _sine_solve,
-    DiscreteSolution,
+    _solve_pcg,
     SolverError,
-    qoi,
-    solve,
     solve_qoi,
     solve_qoi_batch,
     unknowns,
@@ -75,21 +73,22 @@ class TestBatchInvariance:
 
 class TestClosedForm:
     @pytest.mark.parametrize("level", [1, 2, 3, 4])
-    def test_qoi_matches_sparse_direct_solve(self, field1, qoi1, sparse_solution, level):
+    def test_qoi_matches_sparse_direct_solve(self, field1, qoi1, sparse_solution, window_average,
+                                             level):
         rng = np.random.default_rng(10 + level)
         rows = random_rows(rng, 4, field1.max_modes)
         batch = solve_qoi_batch((level,), rows, field1, qoi1)
         for row, value in zip(rows, batch):
             y = {j + 1: float(v) for j, v in enumerate(row)}
             dense = sparse_solution((level,), y, field1)
-            expected = qoi(DiscreteSolution((level,), dense), qoi1)
+            expected = window_average((level,), dense, qoi1)
             assert abs(value - expected) <= 1e-12 * abs(expected)
 
     @pytest.mark.parametrize("level", [1, 2, 3, 4])
-    def test_solution_matches_sparse_direct_solve(self, field1, sparse_solution, level):
-        rng = np.random.default_rng(20 + level)
-        y = {j + 1: float(v) for j, v in enumerate(rng.uniform(-1, 1, field1.max_modes))}
-        values = solve((level,), y, field1).values
+    def test_solution_matches_sparse_direct_solve(self, field1, sparse_solution, field_1d, level):
+        row = np.random.default_rng(20 + level).uniform(-1, 1, field1.max_modes)
+        y = {j + 1: float(v) for j, v in enumerate(row)}
+        values = field_1d(level, row, field1)
         dense = sparse_solution((level,), y, field1)
         assert values.shape == dense.shape
         assert np.abs(values - dense).max() <= 1e-12 * np.abs(dense).max()
@@ -102,7 +101,7 @@ class TestGuards:
         with pytest.raises(SolverError):
             solve_qoi_batch((3,), rows, field1, qoi1)
         with pytest.raises(SolverError):
-            solve((3,), {1: float(y1)}, field1)
+            solve_qoi((3,), {1: float(y1)}, field1, qoi1)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_error_names_the_row_within_the_batch(self, field1, qoi1, field3, qoi3, d):
@@ -152,15 +151,16 @@ class TestJacobiPCG:
         assert np.array_equal(whole, reversed_)
 
     @pytest.mark.parametrize("alpha", [(1, 1, 1), (2, 1, 1), (2, 1, 3), (1, 1, 6)])
-    def test_matches_sparse_direct_solve(self, field3, qoi3, sparse_solution, alpha):
+    def test_matches_sparse_direct_solve(self, field3, qoi3, sparse_solution, window_average,
+                                         alpha):
         rows = random_rows(np.random.default_rng(30), 3, field3.max_modes)
         batch = solve_qoi_batch(alpha, rows, field3, qoi3)
         for row, value in zip(rows, batch):
             y = {j + 1: float(v) for j, v in enumerate(row)}
-            values = solve(alpha, y, field3).values
-            dense = sparse_solution(alpha, y, field3).reshape(values.shape)
+            (values,) = _solve_pcg(alpha, row[None], mode_ordering(field3))
+            dense = sparse_solution(alpha, y, field3)
             assert np.abs(values - dense).max() <= 1e-10 * np.abs(dense).max()
-            expected = qoi(DiscreteSolution(alpha, dense), qoi3)
+            expected = window_average(alpha, dense, qoi3)
             assert abs(value - expected) <= 1e-10 * abs(expected)
 
     def test_zero_rows_take_the_constant_coefficient_value(self, field3, qoi3):
@@ -184,7 +184,7 @@ class TestJacobiPCG:
         with pytest.raises(SolverError):
             solve_qoi_batch((1, 1, 1), rows, field3, qoi3)
         with pytest.raises(SolverError):
-            solve((1, 1, 1), {1: float(y1)}, field3)
+            solve_qoi((1, 1, 1), {1: float(y1)}, field3, qoi3)
 
     def test_exhausted_iterations_raise_solver_error(self, field3, qoi3, monkeypatch):
         monkeypatch.setattr(pde_solver, "CG_RTOL", -1.0)  # no row ever converges
@@ -231,7 +231,7 @@ class TestSineTransformPreconditioner:
     """z = S L^-1 (S r): the a == 1 sine-transform solve with diagonal scaling."""
 
     @pytest.mark.parametrize("alpha", [(1, 1, 1), (2, 2, 2), (3, 3, 3), (1, 1, 6), (1, 1, 10)])
-    def test_iterations_per_row_do_not_grow_with_the_grid(self, field3, monkeypatch, alpha):
+    def test_iterations_per_row_do_not_grow_with_the_grid(self, field3, qoi3, monkeypatch, alpha):
         # Counts the applies of the stencil operator, which every CG
         # iteration makes once, whatever its preconditioner.
         matvecs = 0
@@ -247,12 +247,12 @@ class TestSineTransformPreconditioner:
         for _ in range(3):
             matvecs = 0
             y = {j + 1: float(v) for j, v in enumerate(rng.uniform(-1.0, 1.0, field3.max_modes))}
-            solve(alpha, y, field3)
+            solve_qoi(alpha, y, field3, qoi3)
             assert matvecs > 0
             # One more apply checks the backward error of the solution.
             assert matvecs - 1 <= 15
 
-    def test_broken_preconditioner_fails_within_a_fixed_count(self, field3, monkeypatch):
+    def test_broken_preconditioner_fails_within_a_fixed_count(self, field3, qoi3, monkeypatch):
         # Reversing the last axis of the spectral coefficients makes the
         # preconditioner non-symmetric, and CG stalls.  At alpha = (1,1,10),
         # N = 76,775, so a cap that grows with N would run for minutes.
@@ -277,7 +277,7 @@ class TestSineTransformPreconditioner:
         monkeypatch.setattr(pde_solver, "_sine_solve", reversed_lines)
         monkeypatch.setattr(pde_solver, "_apply", counting)
         with pytest.raises(SolverError, match="did not converge"):
-            solve(alpha, {j: 1.0 for j in range(1, field3.max_modes + 1)}, field3)
+            solve_qoi(alpha, {j: 1.0 for j in range(1, field3.max_modes + 1)}, field3, qoi3)
 
     @pytest.mark.parametrize("alpha", [(1, 1, 4), (3, 2, 1), (2, 2, 2)])
     def test_transform_row_independent_of_batch(self, alpha):

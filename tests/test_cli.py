@@ -18,7 +18,6 @@ from miscpde.cli import (
     predict_report,
     read_csv,
     study_driver,
-    synthetic_fit_check,
     write_csv,
 )
 from miscpde.adaptation import ErrorModel, sweep_apriori
@@ -50,10 +49,9 @@ class TestConfigParsing:
             parse_config_text("just words\n")
 
     def test_typed_getters(self):
-        cfg = Config({"k.i": "3", "k.f": "2.5", "k.b": "true", "k.l": "1,2.5"})
+        cfg = Config({"k.i": "3", "k.f": "2.5", "k.l": "1,2.5"})
         assert cfg.get_int("k.i") == 3
         assert cfg.get_float("k.f") == 2.5
-        assert cfg.get_bool("k.b") is True
         assert cfg.get_floats("k.l") == (1.0, 2.5)
         assert cfg.get_str("missing", "fallback") == "fallback"
 
@@ -63,6 +61,11 @@ class TestConfigParsing:
             cfg.get_int("k.x")
         with pytest.raises(ConfigError):
             cfg.get_float("nope", required=True)
+
+    def test_config_keys_are_those_of_the_readme(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert set(parse_config_text(block)) == cli.CONFIG_KEYS
 
     def test_missing_file_reference(self, tmp_path):
         cfg = Config({"adaptivity.model_file": "absent.json"}, base_dir=tmp_path)
@@ -111,9 +114,6 @@ class TestSmallDrivers:
         rates = report["rates"]
         assert rates["theory"] == 0.5
         assert rates["theory"] <= rates["square"] <= rates["improved"]
-
-    def test_synthetic_fit_self_test(self):
-        assert synthetic_fit_check() < 1e-8
 
     def test_fitted_slope(self):
         works = [10, 100, 1000]
@@ -274,7 +274,18 @@ class TestCommands:
         assert self.run(command, "--config", str(cfg), "--out", str(out)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
-        assert "'adaptivity.frontier_width' was removed" in err[0]
+        assert "unknown config key 'adaptivity.frontier_width'" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "fit", "run", "compare", "solve"])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "k.cfg", BASE_1D.replace("adaptivity.budgets = 20,80,320",
+                                                               "adaptivity.budget = 80"))
+        out = tmp_path / "o"
+        assert self.run(command, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "unknown config key 'adaptivity.budget'" in err[0]
         assert not out.exists()
 
     def test_unknown_mode_exits_2(self, tmp_path, capsys):
@@ -386,10 +397,6 @@ class TestCommands:
         assert self.run("fit", "--config", str(cfg), "--out", str(out2)) == 0
         assert (out1 / "model.json").read_bytes() == (out2 / "model.json").read_bytes()
 
-    def test_fit_synthetic_mode(self, tmp_path):
-        cfg = write_config(tmp_path / "syn.cfg", "fit.synthetic = true\n")
-        assert self.run("fit", "--config", str(cfg), "--out", str(tmp_path)) == 0
-
     def test_solve_command(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "s.cfg", "problem.d = 1\nproblem.nu = 2.5\n")
         assert self.run("solve", "--config", str(cfg), "--alpha", "2",
@@ -480,6 +487,59 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         assert "adaptivity.pilot_depth" in err[0]
+        assert not out.exists()
+
+    def compare_config(self, tmp_path, extra="", mode="apriori"):
+        """A 1-D compare config with a two-variable model: 20, 80 and 320 budgets."""
+        model = tmp_path / "model.json"
+        model.write_text(ErrorModel(r_fem=2.0, g_tilde=(1.0, 1.5)).to_json())
+        return write_config(tmp_path / "c.cfg", BASE_1D.replace("deterministic", mode)
+                            + f"adaptivity.model_file = {model}\n" + extra)
+
+    def test_compare_reports_a_literal_reference(self, tmp_path):
+        cfg = self.compare_config(tmp_path, "output.reference = 1.5\n")
+        out = tmp_path / "o"
+        assert self.run("compare", "--config", str(cfg), "--out", str(out)) == 0
+        assert self.run("run", "--config", str(cfg), "--out", str(out)) == 0
+        _, rows, footer = read_csv(out / "compare.csv")
+        header, runs, _ = read_csv(out / "runs.csv")
+        assert float(footer["reference"]) == 1.5
+        errors = [row[header.index("abs_error")] for row in runs]
+        assert [row[cli.COMPARE_COLUMNS.index("misc_error")] for row in rows] == errors
+
+    def test_compare_honours_the_reference_factor(self, tmp_path):
+        default = self.compare_config(tmp_path)
+        cfg = write_config(tmp_path / "x16.cfg", default.read_text() + "output.reference_factor = 16\n")
+        references = []
+        for command, config, name in (("run", cfg, "runs.csv"), ("compare", cfg, "compare.csv"),
+                                      ("compare", default, "compare.csv")):
+            out = tmp_path / f"{command}-{config.stem}"
+            assert self.run(command, "--config", str(config), "--out", str(out)) == 0
+            references.append(read_csv(out / name)[2]["reference"])
+        assert references[0] == references[1] != references[2]
+
+    @pytest.mark.parametrize("mode", ["deterministic", "bruteforce"])
+    def test_compare_needs_apriori_mode(self, tmp_path, capsys, mode):
+        cfg = self.compare_config(tmp_path, mode=mode)
+        out = tmp_path / "o"
+        assert self.run("compare", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "adaptivity.mode must be apriori" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_vars", ["-1", "9"])
+    def test_compare_refuses_random_vars_outside_the_modes(self, tmp_path, capsys, monkeypatch,
+                                                            n_vars):
+        def no_solves(*args):
+            raise AssertionError("solved before the config was checked")
+
+        monkeypatch.setattr(cli.pde_solver, "solve_qoi_batch", no_solves)
+        cfg = self.compare_config(tmp_path, f"mimc.random_vars = {n_vars}\n")
+        cfg.write_text(cfg.read_text().replace("problem.max_modes = 12", "problem.max_modes = 8"))
+        out = tmp_path / "o"
+        assert self.run("compare", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "mimc.random_vars" in err[0]
         assert not out.exists()
 
     def test_compare_command_seeded(self, tmp_path):

@@ -12,16 +12,15 @@ from scipy.integrate import quad
 
 from miscpde import cli, pde_solver
 from miscpde.pde_solver import (
-    DiscreteSolution,
     QoISpec,
     SolverError,
     _parameter_row,
+    _solve_constant,
     _solve_pcg,
     default_qoi_spec,
+    interior_axes,
     interior_counts,
     mesh_sizes,
-    qoi,
-    solve,
     solve_qoi,
     unknowns,
 )
@@ -47,29 +46,30 @@ class TestGrid:
         with pytest.raises(ValueError):
             mesh_sizes((0,))
         with pytest.raises(ValueError):
-            solve((1, 1), {}, FieldSpec(d=1, nu=2.5, max_modes=2))
+            solve_qoi((1, 1), {}, FieldSpec(d=1, nu=2.5, max_modes=2), default_qoi_spec(1))
 
 
 class TestSolve:
-    def test_constant_coefficient_exact_1d(self, field1):
+    def test_constant_coefficient_exact_1d(self, field1, field_1d):
         # Centered differences reproduce the quadratic x(1-x)/2 exactly.
-        for alpha in ((1,), (3,)):
-            sol = solve(alpha, {}, field1)
-            x = sol.axes[0]
-            assert np.abs(sol.values - x * (1 - x) / 2).max() < 1e-12
+        for level in (1, 3):
+            x = interior_axes((level,))[0]
+            assert np.abs(field_1d(level, np.zeros(0), field1) - x * (1 - x) / 2).max() < 1e-12
 
     def test_constant_coefficient_3d_vs_dense(self, field3, assembled_operator):
-        sol = solve((1, 1, 1), {}, field3)
+        u = _solve_constant((1, 1, 1))
+        assert u.shape == (5, 5, 5)
         matrix = assembled_operator((1, 1, 1), {}, field3)
         dense = np.linalg.solve(matrix.toarray(), np.ones(125))
-        assert np.abs(sol.values.ravel() - dense).max() < 1e-12
+        assert np.abs(u.ravel() - dense).max() < 1e-12
 
     def test_variable_coefficient_3d_vs_dense(self, field3, assembled_operator):
         y = {1: 0.7, 2: -0.4}
-        sol = solve((1, 1, 1), y, field3)
+        modes = mode_ordering(field3)
+        (u,) = _solve_pcg((1, 1, 1), _parameter_row(y, modes), modes)
         matrix = assembled_operator((1, 1, 1), y, field3)
         dense = np.linalg.solve(matrix.toarray(), np.ones(125))
-        assert np.abs(sol.values.ravel() - dense).max() < 1e-10
+        assert np.abs(u - dense).max() < 1e-10
 
     def test_self_convergence_3d(self, field3):
         reference = solve_qoi((4, 4, 4), {}, field3, default_qoi_spec(3))
@@ -77,19 +77,19 @@ class TestSolve:
         e2 = abs(solve_qoi((2, 2, 2), {}, field3, default_qoi_spec(3)) - reference)
         assert 3.0 < e1 / e2 < 5.5
 
-    def test_field_reciprocal_symmetry(self, field1):
+    def test_field_reciprocal_symmetry(self, field1, field_1d):
         modes = mode_ordering(field1)
         y = {1: 0.8, 3: -0.5}
         neg = {j: -v for j, v in y.items()}
         axes = [np.linspace(0.05, 0.95, 7)]
         assert np.allclose(a_on_axes(axes, y, modes) * a_on_axes(axes, neg, modes), 1.0)
-        assert not np.allclose(solve((2,), y, field1).values, solve((2,), neg, field1).values)
+        assert not np.allclose(field_1d(2, _parameter_row(y, modes), field1),
+                               field_1d(2, _parameter_row(neg, modes), field1))
 
-    def test_discrete_maximum_principle(self, field1):
+    def test_discrete_maximum_principle(self, field1, field_1d):
         rng = np.random.default_rng(7)
         for _ in range(5):
-            y = {j + 1: float(v) for j, v in enumerate(rng.uniform(-1, 1, 6))}
-            assert solve((3,), y, field1).values.min() >= 0.0
+            assert field_1d(3, rng.uniform(-1, 1, 6), field1).min() >= 0.0
 
     def test_anisotropic_refinement(self, field3):
         # Field varying only in x1: its error responds to alpha_1 at second
@@ -124,8 +124,9 @@ class TestSolve:
     def test_anisotropic_variable_coefficient_solves(self, field3, alpha):
         # 1535 and 3071 nodes on the finest axis; the preconditioned
         # iteration count does not grow with them.
-        u = solve(alpha, {1: 0.5}, field3).values
-        assert u.shape == interior_counts(alpha)
+        modes = mode_ordering(field3)
+        u = _solve_pcg(alpha, _parameter_row({1: 0.5}, modes), modes)
+        assert u.shape == (1, unknowns(alpha))
         assert u.min() > 0.0
 
 
@@ -136,10 +137,6 @@ class TestQoI:
         )
         value, _ = quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13)
         return value
-
-    def test_zero_solution(self, field1):
-        sol = DiscreteSolution((2,), np.zeros(interior_counts((2,))))
-        assert qoi(sol, default_qoi_spec(1)) == 0.0
 
     def test_converges_to_reference_integral(self, field1):
         spec = default_qoi_spec(1)
@@ -163,11 +160,6 @@ class TestQoI:
             QoISpec(x0=(1.5,))
         with pytest.raises(ValueError):
             default_qoi_spec(2)
-
-    def test_dimension_mismatch(self, field1):
-        sol = solve((1,), {}, field1)
-        with pytest.raises(ValueError):
-            qoi(sol, default_qoi_spec(3))
 
 
 class TestDeterminism:
@@ -300,14 +292,13 @@ class TestSineTransformResidual:
                             lambda x, counts: 1.001 * transform(x, counts))
 
     @pytest.mark.parametrize("alpha", [(2, 1, 3), (1, 1, 10)])
-    def test_accepted_solve_meets_the_contract(self, field3, alpha):
+    def test_accepted_solve_meets_the_contract(self, alpha):
         # (1, 1, 10) is where rounding alone takes |1 - Au| / |1| past 1e-10.
-        u = solve(alpha, {}, field3).values
-        assert u.shape == interior_counts(alpha)
+        assert _solve_constant(alpha).shape == interior_counts(alpha)
 
-    def test_corrupted_transform_raises(self, field3, corrupted_transform):
+    def test_corrupted_transform_raises(self, field3, qoi3, corrupted_transform):
         with pytest.raises(SolverError) as info:
-            solve((1, 1, 1), {}, field3)
+            solve_qoi((1, 1, 1), {}, field3, qoi3)
         assert info.value.residual > pde_solver.RESIDUAL_TOL
 
     def test_corrupted_transform_exits_3(self, corrupted_transform, tmp_path):
