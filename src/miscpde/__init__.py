@@ -5,8 +5,8 @@ and analytic convergence-rate predictors."""
 
 from .adaptation import (
     ErrorModel,
+    build_set_adaptive,
     build_set_apriori,
-    build_set_bruteforce,
     error_contribution_model,
     fit_rates,
     sweep_apriori,

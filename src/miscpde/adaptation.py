@@ -14,9 +14,9 @@ The profit is then a product of one factor per coordinate, each below
 a walk over the coordinates lists it directly (``sweep_apriori``).  The
 set of a work budget is the longest run of whole profit classes, best
 first, whose exact degrees of freedom fit; the sets of all the budgets
-of a study are prefixes of one listing.  The brute-force benchmark
-computes the true difference magnitudes over a small universe instead;
-it is the only builder that takes a universe.
+of a study are prefixes of one listing.  The dimension-adaptive builder
+(``build_set_adaptive``) admits by measured difference magnitudes
+instead, growing its candidates from the admitted members.
 """
 
 from __future__ import annotations
@@ -251,69 +251,55 @@ def _quadrature_walk(error_model: ErrorModel, floor: float):
     return sorted(found, key=lambda terms: -terms[0])
 
 
-BRUTE_FORCE_CAP = 500
-
-
-def build_set_bruteforce(
-    universe: IndexSet,
+def build_set_adaptive(
     field_spec: FieldSpec,
     qoi_spec: QoISpec,
     work_budget: float,
     evaluator: MiscEvaluator | None = None,
 ) -> IndexSet:
-    """Benchmark construction from exact difference magnitudes.
+    """Dimension-adaptive construction from measured difference magnitudes
+    (Gerstner & Griebel, Computing 71, 2003).
 
-    Every universe member is evaluated once (the universe must be small:
-    at most 500 members), profits are the actual |mixed difference| per
-    degree of freedom, and selection is greedy by profit within the work
-    budget.  A member becomes a candidate once all its parents are in,
-    so the set is downward closed by construction.  The best candidate
-    is admitted if it fits the budget and dropped for good if it does
-    not, since the work spent only grows; the greedy then goes on with
-    the next best.
+    The margin holds the candidates whose parents are all in: the forward
+    neighbours of each admitted member along every spatial axis and along
+    variables 1..min(max_modes, J + 1), J the largest admitted variable,
+    so a new variable enters as root + e_(J + 1).  A candidate is measured
+    once, by ``evaluator.mixed_difference``, when it joins the margin, and
+    only if its DOF still fit the budget.  The best |difference| per DOF is
+    admitted, ties broken by total level, alpha and beta items; one that no
+    longer fits is dropped for good, since the work spent only grows.
     """
-    if len(universe) > BRUTE_FORCE_CAP:
-        raise ValueError(f"universe has {len(universe)} members, cap is {BRUTE_FORCE_CAP}")
-    root = root_index(universe.spatial_dim)
+    root = root_index(field_spec.d)
     if dof_work(root) > work_budget:
         raise BudgetError(f"budget {work_budget} cannot hold the root index")
     evaluator = evaluator or MiscEvaluator(field_spec, qoi_spec)
-    profits = {m: abs(evaluator.mixed_difference(m)) / float(dof_work(m)) for m in universe.members}
-    waiting: dict[MixedIndex, int] = {}            # member -> parents not in yet
-    children: dict[MixedIndex, list[MixedIndex]] = {}
-    for m in universe.members:
-        parents = list(m.parents())
-        waiting[m] = len(parents)
-        for parent in parents:
-            children.setdefault(parent, []).append(m)
+    admitted: set[MixedIndex] = set()
+    heap: list = []
+    spent = last = 0
 
-    def candidate(m: MixedIndex):
-        return (-profits[m], sum(m.alpha) + m.beta.excess(), m.alpha, m.beta.items(), m)
+    def offer(m: MixedIndex):
+        if spent + dof_work(m) <= work_budget and all(p in admitted for p in m.parents()):
+            profit = abs(evaluator.mixed_difference(m)) / float(dof_work(m))
+            heapq.heappush(heap, (-profit, sum(m.alpha) + m.beta.excess(), m.alpha,
+                                  m.beta.items(), m))
 
-    heap = [candidate(root)]
-    admitted = []
-    spent = 0
+    offer(root)
     while heap:
         *_, best = heapq.heappop(heap)
         if spent + dof_work(best) > work_budget:
             continue
-        admitted.append(best)
+        admitted.add(best)
         spent += dof_work(best)
-        for child in children.get(best, ()):
-            waiting[child] -= 1
-            if not waiting[child]:
-                heapq.heappush(heap, candidate(child))
+        if best.beta.last_variable() > last:   # best is root + e_(last + 1)
+            last += 1
+            if last < field_spec.max_modes:
+                offer(MixedIndex(root.alpha, SparseLevelVector({last + 1: 2})))
+        for i, a in enumerate(best.alpha):
+            offer(MixedIndex(best.alpha[:i] + (a + 1,) + best.alpha[i + 1:], best.beta))
+        levels = best.beta.as_dict()
+        for j in range(1, min(field_spec.max_modes, last + 1) + 1):
+            offer(MixedIndex(best.alpha, SparseLevelVector({**levels, j: levels.get(j, 1) + 1})))
     return IndexSet(admitted)
-
-
-def box_universe(spatial_dim: int, max_alpha: int, max_beta: int, n_vars: int) -> IndexSet:
-    """Small rectangular universe for brute-force benchmarking."""
-    members = []
-    for alpha in itertools.product(range(1, max_alpha + 1), repeat=spatial_dim):
-        for levels in itertools.product(range(1, max_beta + 1), repeat=n_vars):
-            beta = SparseLevelVector({j + 1: b for j, b in enumerate(levels)})
-            members.append(MixedIndex(alpha, beta))
-    return IndexSet(members)
 
 
 def fit_rates(samples: Iterable[tuple[MixedIndex, float]], r_fem: float) -> ErrorModel:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -41,9 +42,8 @@ MIMC_MAX_LEVEL = 12
 CONFIG_KEYS = frozenset({
     "problem.d", "problem.nu", "problem.max_modes", "problem.sigma", "problem.x0", "solver.gamma",
     "adaptivity.mode", "adaptivity.model_file", "adaptivity.budgets", "adaptivity.pilot_depth",
-    "adaptivity.pilot_modes", "adaptivity.r_fem", "adaptivity.universe_alpha",
-    "adaptivity.universe_beta", "adaptivity.universe_vars",
-    "output.reference", "output.reference_factor", "mimc.random_vars",
+    "adaptivity.pilot_modes", "adaptivity.r_fem", "output.reference", "output.reference_factor",
+    "mimc.random_vars",
 })
 
 
@@ -67,8 +67,10 @@ def parse_config_text(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in entries:
+            raise ConfigError(f"line {lineno}: config key {key!r} is set twice")
+        entries[key] = value
     return entries
 
 
@@ -319,7 +321,7 @@ def _study_model(mode: str, field_spec: FieldSpec, error_model: ErrorModel | Non
 
     A-priori mode needs the fitted ``error_model``.  Deterministic mode
     uses the spatial rate alone: ``r_fem`` if given, else that of
-    ``error_model``, else the default.  Brute-force mode needs none.
+    ``error_model``, else the default.  Adaptive mode needs none.
     """
     if mode == "apriori":
         if error_model is None:
@@ -332,7 +334,7 @@ def _study_model(mode: str, field_spec: FieldSpec, error_model: ErrorModel | Non
             return ErrorModel(r_fem=r_fem, g_tilde=())
         except ValueError as exc:
             raise ConfigError(f"deterministic mode: {exc}") from exc
-    if mode == "bruteforce":
+    if mode == "adaptive":
         return None
     raise ConfigError(f"unknown adaptivity mode {mode!r}")
 
@@ -358,7 +360,6 @@ def study_driver(
     mode: str = "apriori",
     error_model: ErrorModel | None = None,
     gamma: float = 1.0,
-    universe: IndexSet | None = None,
     reference: float | None = None,
     reference_factor: float = 4.0,
     threads: int = 1,  # kept only because perfbench/workloads.py passes threads=1
@@ -369,7 +370,9 @@ def study_driver(
     explicit reference value, a set at ``reference_factor`` times the
     largest budget provides it.  In the a-priori modes one listing of
     the candidates by profit, down to the largest budget needed, yields
-    every set (``adaptation.sweep_apriori``).  One evaluator
+    every set (``adaptation.sweep_apriori``); adaptive mode builds each
+    set on its own, measuring on the study's evaluator, so the evaluator's
+    ``solved_dof`` counts the margin's solves too.  One evaluator
     evaluates them largest first (the reference set, then the budgets in
     descending order), so the largest set solves nearly every point in a
     few large batches and the others reuse them.  No value depends on
@@ -379,15 +382,13 @@ def study_driver(
         raise ValueError(f"the evaluator is single-threaded; threads must be 1, got {threads}")
     budgets = check_budgets(budgets)
     error_model = _study_model(mode, field_spec, error_model)
-    if mode == "bruteforce" and universe is None:
-        raise ConfigError("brute-force mode needs a universe index set")
     evaluator = MiscEvaluator(field_spec, qoi_spec)
 
     reference_budget = reference_factor * budgets[-1]
     needed = sorted(set(budgets) | ({reference_budget} if reference is None else set()))
-    if mode == "bruteforce":
-        built = {budget: adaptation.build_set_bruteforce(
-            universe, field_spec, qoi_spec, budget, evaluator) for budget in needed}
+    if mode == "adaptive":
+        built = {budget: adaptation.build_set_adaptive(field_spec, qoi_spec, budget, evaluator)
+                 for budget in needed}
     else:
         built = dict(zip(needed, adaptation.sweep_apriori(error_model, needed, field_spec.d, gamma)))
 
@@ -424,34 +425,43 @@ class CompareResult:
 
 def mimc_plan(budget: float, d: int, r_fem: float,
               gamma: float = 1.0) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Fixed level hierarchy and sample allocation for the Monte Carlo baseline.
+    """Fixed level set and sample allocation for the Monte Carlo baseline.
 
-    Isotropic levels 1..L with the usual variance/cost balance
-    M_l ~ sqrt(V_l / c_l); L is the deepest level whose per-sample cost
-    stays within a quarter of the budget.  A sample costs
+    The total-degree levels |alpha - 1| <= L - 1 (Haji-Ali, Nobile &
+    Tempone, Numer. Math. 2016), by degree and then alpha.  The set is
+    downward closed, so the sum of its mixed differences is the
+    combination-technique value over it, which converges to the exact
+    value as L grows; in 1-D it telescopes to level L.  Samples follow
+    the usual variance/cost balance M_alpha ~ 2^(-r_fem |alpha - 1|) /
+    sqrt(c_alpha).  L is the deepest degree whose per-sample costs all
+    stay within a quarter of the budget.  A sample costs
     sum(unknowns ** gamma) over the level's corners, with the cost
     exponent gamma of ``adaptation.work_contribution``.
     """
     levels: list[tuple[int, ...]] = []
     costs: list[float] = []
-    for level in range(1, MIMC_MAX_LEVEL + 1):
-        alpha = (level,) * d
-        cost = sum(pde_solver.unknowns(a) ** gamma for _, a in misc_core.corners(alpha))
-        if cost > budget / 4.0 and levels:
+    degrees: list[int] = []       # |alpha - 1| of each level
+    for degree in range(MIMC_MAX_LEVEL):
+        layer = [alpha for alpha in itertools.product(range(1, degree + 2), repeat=d)
+                 if sum(alpha) == degree + d]
+        layer_costs = [sum(pde_solver.unknowns(a) ** gamma for _, a in misc_core.corners(alpha))
+                       for alpha in layer]
+        if max(layer_costs) > budget / 4.0 and levels:
             break
-        levels.append(alpha)
-        costs.append(cost)
-    while len(levels) > 1:
-        weights = [2.0 ** (-r_fem * ell) / math.sqrt(c) for ell, c in enumerate(costs)]
+        levels += layer
+        costs += layer_costs
+        degrees += [degree] * len(layer)
+    while degrees[-1] > 0:
+        weights = [2.0 ** (-r_fem * ell) / math.sqrt(c) for ell, c in zip(degrees, costs)]
         norm = sum(w * c for w, c in zip(weights, costs))
         counts = [int(budget * w / norm) for w in weights]
-        if counts[-1] >= 1:
+        deepest = degrees.index(degrees[-1])
+        if min(counts[deepest:]) >= 1:
             break
-        # The deepest level would get no whole sample: cut it rather than
-        # force samples beyond the budget.
-        levels.pop()
-        costs.pop()
-    counts = [max(1, c) for c in counts] if len(levels) > 1 else [max(1, int(budget / costs[0]))]
+        # A level of the deepest degree would get no whole sample: cut the
+        # degree rather than force samples beyond the budget.
+        del levels[deepest:], costs[deepest:], degrees[deepest:]
+    counts = [max(1, c) for c in counts] if degrees[-1] > 0 else [max(1, int(budget / costs[0]))]
     return levels, counts
 
 
@@ -495,16 +505,13 @@ def _with_mimc(study: StudyResult, field_spec: FieldSpec, qoi_spec: QoISpec, r_f
 
 
 def reference_fingerprint(field_spec: FieldSpec, qoi_spec: QoISpec, gamma: float,
-                          mode: str, budget: float, model: ErrorModel | None,
-                          universe: IndexSet | None = None) -> str:
+                          mode: str, budget: float, model: ErrorModel | None) -> str:
     payload = {
         "d": field_spec.d, "nu": field_spec.nu, "max_modes": field_spec.max_modes,
         "sigma": qoi_spec.sigma, "x0": list(qoi_spec.x0), "gamma": gamma,
         "mode": mode, "budget": budget,
         "model": model.to_json() if model else None,
     }
-    if universe is not None:
-        payload["universe"] = [m.sort_key() for m in universe]
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
@@ -590,25 +597,6 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def universe_from_config(cfg: Config, field_spec: FieldSpec) -> IndexSet:
-    """The brute-force universe: spatial levels up to ``universe_alpha`` in
-    every dimension, quadrature levels up to ``universe_beta`` in each of
-    the first ``universe_vars`` variables."""
-    max_alpha = cfg.get_int("adaptivity.universe_alpha", 3)
-    max_beta = cfg.get_int("adaptivity.universe_beta", 2)
-    n_vars = cfg.get_int("adaptivity.universe_vars", 2)
-    if max_alpha < 1 or max_beta < 1 or not 0 <= n_vars <= field_spec.max_modes:
-        raise ConfigError(
-            "adaptivity.universe_alpha and universe_beta must be >= 1 and universe_vars "
-            f"in 0..problem.max_modes = {field_spec.max_modes}, "
-            f"got {max_alpha}, {max_beta} and {n_vars}")
-    size = max_alpha**field_spec.d * max_beta**n_vars
-    if size > adaptation.BRUTE_FORCE_CAP:
-        raise ConfigError(f"the brute-force universe has {size} members, "
-                          f"the cap is {adaptation.BRUTE_FORCE_CAP}")
-    return adaptation.box_universe(field_spec.d, max_alpha, max_beta, n_vars)
-
-
 def reference_factor_from_config(cfg: Config) -> float:
     """The reference set's budget over the largest study budget."""
     factor = cfg.get_float("output.reference_factor", 4.0)
@@ -625,13 +613,12 @@ def _study_from_config(cfg: Config, args):
     reference_factor = reference_factor_from_config(cfg)
     error_model = _study_model(mode, field_spec, load_model(cfg) if mode == "apriori" else None,
                                cfg.get_float("adaptivity.r_fem"))
-    universe = universe_from_config(cfg, field_spec) if mode == "bruteforce" else None
 
     reference = None
     ref_raw = cfg.get_str("output.reference", "auto")
     ref_path = Path(args.out) / "reference.json"
     fingerprint = reference_fingerprint(
-        field_spec, qoi_spec, gamma, mode, budgets[-1] * reference_factor, error_model, universe,
+        field_spec, qoi_spec, gamma, mode, budgets[-1] * reference_factor, error_model,
     )
     if ref_raw != "auto":
         try:
@@ -643,8 +630,7 @@ def _study_from_config(cfg: Config, args):
 
     study = study_driver(
         field_spec, qoi_spec, budgets, mode=mode, error_model=error_model, gamma=gamma,
-        universe=universe, reference=reference,
-        reference_factor=reference_factor,
+        reference=reference, reference_factor=reference_factor,
     )
     if ref_raw == "auto":
         store_reference(ref_path, fingerprint, study.reference)
@@ -660,11 +646,13 @@ def cmd_run(args) -> int:
         set_path.parent.mkdir(parents=True, exist_ok=True)
         set_path.write_text(index_set.to_json())
     write_csv(out_dir / "runs.csv", RUN_COLUMNS, [r.row() for r in study.records],
-              footer={"fitted_slope": study.slope, "reference": study.reference})
+              footer={"fitted_slope": study.slope, "reference": study.reference,
+                      "solved_dof": study.evaluator.solved_dof})
     for record in study.records:
         print(f"budget {record.budget:>12.0f}  work {record.work:>10d}  "
               f"error {record.abs_error:.6e}")
     print(f"fitted log-log slope: {study.slope:.4f}")
+    print(f"solved DOF: {study.evaluator.solved_dof}")
     print(f"wrote {out_dir / 'runs.csv'}")
     return EXIT_OK
 

@@ -13,9 +13,8 @@ from miscpde.adaptation import (
     RateFitError,
     _quadrature_walk,
     _walk,
-    box_universe,
+    build_set_adaptive,
     build_set_apriori,
-    build_set_bruteforce,
     error_contribution_model,
     fit_rates,
     pilot_level,
@@ -32,6 +31,7 @@ from miscpde.misc_core import (
     root_index,
 )
 from miscpde.quadrature import QuadratureLevelError, SparseLevelVector, level_to_nodes
+from miscpde.random_field import FieldSpec
 
 SLV = SparseLevelVector
 
@@ -269,6 +269,15 @@ BUDGET_ORACLE = {
     ],
 }
 
+def box_universe(spatial_dim, max_alpha, max_beta, n_vars):
+    """Every mixed index with spatial levels 1..max_alpha and levels
+    1..max_beta of variables 1..n_vars: the candidate pool of the
+    threshold-oracle rows."""
+    return [MixedIndex(alpha, SLV({j + 1: b for j, b in enumerate(levels)}))
+            for alpha in itertools.product(range(1, max_alpha + 1), repeat=spatial_dim)
+            for levels in itertools.product(range(1, max_beta + 1), repeat=n_vars)]
+
+
 def oracle_setting(name):
     d, gamma, error_model, box = ORACLE_SETTINGS[name]
     return d, gamma, error_model, box_universe(d, *box) if box else None
@@ -292,13 +301,13 @@ class TestSweepOracle:
             sets = sweep_apriori(error_model, budgets, d, gamma)
         else:
             # The a-priori builder takes no universe; these rows check the
-            # oracle that stands in for it in the brute-force benchmark.
+            # threshold oracle over a fixed candidate pool.
             sets = [IndexSet(members) for members, *_ in
-                    threshold_oracle(error_model, budgets, universe.members, gamma)]
+                    threshold_oracle(error_model, budgets, universe, gamma)]
         assert len(sets) == len(rows)
         for index_set, row in zip(sets, rows):
             assert_matches_oracle(index_set, row, error_model, gamma,
-                                  None if universe is None else set(universe.members))
+                                  None if universe is None else set(universe))
             # The forward-offset oracle enumerates every active direction,
             # which is too slow beyond small sets.
             if len(index_set) <= 25:
@@ -543,74 +552,67 @@ class TestQuadratureWalk:
 
 
 
-class TestBruteForce:
-    def test_single_member_universe(self, field1, qoi1):
-        universe = box_universe(1, 1, 1, 0)
-        index_set = build_set_bruteforce(universe, field1, qoi1, work_budget=5)
-        assert index_set.members == (root_index(1),)
-        assert dof_work(root_index(1)) == 5
-        assert abs(MiscEvaluator(field1, qoi1).mixed_difference(root_index(1))) > 0
+class TestAdaptive:
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_root_alone_at_root_work(self, d, field1, qoi1, field3, qoi3):
+        field_spec, qoi_spec = (field1, qoi1) if d == 1 else (field3, qoi3)
+        root = root_index(d)
+        index_set = build_set_adaptive(field_spec, qoi_spec, dof_work(root))
+        assert index_set.members == (root,)
+        with pytest.raises(BudgetError):
+            build_set_adaptive(field_spec, qoi_spec, dof_work(root) - 1)
 
-    def test_sets_reproducible(self, field1, qoi1):
-        universe = box_universe(1, 3, 2, 1)
-        first = build_set_bruteforce(universe, field1, qoi1, work_budget=100)
-        second = build_set_bruteforce(universe, field1, qoi1, work_budget=100)
-        assert first.to_json() == second.to_json()
+    def test_sets_repeat_exactly(self, field1, qoi1):
+        # A fresh evaluator, and one already warm from a larger build.
+        warm = MiscEvaluator(field1, qoi1)
+        build_set_adaptive(field1, qoi1, 2000, warm)
+        first = build_set_adaptive(field1, qoi1, 400)
+        assert build_set_adaptive(field1, qoi1, 400).to_json() == first.to_json()
+        assert build_set_adaptive(field1, qoi1, 400, warm).to_json() == first.to_json()
 
-    def test_budget_respected_and_closed(self, field1, qoi1):
-        universe = box_universe(1, 4, 2, 2)
-        index_set = build_set_bruteforce(universe, field1, qoi1, work_budget=120)
-        assert index_set.nominal_work() <= 120
-        assert is_downward_closed(index_set.members)
+    @pytest.mark.parametrize("d, budgets", [(1, [5, 40, 100, 400, 1000, 5000]),
+                                            (3, [125, 500, 2000, 8000])], ids=["1", "3"])
+    def test_sets_closed_within_budget(self, d, budgets, field1, qoi1, field3, qoi3):
+        field_spec, qoi_spec = (field1, qoi1) if d == 1 else (field3, qoi3)
+        evaluator = MiscEvaluator(field_spec, qoi_spec)
+        for budget in budgets:
+            index_set = build_set_adaptive(field_spec, qoi_spec, budget, evaluator)
+            assert is_downward_closed(index_set.members)
+            assert index_set.nominal_work() <= budget
 
-    def test_benchmark_ordering_at_matched_work(self, field1, qoi1):
-        # Within a shared 45-member universe the exact-profit greedy beats
-        # (or ties) the model-driven threshold set over the same universe
-        # against the universe-limited truth.
-        universe = box_universe(1, 5, 3, 2)
-        ev = MiscEvaluator(field1, qoi1)
-        reference = ev.evaluate(universe).value
-        samples = pilot_samples(field1, qoi1, 4, 3, ev)
-        model = fit_rates(samples, 2.0)
-        budgets = (60, 100, 150)
-        for budget, (members, *_) in zip(budgets, threshold_oracle(model, budgets, universe.members)):
-            bf = build_set_bruteforce(universe, field1, qoi1, work_budget=budget, evaluator=ev)
-            err_bf = abs(ev.evaluate(bf).value - reference)
-            err_ap = abs(ev.evaluate(IndexSet(members)).value - reference)
-            assert err_bf <= err_ap
-
-    def test_universe_cap(self, field1, qoi1):
-        universe = box_universe(1, 6, 3, 3)  # 6 * 27 = 162, below cap
-        assert len(universe) == 162
-        big = box_universe(1, 8, 3, 4)
-        with pytest.raises(ValueError):
-            build_set_bruteforce(big, field1, qoi1, work_budget=100)
+    def test_variable_past_the_pilot_enters_in_3d(self, field3, qoi3):
+        # The 3-D study fits rates for six variables (perfbench's study-3d);
+        # measured profits need no fitted rate.
+        index_set = build_set_adaptive(field3, qoi3, 8000)
+        assert index_set.last_variable() > 6
+        assert index_set.last_variable() <= field3.max_modes
 
 
-def rescan_bruteforce(universe, evaluator, work_budget):
-    """The brute-force greedy as first written, the reference for
-    ``build_set_bruteforce``: profits are |mixed difference| over DOF;
-    after every admission, rescan the whole universe for members whose
-    parents are all in and that fit the budget, and admit the best.  Also
-    says whether the best member with all parents in was ever passed
-    over for not fitting."""
-    profits = {m: abs(evaluator.mixed_difference(m)) / dof_work(m) for m in universe.members}
-
+def rescan_adaptive(field_spec, evaluator, work_budget):
+    """The adaptive greedy rebuilt from scratch after every admission, the
+    reference for ``build_set_adaptive``.  The margin is every index
+    outside the set whose parents are all in, one level above a member
+    along a spatial axis or a variable 1..min(max_modes, J + 1), J the
+    largest admitted variable; the best member that fits, by |mixed
+    difference| over DOF, is admitted.  Also says whether the best margin
+    member was ever passed over for not fitting."""
     def key(m):
-        return (-profits[m], sum(m.alpha) + m.beta.excess(), m.alpha, m.beta.items())
+        return (-abs(evaluator.mixed_difference(m)) / dof_work(m),
+                sum(m.alpha) + m.beta.excess(), m.alpha, m.beta.items())
 
-    root = root_index(universe.spatial_dim)
+    root = root_index(field_spec.d)
     closed = {root}
     spent = dof_work(root)
     skipped = False
     while True:
-        frontier = [m for m in universe.members
-                    if m not in closed and all(p in closed for p in m.parents())]
-        fitting = [m for m in frontier if spent + dof_work(m) <= work_budget]
+        top = min(field_spec.max_modes, max(m.beta.last_variable() for m in closed) + 1)
+        margin = {c for m in closed for c in children(m, top)
+                  if c not in closed and all(p in closed for p in c.parents())}
+        fitting = [m for m in margin if spent + dof_work(m) <= work_budget]
         if not fitting:
             break
         best = min(fitting, key=key)
-        skipped |= best != min(frontier, key=key)
+        skipped |= best != min(margin, key=key)
         closed.add(best)
         spent += dof_work(best)
     index_set = IndexSet(closed)
@@ -630,31 +632,28 @@ class SyntheticDifferences:
         return self.values.setdefault(index, self.rng.choice((1e-3, 1e-2, 0.05, 0.2)))
 
 
-class TestBruteForceOracle:
-    def check(self, universe, budgets, evaluator):
+class TestAdaptiveOracle:
+    def check(self, field_spec, budgets, evaluator):
         skipped = 0
         for budget in budgets:
-            index_set = build_set_bruteforce(universe, None, None, budget, evaluator)
-            expected, passed_over = rescan_bruteforce(universe, evaluator, budget)
+            index_set = build_set_adaptive(field_spec, None, budget, evaluator)
+            expected, passed_over = rescan_adaptive(field_spec, evaluator, budget)
             assert index_set == expected
             assert index_set.nominal_work() <= budget
             skipped += passed_over
         return skipped
 
-    @pytest.mark.parametrize("shape", [(1, 5, 3, 2), (1, 4, 10, 1), (2, 3, 3, 1), (3, 2, 2, 2)])
-    def test_synthetic_profits_match_rescan(self, shape):
-        universe = box_universe(*shape)
-        total = universe.nominal_work()
-        budgets = sorted({int(total * f) for f in (0.01, 0.05, 0.1, 0.2, 0.35, 0.5, 0.8, 1.0)}
-                         | {5**shape[0]})
-        skipped = sum(self.check(universe, budgets, SyntheticDifferences(seed))
+    @pytest.mark.parametrize("d, max_modes", [(1, 2), (1, 6), (2, 3), (3, 2)])
+    def test_synthetic_profits_match_rescan(self, d, max_modes):
+        field_spec = FieldSpec(d=d, nu=2.5 * d, max_modes=max_modes)
+        budgets = [5**d * f for f in (1, 3, 10, 30, 100, 300)]
+        skipped = sum(self.check(field_spec, budgets, SyntheticDifferences(seed))
                       for seed in range(3))
         assert skipped > 0
 
     def test_measured_profits_match_rescan(self, field1, qoi1):
-        universe = box_universe(1, 4, 3, 2)
         evaluator = MiscEvaluator(field1, qoi1)
-        assert self.check(universe, [5, 40, 100, 200, 400, 1000], evaluator) > 0
+        assert self.check(field1, [5, 40, 100, 200, 400, 1000], evaluator) > 0
 
 
 class TestRateFit:

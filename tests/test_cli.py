@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -21,7 +22,10 @@ from miscpde.cli import (
     write_csv,
 )
 from miscpde.adaptation import ErrorModel, sweep_apriori
-from miscpde.misc_core import IndexSet, MiscEvaluator
+from miscpde.misc_core import IndexSet, MiscEvaluator, MixedIndex, mimc_estimate
+from miscpde.pde_solver import QoISpec
+from miscpde.quadrature import SparseLevelVector
+from miscpde.random_field import FieldSpec
 
 
 def write_config(path: Path, text: str) -> Path:
@@ -48,6 +52,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("just words\n")
 
+    def test_repeated_key(self):
+        with pytest.raises(ConfigError, match="line 3: config key 'a.b' is set twice"):
+            parse_config_text("a.b = 1\nc.d = 2\na.b = 1\n")
+
     def test_typed_getters(self):
         cfg = Config({"k.i": "3", "k.f": "2.5", "k.l": "1,2.5"})
         assert cfg.get_int("k.i") == 3
@@ -66,6 +74,7 @@ class TestConfigParsing:
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         assert set(parse_config_text(block)) == cli.CONFIG_KEYS
+        assert len(cli.CONFIG_KEYS) == 15
 
     def test_missing_file_reference(self, tmp_path):
         cfg = Config({"adaptivity.model_file": "absent.json"}, base_dir=tmp_path)
@@ -131,26 +140,55 @@ class TestSmallDrivers:
             assert counts[0] >= counts[-1] >= 1
 
     @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("budget", [200.0, 5000.0, 80000.0, 2.0e6])
+    # At 3000 in 2-D the middle level of degree 2 would get no whole
+    # sample while the outer ones would: the degree is cut.
+    @pytest.mark.parametrize("budget", [200.0, 3000.0, 5000.0, 80000.0, 2.0e6])
     def test_mimc_plan_gamma_1_matches_integer_costs(self, budget, d):
-        # The plan as computed with integer level costs, before gamma was read.
-        levels, costs = [], []
-        for level in range(1, cli.MIMC_MAX_LEVEL + 1):
-            cost = sum(cli.pde_solver.unknowns(a) for _, a in cli.misc_core.corners((level,) * d))
-            if cost > budget / 4.0 and levels:
+        # The plan as computed with integer level costs, before gamma was
+        # read: whole total-degree layers |alpha - 1| = ell while each of
+        # their samples costs at most a quarter of the budget, then the
+        # deepest layer cut while one of its levels gets no whole sample.
+        # In 1-D a layer is the one level (ell + 1,).
+        layers = []
+        for ell in range(cli.MIMC_MAX_LEVEL):
+            layer = sorted(alpha for alpha in itertools.product(range(1, ell + 2), repeat=d)
+                           if sum(a - 1 for a in alpha) == ell)
+            costs = [sum(cli.pde_solver.unknowns(a) for _, a in cli.misc_core.corners(alpha))
+                     for alpha in layer]
+            if max(costs) > budget / 4.0 and layers:
                 break
-            levels.append((level,) * d)
-            costs.append(cost)
-        while len(levels) > 1:
-            weights = [2.0 ** (-2.0 * ell) / math.sqrt(c) for ell, c in enumerate(costs)]
-            norm = sum(w * c for w, c in zip(weights, costs))
+            layers.append(list(zip(layer, costs)))
+        while len(layers) > 1:
+            plan = [(ell, alpha, c) for ell, layer in enumerate(layers) for alpha, c in layer]
+            weights = [2.0 ** (-2.0 * ell) / math.sqrt(c) for ell, _, c in plan]
+            norm = sum(w * c for w, (_, _, c) in zip(weights, plan))
             counts = [int(budget * w / norm) for w in weights]
-            if counts[-1] >= 1:
+            if min(counts[-len(layers[-1]):]) >= 1:
                 break
-            levels.pop()
-            costs.pop()
-        counts = [max(1, c) for c in counts] if len(levels) > 1 else [max(1, int(budget / costs[0]))]
+            layers.pop()
+        levels = [alpha for layer in layers for alpha, _ in layer]
+        if len(layers) > 1:
+            counts = [max(1, c) for c in counts]
+        else:
+            counts = [max(1, int(budget / layers[0][0][1]))]
         assert mimc_plan(budget, d, 2.0, 1.0) == mimc_plan(budget, d, 2.0) == (levels, counts)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_mimc_levels_sum_to_the_combination_value(self, d, field1, qoi1):
+        # With no sampled variable every sample is the deterministic mixed
+        # difference, so the estimate is the combination technique over
+        # the plan's spatial set.
+        if d == 1:
+            field_spec, qoi_spec, budget = field1, qoi1, 5000.0
+        else:
+            field_spec, qoi_spec = FieldSpec(3, 4.5, 10), QoISpec(0.2, (0.3, 0.2, 0.6))
+            budget = 1.3e5
+        levels, counts = mimc_plan(budget, d, 2.0)
+        assert max(max(alpha) for alpha in levels) >= 3
+        estimate = mimc_estimate(levels, counts, field_spec, qoi_spec, 0, seed=3).value
+        spatial = IndexSet(MixedIndex(alpha, SparseLevelVector()) for alpha in levels)
+        value = MiscEvaluator(field_spec, qoi_spec).evaluate(spatial).value
+        assert abs(estimate - value) <= 1e-12 * abs(value)
 
     def test_mimc_plan_costs_unknowns_to_the_gamma(self):
         # d = 1 levels 1..4 have 5, 11, 23, 47 unknowns, and level l > 1 has
@@ -247,13 +285,18 @@ class TestCommands:
         "adaptivity.universe_alpha = 0\n",
         "adaptivity.universe_beta = 0\n",
         "adaptivity.universe_vars = -1\n",
-        "problem.max_modes = 4\nadaptivity.universe_alpha = 1\nadaptivity.universe_vars = 6\n",
+        "adaptivity.universe_alpha = 1\nadaptivity.universe_vars = 13\n",
     ], ids=["over-cap", "alpha-0", "beta-0", "vars-negative", "vars-beyond-modes"])
     def test_bad_bruteforce_universe_exits_2(self, tmp_path, capsys, universe):
-        cfg = write_config(tmp_path / "u.cfg", BASE_1D.replace("deterministic", "bruteforce")
+        # No universe key is known: each one is refused, in adaptive mode
+        # as in the others.
+        cfg = write_config(tmp_path / "u.cfg", BASE_1D.replace("deterministic", "adaptive")
                            + universe)
-        assert self.run("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
-        assert "config error" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert self.run("run", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "unknown config key 'adaptivity.universe_" in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("r_fem", ["0", "-1", "nan"])
     def test_bad_deterministic_rate_exits_2(self, tmp_path, capsys, r_fem):
@@ -293,30 +336,53 @@ class TestCommands:
         assert self.run("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert "unknown adaptivity mode 'threshold'" in capsys.readouterr().err
 
-    def test_run_bruteforce_writes_readable_files(self, tmp_path):
-        cfg = write_config(tmp_path / "bf.cfg", BASE_1D.replace("deterministic", "bruteforce"))
+    def test_removed_bruteforce_mode_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "m.cfg", BASE_1D.replace("deterministic", "bruteforce"))
+        out = tmp_path / "o"
+        assert self.run("run", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "unknown adaptivity mode 'bruteforce'" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "fit", "run", "compare", "solve"])
+    def test_repeated_key_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "k.cfg", BASE_1D + "problem.nu = 4.5\n")
+        out = tmp_path / "o"
+        assert self.run(command, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "config key 'problem.nu' is set twice" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_run_adaptive_writes_readable_files(self, tmp_path, capsys, d):
+        base = BASE_1D if d == 1 else BASE_1D.replace("problem.d = 1", "problem.d = 3").replace(
+            "problem.nu = 2.5", "problem.nu = 4.5").replace("20,80,320", "125,500,2000")
+        cfg = write_config(tmp_path / "a.cfg", base.replace("deterministic", "adaptive"))
         out = tmp_path / "o"
         assert self.run("run", "--config", str(cfg), "--out", str(out)) == 0
         header, rows, footer = read_csv(out / "runs.csv")
         assert header == list(cli.RUN_COLUMNS)
         assert len(rows) == 3
         assert float(footer["reference"]) == cli.read_reference(out / "reference.json")[1]
-        universe = set(cli.adaptation.box_universe(1, 3, 2, 2).members)
+        works = []
         for row in rows:
             record = dict(zip(header, row))
             budget = float(record["budget"])
             stored = IndexSet.from_json((out / f"set_budget_{int(budget)}.json").read_text())
-            assert set(stored.members) <= universe
+            assert stored == cli.adaptation.build_set_adaptive(
+                FieldSpec(d, 2.5 if d == 1 else 4.5, 12), cli.default_qoi_spec(d), budget)
             assert stored.nominal_work() == int(record["work"]) <= budget
+            works.append(int(record["work"]))
+        # The margin's solves count: more DOF solved than the top set holds.
+        assert int(footer["solved_dof"]) > max(works)
+        assert f"solved DOF: {footer['solved_dof']}" in capsys.readouterr().out
 
-    def test_reference_cache_tells_bruteforce_universes_apart(self, tmp_path):
-        # Two brute-force runs into one directory: the second universe's
+    def test_reference_cache_tells_modes_apart(self, tmp_path):
+        # An adaptive run into a deterministic run's directory: its
         # reference is its own, as in a fresh directory.
-        base = BASE_1D.replace("deterministic", "bruteforce")
-        first = write_config(tmp_path / "u432.cfg", base + "adaptivity.universe_alpha = 4\n"
-                             "adaptivity.universe_beta = 3\nadaptivity.universe_vars = 2\n")
-        second = write_config(tmp_path / "u421.cfg", base + "adaptivity.universe_alpha = 4\n"
-                              "adaptivity.universe_beta = 2\nadaptivity.universe_vars = 1\n")
+        first = write_config(tmp_path / "det.cfg", BASE_1D)
+        second = write_config(tmp_path / "ad.cfg", BASE_1D.replace("deterministic", "adaptive"))
         shared, fresh = tmp_path / "shared", tmp_path / "fresh"
         assert self.run("run", "--config", str(first), "--out", str(shared)) == 0
         stale = cli.read_reference(shared / "reference.json")[1]
@@ -518,7 +584,7 @@ class TestCommands:
             references.append(read_csv(out / name)[2]["reference"])
         assert references[0] == references[1] != references[2]
 
-    @pytest.mark.parametrize("mode", ["deterministic", "bruteforce"])
+    @pytest.mark.parametrize("mode", ["deterministic", "adaptive", "bruteforce"])
     def test_compare_needs_apriori_mode(self, tmp_path, capsys, mode):
         cfg = self.compare_config(tmp_path, mode=mode)
         out = tmp_path / "o"
