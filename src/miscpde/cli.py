@@ -25,7 +25,7 @@ from . import adaptation, misc_core, pde_solver, quadrature, theory
 from .adaptation import ErrorModel
 from .misc_core import IndexSet, MiscEvaluator, mimc_estimate
 from .pde_solver import QoISpec, default_qoi_spec
-from .random_field import FieldSpec
+from .random_field import FieldSpec, mode_ordering
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,13 +38,6 @@ COMPARE_COLUMNS = ("budget", "misc_work", "misc_error", "mimc_work", "mimc_error
 R_DET_TABLE_MAX_S = 6
 # Deepest isotropic level of the Monte Carlo baseline's hierarchy.
 MIMC_MAX_LEVEL = 12
-# Every key a config file may set: those of the README's config block.
-CONFIG_KEYS = frozenset({
-    "problem.d", "problem.nu", "problem.max_modes", "problem.sigma", "problem.x0", "solver.gamma",
-    "adaptivity.mode", "adaptivity.model_file", "adaptivity.budgets", "adaptivity.pilot_depth",
-    "adaptivity.pilot_modes", "adaptivity.r_fem", "output.reference", "output.reference_factor",
-    "mimc.random_vars",
-})
 
 
 class ConfigError(ValueError):
@@ -74,7 +67,88 @@ def parse_config_text(text: str) -> dict[str, str]:
     return entries
 
 
-def parse_config(path: str | Path) -> dict[str, str]:
+def _ranged(convert, expected: str, ok):
+    """A parser: ``convert`` the text, then refuse a value that is not ``ok``."""
+    def parse(raw: str):
+        value = convert(raw)
+        if not ok(value):
+            raise ValueError(f"expected {expected}, got {value}")
+        return value
+    return parse
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw.split(","))
+
+
+def _mode(raw: str) -> str:
+    if raw not in ("apriori", "deterministic", "adaptive"):
+        raise ValueError(f"unknown adaptivity mode {raw!r}")
+    return raw
+
+
+def _budgets(raw: str) -> int | tuple[float, ...]:
+    """An explicit budget list, or the step count of ``auto`` / ``auto:<steps>``."""
+    if raw != "auto" and not raw.startswith("auto:"):
+        return check_budgets(_floats(raw))
+    steps = int(raw[len("auto:"):]) if raw != "auto" else 6
+    if steps < 1:
+        raise ValueError(f"need at least one step, got {raw!r}")
+    return steps
+
+
+def _reference(raw: str) -> str | float | Path:
+    if raw == "auto":
+        return raw
+    try:
+        return float(raw)
+    except ValueError:
+        return Path(raw)
+
+
+def _at_least(low: int):
+    return _ranged(int, f"an integer >= {low}", lambda v: v >= low)
+
+
+def _finite_above(low: float):
+    return _ranged(float, f"a finite number > {low}", lambda v: low < v < math.inf)
+
+
+def _up_to_8_modes(values: dict):
+    return min(8, values["problem.max_modes"])
+
+
+# The README's config block: each key's parser and its default, which is
+# a value, a function of the keys above it, or ... for a required key.  A
+# parser raises ValueError on a bad value.
+CONFIG_KEYS = {
+    "problem.d": (_at_least(1), ...),
+    "problem.nu": (_finite_above(0), ...),
+    "problem.max_modes": (_at_least(1), 32),
+    "problem.sigma": (_finite_above(0), 0.2),
+    "problem.x0": (_floats, None),  # checked where the window is built
+    "solver.gamma": (_ranged(float, "a finite number >= 1", lambda v: 1 <= v < math.inf), 1.0),
+    "adaptivity.mode": (_mode, "apriori"),
+    "adaptivity.model_file": (Path, None),
+    "adaptivity.budgets": (_budgets, 6),  # auto: six steps
+    "adaptivity.pilot_depth": (_at_least(2), 3),
+    "adaptivity.pilot_modes": (_at_least(1), _up_to_8_modes),
+    "adaptivity.r_fem": (_finite_above(0),
+                         lambda values: default_r_fem(values["problem.nu"], values["problem.d"])),
+    "output.reference": (_reference, "auto"),
+    "output.reference_factor": (_finite_above(1), 4.0),
+    "mimc.random_vars": (_at_least(0), _up_to_8_modes),
+}
+
+
+def read_config(path: str | Path) -> dict:
+    """Every key of ``CONFIG_KEYS``, parsed, range-checked or defaulted.
+
+    Refuses an unknown, repeated, missing required or bad key, and pilot
+    or Monte Carlo variables beyond ``problem.max_modes``.  The budgets
+    come as a tuple, and relative file names are taken from the config
+    file's directory.  Whether a named file exists is left to its reader.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -82,106 +156,43 @@ def parse_config(path: str | Path) -> dict[str, str]:
     for key in entries:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}: unknown config key {key!r}")
-    return entries
-
-
-class Config:
-    """Typed access to the flat dotted-key table."""
-
-    def __init__(self, entries: dict[str, str], base_dir: Path | None = None):
-        self.entries = dict(entries)
-        self.base_dir = base_dir or Path.cwd()
-
-    def _get(self, key, default, required):
-        if key in self.entries:
-            return self.entries[key]
-        if required:
+    values: dict = {}
+    for key, (parse, default) in CONFIG_KEYS.items():
+        if key in entries:
+            try:
+                values[key] = parse(entries[key])
+            except ValueError as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from exc
+        elif default is ...:
             raise ConfigError(f"missing required config key {key!r}")
-        return default
-
-    def get_str(self, key, default=None, required=False):
-        return self._get(key, default, required)
-
-    def get_int(self, key, default=None, required=False):
-        raw = self._get(key, default, required)
-        if raw is None or isinstance(raw, int):
-            return raw
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: expected integer, got {raw!r}") from exc
-
-    def get_float(self, key, default=None, required=False):
-        raw = self._get(key, default, required)
-        if raw is None or isinstance(raw, float):
-            return raw
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: expected number, got {raw!r}") from exc
-
-    def get_floats(self, key, default=None, required=False):
-        raw = self._get(key, default, required)
-        if raw is None or isinstance(raw, tuple):
-            return raw
-        try:
-            return tuple(float(v) for v in raw.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: expected comma-separated numbers") from exc
-
-    def get_path(self, key, default=None, required=False, must_exist=True):
-        raw = self._get(key, default, required)
-        if raw is None:
-            return None
-        path = Path(raw)
-        if not path.is_absolute():
-            path = self.base_dir / path
-        if must_exist and not path.is_file():
-            raise ConfigError(f"config key {key!r}: file does not exist: {path}")
-        return path
+        else:
+            values[key] = default(values) if callable(default) else default
+    for key in ("adaptivity.pilot_modes", "mimc.random_vars"):
+        if values[key] > values["problem.max_modes"]:
+            raise ConfigError(f"config key {key!r}: expected at most problem.max_modes = "
+                              f"{values['problem.max_modes']}, got {values[key]}")
+    if isinstance(values["adaptivity.budgets"], int):
+        base = pde_solver.unknowns((1,) * values["problem.d"])
+        values["adaptivity.budgets"] = tuple(
+            float(base * 4**t) for t in range(1, values["adaptivity.budgets"] + 1))
+    for key in ("adaptivity.model_file", "output.reference"):
+        if isinstance(values[key], Path):
+            values[key] = path.parent / values[key]
+    return values
 
 
-def gamma_from_config(cfg: Config) -> float:
-    """The solver cost exponent: work per solve grows as unknowns ** gamma."""
-    gamma = cfg.get_float("solver.gamma", 1.0)
-    if not (math.isfinite(gamma) and gamma >= 1):
-        raise ConfigError(f"config key 'solver.gamma': expected a finite number >= 1, got {gamma}")
-    return gamma
-
-
-def problem_from_config(cfg: Config) -> tuple[FieldSpec, QoISpec, float]:
-    d = cfg.get_int("problem.d", required=True)
-    nu = cfg.get_float("problem.nu", required=True)
-    max_modes = cfg.get_int("problem.max_modes", 32)
-    sigma = cfg.get_float("problem.sigma", 0.2)
-    x0 = cfg.get_floats("problem.x0")
-    gamma = gamma_from_config(cfg)
+def problem_from_config(cfg: dict) -> tuple[FieldSpec, QoISpec]:
+    """The field and the observation window of a ``read_config`` result."""
+    d, x0 = cfg["problem.d"], cfg["problem.x0"]
     try:
-        field_spec = FieldSpec(d=d, nu=nu, max_modes=max_modes)
-        if x0 is None:
-            x0 = default_qoi_spec(d).x0
-        qoi_spec = QoISpec(sigma, tuple(x0))
+        field_spec = FieldSpec(d=d, nu=cfg["problem.nu"], max_modes=cfg["problem.max_modes"])
+        mode_ordering(field_spec)  # a mode count past the frequency cap fails here
+        qoi_spec = QoISpec(cfg["problem.sigma"], x0 if x0 is not None else default_qoi_spec(d).x0)
     except ValueError as exc:
         raise ConfigError(f"problem settings: {exc}") from exc
     if qoi_spec.d != d:
         raise ConfigError(f"problem.x0 has {qoi_spec.d} components, problem.d = {d}")
-    return field_spec, qoi_spec, gamma
-
-
-def budgets_from_config(cfg: Config, d: int) -> tuple[float, ...]:
-    raw = cfg.get_str("adaptivity.budgets", "auto")
-    if raw == "auto" or raw.startswith("auto:"):
-        try:
-            steps = int(raw[len("auto:"):]) if raw != "auto" else 6
-        except ValueError as exc:
-            raise ConfigError(f"adaptivity.budgets: expected auto:<steps>, got {raw!r}") from exc
-        if steps < 1:
-            raise ConfigError(f"adaptivity.budgets: need at least one step, got {raw!r}")
-        base = pde_solver.unknowns((1,) * d)
-        budgets = tuple(float(base * 4**t) for t in range(1, steps + 1))
-    else:
-        budgets = cfg.get_floats("adaptivity.budgets")
-    return check_budgets(budgets)
+    return field_spec, qoi_spec
 
 
 def check_budgets(budgets: Sequence[float]) -> tuple[float, ...]:
@@ -330,10 +341,7 @@ def _study_model(mode: str, field_spec: FieldSpec, error_model: ErrorModel | Non
     if mode == "deterministic":
         if r_fem is None:
             r_fem = error_model.r_fem if error_model else default_r_fem(field_spec.nu, field_spec.d)
-        try:
-            return ErrorModel(r_fem=r_fem, g_tilde=())
-        except ValueError as exc:
-            raise ConfigError(f"deterministic mode: {exc}") from exc
+        return ErrorModel(r_fem=r_fem, g_tilde=())
     if mode == "adaptive":
         return None
     raise ConfigError(f"unknown adaptivity mode {mode!r}")
@@ -520,7 +528,7 @@ def read_reference(path: Path) -> tuple[str | None, float]:
     try:
         data = json.loads(path.read_text())
         return data.get("fingerprint"), float(data["value"])
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
         raise ConfigError(f"unreadable reference file {path}: {exc!r}") from exc
 
 
@@ -531,12 +539,13 @@ def load_reference(path: Path, fingerprint: str) -> float | None:
     return value if stored == fingerprint else None
 
 
-def load_model(cfg: Config) -> ErrorModel:
-    """The fitted error model named by ``adaptivity.model_file``."""
-    path = cfg.get_path("adaptivity.model_file", required=True)
+def load_model(path: Path | None) -> ErrorModel:
+    """The fitted error model in ``path``, the config's ``adaptivity.model_file``."""
+    if path is None:
+        raise ConfigError("missing required config key 'adaptivity.model_file'")
     try:
         return ErrorModel.from_json(path.read_text())
-    except (ValueError, TypeError, KeyError) as exc:
+    except (OSError, ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"unreadable model file {path}: {exc!r}") from exc
 
 
@@ -560,11 +569,8 @@ def cmd_lebesgue(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = Config(parse_config(args.config), Path(args.config).parent)
-    d = cfg.get_int("problem.d", required=True)
-    nu = cfg.get_float("problem.nu", required=True)
-    gamma = gamma_from_config(cfg)
-    report = predict_report(nu, d, gamma)
+    cfg = read_config(args.config)
+    report = predict_report(cfg["problem.nu"], cfg["problem.d"], cfg["solver.gamma"])
     out = Path(args.out) / "prediction.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=1))
@@ -577,16 +583,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg = Config(parse_config(args.config), Path(args.config).parent)
-    field_spec, qoi_spec, _ = problem_from_config(cfg)
-    depth = cfg.get_int("adaptivity.pilot_depth", 3)
-    n_modes = cfg.get_int("adaptivity.pilot_modes", 8)
-    if depth < 2 or not 1 <= n_modes <= field_spec.max_modes:
-        raise ConfigError(
-            "adaptivity.pilot_depth must be >= 2 and pilot_modes in 1..problem.max_modes = "
-            f"{field_spec.max_modes}, got {depth} and {n_modes}")
-    r_fem = cfg.get_float("adaptivity.r_fem", default_r_fem(field_spec.nu, field_spec.d))
-    model = fit_driver(field_spec, qoi_spec, n_modes, depth, r_fem)
+    cfg = read_config(args.config)
+    field_spec, qoi_spec = problem_from_config(cfg)
+    model = fit_driver(field_spec, qoi_spec, cfg["adaptivity.pilot_modes"],
+                       cfg["adaptivity.pilot_depth"], cfg["adaptivity.r_fem"])
     out = Path(args.out) / "model.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(model.to_json())
@@ -597,50 +597,36 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def reference_factor_from_config(cfg: Config) -> float:
-    """The reference set's budget over the largest study budget."""
-    factor = cfg.get_float("output.reference_factor", 4.0)
-    if not (math.isfinite(factor) and factor > 1):
-        raise ConfigError(
-            f"config key 'output.reference_factor': expected a finite number > 1, got {factor}")
-    return factor
+def _study_from_config(cfg: dict, out: Path):
+    field_spec, qoi_spec = problem_from_config(cfg)
+    mode, budgets, gamma = cfg["adaptivity.mode"], cfg["adaptivity.budgets"], cfg["solver.gamma"]
+    reference_factor = cfg["output.reference_factor"]
+    error_model = _study_model(
+        mode, field_spec, load_model(cfg["adaptivity.model_file"]) if mode == "apriori" else None,
+        cfg["adaptivity.r_fem"])
 
-
-def _study_from_config(cfg: Config, args):
-    field_spec, qoi_spec, gamma = problem_from_config(cfg)
-    mode = cfg.get_str("adaptivity.mode", "apriori")
-    budgets = budgets_from_config(cfg, field_spec.d)
-    reference_factor = reference_factor_from_config(cfg)
-    error_model = _study_model(mode, field_spec, load_model(cfg) if mode == "apriori" else None,
-                               cfg.get_float("adaptivity.r_fem"))
-
-    reference = None
-    ref_raw = cfg.get_str("output.reference", "auto")
-    ref_path = Path(args.out) / "reference.json"
+    reference = cfg["output.reference"]
+    ref_path = out / "reference.json"
     fingerprint = reference_fingerprint(
         field_spec, qoi_spec, gamma, mode, budgets[-1] * reference_factor, error_model,
     )
-    if ref_raw != "auto":
-        try:
-            reference = float(ref_raw)
-        except ValueError:
-            _, reference = read_reference(cfg.get_path("output.reference", required=True))
-    else:
+    if reference == "auto":
         reference = load_reference(ref_path, fingerprint)
+    elif isinstance(reference, Path):
+        _, reference = read_reference(reference)
 
     study = study_driver(
         field_spec, qoi_spec, budgets, mode=mode, error_model=error_model, gamma=gamma,
         reference=reference, reference_factor=reference_factor,
     )
-    if ref_raw == "auto":
+    if cfg["output.reference"] == "auto":
         store_reference(ref_path, fingerprint, study.reference)
-    return study, field_spec, qoi_spec, gamma, error_model
+    return study, field_spec, qoi_spec, error_model
 
 
 def cmd_run(args) -> int:
-    cfg = Config(parse_config(args.config), Path(args.config).parent)
-    study, *_ = _study_from_config(cfg, args)
     out_dir = Path(args.out)
+    study, *_ = _study_from_config(read_config(args.config), out_dir)
     for record, index_set in zip(study.records, study.sets):
         set_path = out_dir / f"set_budget_{int(record.budget)}.json"
         set_path.parent.mkdir(parents=True, exist_ok=True)
@@ -658,18 +644,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = Config(parse_config(args.config), Path(args.config).parent)
-    mode = cfg.get_str("adaptivity.mode", "apriori")
-    if mode != "apriori":
+    cfg = read_config(args.config)
+    if cfg["adaptivity.mode"] != "apriori":
         raise ConfigError(f"compare pairs the Monte Carlo baseline with the a-priori sets; "
-                          f"adaptivity.mode must be apriori, got {mode!r}")
-    max_modes = problem_from_config(cfg)[0].max_modes
-    n_vars = cfg.get_int("mimc.random_vars", min(8, max_modes))
-    if not 0 <= n_vars <= max_modes:
-        raise ConfigError(f"mimc.random_vars must be in 0..problem.max_modes = {max_modes}, "
-                          f"got {n_vars}")
-    study, field_spec, qoi_spec, gamma, error_model = _study_from_config(cfg, args)
-    result = _with_mimc(study, field_spec, qoi_spec, error_model.r_fem, n_vars, args.seed, gamma)
+                          f"adaptivity.mode must be apriori, got {cfg['adaptivity.mode']!r}")
+    study, field_spec, qoi_spec, error_model = _study_from_config(cfg, Path(args.out))
+    result = _with_mimc(study, field_spec, qoi_spec, error_model.r_fem, cfg["mimc.random_vars"],
+                        args.seed, cfg["solver.gamma"])
     out = Path(args.out) / "compare.csv"
     write_csv(out, COMPARE_COLUMNS, result.rows, footer={"reference": result.reference})
     for row in result.rows:
@@ -679,8 +660,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = Config(parse_config(args.config), Path(args.config).parent)
-    field_spec, qoi_spec, _ = problem_from_config(cfg)
+    field_spec, qoi_spec = problem_from_config(read_config(args.config))
     try:
         alpha = pde_solver.validate_alpha(args.alpha.split(",")) if args.alpha else (1,) * field_spec.d
     except ValueError as exc:

@@ -7,9 +7,7 @@ import pytest
 
 from miscpde import cli
 from miscpde.cli import (
-    Config,
     ConfigError,
-    budgets_from_config,
     compare_driver,
     fit_driver,
     fitted_slope,
@@ -17,6 +15,7 @@ from miscpde.cli import (
     mimc_plan,
     parse_config_text,
     predict_report,
+    read_config,
     read_csv,
     study_driver,
     write_csv,
@@ -31,6 +30,13 @@ from miscpde.random_field import FieldSpec
 def write_config(path: Path, text: str) -> Path:
     path.write_text(text)
     return path
+
+
+def command_cases(commands, cases):
+    """A parametrization over each command and case; the first command's
+    cases keep the ids of the case alone."""
+    return [pytest.param(command, value, id=case if i == 0 else f"{command}-{case}")
+            for i, command in enumerate(commands) for case, value in cases.items()]
 
 
 BASE_1D = """
@@ -56,40 +62,45 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 3: config key 'a.b' is set twice"):
             parse_config_text("a.b = 1\nc.d = 2\na.b = 1\n")
 
-    def test_typed_getters(self):
-        cfg = Config({"k.i": "3", "k.f": "2.5", "k.l": "1,2.5"})
-        assert cfg.get_int("k.i") == 3
-        assert cfg.get_float("k.f") == 2.5
-        assert cfg.get_floats("k.l") == (1.0, 2.5)
-        assert cfg.get_str("missing", "fallback") == "fallback"
+    def test_typed_values(self, tmp_path):
+        cfg = read_config(write_config(tmp_path / "t.cfg", "problem.d = 3\nproblem.nu = 2.5\n"
+                                       "problem.x0 = 0.5,0.25,0.5\nadaptivity.budgets = 1,2.5\n"))
+        assert cfg["problem.d"] == 3 and isinstance(cfg["problem.d"], int)
+        assert cfg["problem.nu"] == 2.5
+        assert cfg["problem.x0"] == (0.5, 0.25, 0.5)
+        assert cfg["adaptivity.budgets"] == (1.0, 2.5)
+        assert cfg["problem.sigma"] == 0.2 and cfg["adaptivity.mode"] == "apriori"
 
-    def test_required_and_type_errors(self):
-        cfg = Config({"k.x": "abc"})
-        with pytest.raises(ConfigError):
-            cfg.get_int("k.x")
-        with pytest.raises(ConfigError):
-            cfg.get_float("nope", required=True)
+    def test_required_and_type_errors(self, tmp_path):
+        with pytest.raises(ConfigError, match="config key 'problem.d'"):
+            read_config(write_config(tmp_path / "x.cfg", "problem.d = abc\nproblem.nu = 2.5\n"))
+        with pytest.raises(ConfigError, match="missing required config key 'problem.nu'"):
+            read_config(write_config(tmp_path / "n.cfg", "problem.d = 1\n"))
 
     def test_config_keys_are_those_of_the_readme(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
-        assert set(parse_config_text(block)) == cli.CONFIG_KEYS
+        assert set(parse_config_text(block)) == set(cli.CONFIG_KEYS)
         assert len(cli.CONFIG_KEYS) == 15
 
     def test_missing_file_reference(self, tmp_path):
-        cfg = Config({"adaptivity.model_file": "absent.json"}, base_dir=tmp_path)
-        with pytest.raises(ConfigError):
-            cfg.get_path("adaptivity.model_file", required=True)
+        # The read takes the name from the config's directory; the file
+        # must exist only where it is loaded.
+        cfg = read_config(write_config(tmp_path / "m.cfg", "problem.d = 1\nproblem.nu = 2.5\n"
+                                       "adaptivity.model_file = absent.json\n"))
+        assert cfg["adaptivity.model_file"] == tmp_path / "absent.json"
+        with pytest.raises(ConfigError, match="unreadable model file .*absent.json"):
+            cli.load_model(cfg["adaptivity.model_file"])
 
-    def test_budgets_must_increase(self):
-        cfg = Config({"adaptivity.budgets": "100,100"})
+    def test_budgets_must_increase(self, tmp_path):
         with pytest.raises(ConfigError):
-            budgets_from_config(cfg, 1)
+            read_config(write_config(tmp_path / "b.cfg", BASE_1D.replace("20,80,320", "100,100")))
 
-    def test_auto_budget_ladder(self):
-        cfg = Config({"adaptivity.budgets": "auto:3"})
-        assert budgets_from_config(cfg, 1) == (20.0, 80.0, 320.0)
-        assert budgets_from_config(Config({}), 3)[0] == 500.0
+    def test_auto_budget_ladder(self, tmp_path):
+        cfg = read_config(write_config(tmp_path / "a.cfg", BASE_1D.replace("20,80,320", "auto:3")))
+        assert cfg["adaptivity.budgets"] == (20.0, 80.0, 320.0)
+        cfg = read_config(write_config(tmp_path / "d3.cfg", "problem.d = 3\nproblem.nu = 4.5\n"))
+        assert cfg["adaptivity.budgets"][0] == 500.0
 
 
 class TestCsvRoundTrip:
@@ -298,10 +309,11 @@ class TestCommands:
         assert len(err) == 1 and "unknown config key 'adaptivity.universe_" in err[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("r_fem", ["0", "-1", "nan"])
-    def test_bad_deterministic_rate_exits_2(self, tmp_path, capsys, r_fem):
+    @pytest.mark.parametrize("command, r_fem",
+                             command_cases(("run", "fit"), {v: v for v in ("0", "-1", "nan")}))
+    def test_bad_deterministic_rate_exits_2(self, tmp_path, capsys, command, r_fem):
         cfg = write_config(tmp_path / "d.cfg", BASE_1D + f"adaptivity.r_fem = {r_fem}\n")
-        assert self.run("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert self.run(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["fit", "run", "compare"])
@@ -540,19 +552,20 @@ class TestCommands:
         assert len(err) == 1 and err[0].startswith("config error:") and "c_e" in err[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("pilot", [
-        "adaptivity.pilot_modes = 9\n",
-        "adaptivity.pilot_modes = 0\n",
-        "adaptivity.pilot_depth = 1\n",
-    ], ids=["modes-beyond-max-modes", "modes-0", "depth-1"])
-    def test_bad_pilot_settings_exit_2(self, tmp_path, capsys, pilot):
+    # Every command checks the pilot settings, not only fit, which uses them.
+    @pytest.mark.parametrize("command, pilot", command_cases(("fit", "predict", "run", "compare", "solve"), {
+        "modes-beyond-max-modes": "adaptivity.pilot_modes = 9\n",
+        "modes-0": "adaptivity.pilot_modes = 0\n",
+        "depth-1": "adaptivity.pilot_depth = 1\n",
+    }))
+    def test_bad_pilot_settings_exit_2(self, tmp_path, capsys, command, pilot):
         cfg = write_config(tmp_path / "f.cfg",
                            "problem.d = 1\nproblem.nu = 2.5\nproblem.max_modes = 8\n" + pilot)
         out = tmp_path / "o"
-        assert self.run("fit", "--config", str(cfg), "--out", str(out)) == 2
+        assert self.run(command, "--config", str(cfg), "--out", str(out)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
-        assert "adaptivity.pilot_depth" in err[0]
+        assert f"config key '{pilot.split(' =')[0]}'" in err[0]
         assert not out.exists()
 
     def compare_config(self, tmp_path, extra="", mode="apriori"):
@@ -561,6 +574,22 @@ class TestCommands:
         model.write_text(ErrorModel(r_fem=2.0, g_tilde=(1.0, 1.5)).to_json())
         return write_config(tmp_path / "c.cfg", BASE_1D.replace("deterministic", mode)
                             + f"adaptivity.model_file = {model}\n" + extra)
+
+    @pytest.mark.parametrize("command", ["fit", "run", "compare", "solve"])
+    def test_modes_past_the_frequency_cap_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        # 1-D has too few frequencies below the cap for 100,000 modes.
+        def no_solves(*args):
+            raise AssertionError("solved before the config was checked")
+
+        monkeypatch.setattr(cli.pde_solver, "solve_qoi_batch", no_solves)
+        monkeypatch.setattr(cli.pde_solver, "solve_qoi", no_solves)
+        cfg = self.compare_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("problem.max_modes = 12", "problem.max_modes = 100000"))
+        out = tmp_path / "o"
+        assert self.run(command, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "frequency cap" in err[0]
+        assert not out.exists()
 
     def test_compare_reports_a_literal_reference(self, tmp_path):
         cfg = self.compare_config(tmp_path, "output.reference = 1.5\n")
@@ -590,20 +619,26 @@ class TestCommands:
         out = tmp_path / "o"
         assert self.run("compare", "--config", str(cfg), "--out", str(out)) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "adaptivity.mode must be apriori" in err[0]
+        # The read refuses a mode that no command knows before compare's own rule.
+        expected = ("unknown adaptivity mode 'bruteforce'" if mode == "bruteforce"
+                    else "adaptivity.mode must be apriori")
+        assert len(err) == 1 and expected in err[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("n_vars", ["-1", "9"])
+    # Every command checks the Monte Carlo variables, not only compare, which uses them.
+    @pytest.mark.parametrize("command, n_vars", command_cases(
+        ("compare", "predict", "fit", "run", "solve"), {"-1": "-1", "9": "9"}))
     def test_compare_refuses_random_vars_outside_the_modes(self, tmp_path, capsys, monkeypatch,
-                                                            n_vars):
+                                                            command, n_vars):
         def no_solves(*args):
             raise AssertionError("solved before the config was checked")
 
         monkeypatch.setattr(cli.pde_solver, "solve_qoi_batch", no_solves)
+        monkeypatch.setattr(cli.pde_solver, "solve_qoi", no_solves)
         cfg = self.compare_config(tmp_path, f"mimc.random_vars = {n_vars}\n")
         cfg.write_text(cfg.read_text().replace("problem.max_modes = 12", "problem.max_modes = 8"))
         out = tmp_path / "o"
-        assert self.run("compare", "--config", str(cfg), "--out", str(out)) == 2
+        assert self.run(command, "--config", str(cfg), "--out", str(out)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:") and "mimc.random_vars" in err[0]
         assert not out.exists()
