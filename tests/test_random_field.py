@@ -7,11 +7,10 @@ from miscpde.random_field import (
     FieldSpec,
     ModeEnumerationError,
     SummabilityError,
-    a_eval,
+    _check_active,
     a_on_axes,
     b_sequence,
     coefficient_A,
-    kappa_eval,
     kappa_on_axes,
     max_order,
     mode_ordering,
@@ -19,6 +18,31 @@ from miscpde.random_field import (
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+def kappa_eval(x, y, modes):
+    """The log-coefficient at one spatial point for a sparse parameter
+    vector, mode by mode: the pointwise oracle for ``kappa_on_axes``.
+
+    ``y`` maps 1-based variable indices to values in [-1, 1]; missing
+    variables sit at 0 and contribute nothing.
+    """
+    _check_active(y, modes)
+    pt = np.atleast_1d(np.asarray(x, dtype=float))
+    total = 0.0
+    for j, yj in sorted(y.items()):
+        if yj == 0.0:
+            continue
+        mode = modes[j - 1]
+        trig = math.prod(float(np.cos(np.pi * k * xi) if ell == 1 else np.sin(np.pi * k * xi))
+                         for k, ell, xi in zip(mode.k, mode.ell, pt))
+        total += yj * mode.amplitude * trig
+    return total
+
+
+def a_eval(x, y, modes):
+    """The diffusion coefficient exp(kappa) at one spatial point."""
+    return math.exp(kappa_eval(x, y, modes))
 
 
 class TestCoefficient:
@@ -95,6 +119,8 @@ class TestEvaluation:
         modes = mode_ordering(field1)
         with pytest.raises(IndexError):
             kappa_eval(0.5, {9: 1.0}, modes)
+        with pytest.raises(IndexError):
+            kappa_on_axes([np.array([0.5])], {9: 1.0}, modes)
 
     def test_grid_matches_pointwise(self, field3):
         modes = mode_ordering(field3)
