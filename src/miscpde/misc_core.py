@@ -5,17 +5,17 @@ sparse vector of quadrature levels.  The estimator over a downward
 closed set of mixed indices can be evaluated either by summing mixed
 first-order differences (surplus form) or as a signed combination of
 plain tensor approximations (combination technique); both go through
-``MiscEvaluator.tensor_values``, which caches the value of every tensor
-grid by its levels and the values of every nested point block (the
-points first present at one level vector, see
-``quadrature.tensor_blocks``) by that vector, so no grid is reduced and
-no nested point is solved twice, and which solves the new blocks of all
-the grids an evaluation needs in one batch per spatial level.
+``MiscEvaluator.tensor_values``.  It numbers the nested point blocks of
+the quadrature grids (``quadrature.block_points``) once for every
+spatial level, solves the new blocks of all the grids an evaluation
+needs in one batch per spatial level, and reduces the grids of one level
+tuple together: their values gathered by block number, times the shared
+weights, summed row by row.  No point is solved twice, and every grid
+value is cached.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import json
@@ -49,6 +49,14 @@ class MixedIndex:
         if not isinstance(self.beta, SparseLevelVector):
             object.__setattr__(self, "beta", SparseLevelVector(self.beta))
 
+    @classmethod
+    def _of(cls, alpha: tuple[int, ...], beta: SparseLevelVector) -> "MixedIndex":
+        """The index of these valid levels, unchecked."""
+        index = cls.__new__(cls)
+        object.__setattr__(index, "alpha", alpha)
+        object.__setattr__(index, "beta", beta)
+        return index
+
     @property
     def spatial_dim(self) -> int:
         return len(self.alpha)
@@ -77,25 +85,45 @@ def _parent_levels(alpha: tuple[int, ...], beta_items: tuple[tuple[int, int], ..
         yield j, (alpha, beta_items[:k] + lowered + beta_items[k + 1 :])
 
 
-def _parent_links(keys: Sequence) -> dict[int, tuple[list[int], list[int]]]:
+def _parent_links(keys: Sequence,
+                  numbers: tuple | None = None) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """{direction: (parent positions, child positions)} over the sort keys
-    ``keys``, children ascending.  No keys, mixed spatial dimensions, a
-    repeated key or a parent missing before its child raise ``IndexSetError``."""
+    ``keys``, children ascending.  ``numbers`` tell the keys' alphas and
+    beta items apart (by default, in order of first appearance); each
+    such vector finds its parent in each direction once, and the keys
+    their parents in one array of positions.  No keys, mixed spatial
+    dimensions, a repeated key or a parent missing before its child raise
+    ``IndexSetError``."""
     dims = {len(alpha) for alpha, _ in keys}
     if len(dims) != 1:
         raise IndexSetError(f"members of one spatial dimension needed, got {sorted(dims)}")
-    position = {}
-    links: dict[int, tuple[list[int], list[int]]] = {}
-    for k, key in enumerate(keys):
-        if position.setdefault(key, k) != k:
-            raise IndexSetError(f"{key} is listed twice")
-        for direction, parent in _parent_levels(*key):
-            p = position.get(parent)
-            if p is None:
+    numbers = numbers or [[seen.setdefault(key[side], len(seen)) for key in keys]
+                          for side, seen in enumerate(({}, {}))]
+    (_, *spatial), (_, *quad) = (np.unique(n, return_index=True, return_inverse=True) for n in numbers)
+    # Row len(alphas) and column len(betas) stand for a vector not listed.
+    position = np.full((len(spatial[0]) + 1, len(quad[0]) + 1), len(keys))
+    position[spatial[1], quad[1]] = listed = np.arange(len(keys))
+    if (repeated := np.flatnonzero(position[spatial[1], quad[1]] != listed)).size:
+        raise IndexSetError(f"{keys[repeated[0]]} is listed twice")
+    links = {}
+    for side, (first, rows) in enumerate((spatial, quad)):
+        vectors = [keys[k][side] for k in first]
+        number = {vector: n for n, vector in enumerate(vectors)}
+        lowered: dict[int, dict[int, int]] = {}
+        for n, vector in enumerate(vectors):
+            for direction, parent in _parent_levels(*((vector, ()) if side == 0 else ((), vector))):
+                lowered.setdefault(direction, {})[n] = number.get(parent[side], len(vectors))
+        for direction, parent_of in lowered.items():
+            up = np.full(len(vectors), -1)
+            up[list(parent_of)] = list(parent_of.values())
+            children = np.flatnonzero(up[rows] >= 0)
+            at = [spatial[1][children], quad[1][children]]
+            at[side] = up[rows[children]]
+            if (late := (parents := position[tuple(at)]) >= children).any():
+                key = keys[children[late][0]]
+                parent = dict(_parent_levels(*key))[direction]
                 raise IndexSetError(f"{key} lacks its parent {parent} before it")
-            parents, children = links.get(direction) or links.setdefault(direction, ([], []))
-            parents.append(p)
-            children.append(k)
+            links[direction] = (parents, children)
     return links
 
 
@@ -127,6 +155,7 @@ def _corner_signs(free: int) -> tuple[int, ...]:
 # new_node_count(b) at every level b a SparseLevelVector can hold, indexed by b.
 _NEW_NODES = (0,) + tuple(quadrature.new_node_count(b)
                           for b in range(1, quadrature.MAX_LEVEL + 1))
+_NODES = tuple(itertools.accumulate(_NEW_NODES))   # level_to_nodes(b), indexed by b
 _unknowns = functools.lru_cache(maxsize=None)(pde_solver.unknowns)
 
 
@@ -147,37 +176,34 @@ class IndexSet:
     """
 
     def __init__(self, members: Iterable[MixedIndex]):
-        members = sorted(set(members), key=MixedIndex.sort_key)
-        # Every parent is one level below its child, so listing by total
-        # level puts parents first; the stable sort keeps sort-key order
-        # within a level.
-        listing = sorted(members, key=lambda m: sum(m.alpha) + m.beta.excess())
-        self._set_up(listing, _parent_links([m.sort_key() for m in listing]), members)
-
-    def _set_up(self, listing: Sequence[MixedIndex], links: dict, members: Sequence[MixedIndex]):
-        """Members in sort-key order; ``links`` are the parent links between
-        positions of ``listing``, whose first len(members) entries are the members."""
-        self._members = tuple(members)
-        self._member_set = frozenset(self._members)
-        self._listing, self._links = listing, links
-        self._coefficients: dict[MixedIndex, int] | None = None
+        # The set is the whole of its listing by total level, which puts
+        # parents first: a parent is one level below its child.
+        listing = sorted(set(members), key=lambda m: (sum(m.alpha) + m.beta.excess(), m.sort_key()))
+        vars(self).update(vars(IndexSet.prefixes(listing, [len(listing)])[0]))
 
     @classmethod
-    def prefixes(cls, listing: Sequence[MixedIndex], lengths: Iterable[int]) -> list["IndexSet"]:
+    def prefixes(cls, listing: Sequence[MixedIndex], lengths: Iterable[int],
+                 numbers: tuple | None = None, dofs: Sequence[int] | None = None) -> list["IndexSet"]:
         """The sets of the first n members of ``listing``, one per n in
         ``lengths``.  One walk checks that each member's parents come
         before it, which makes every prefix downward closed; a prefix's
-        links are the walk's links with a child position below n."""
-        listing = tuple(listing)
+        links are the walk's links with a child position below n.
+        ``numbers`` may number the entries' alphas and beta items as
+        ``_parent_links`` takes them, and ``dofs`` give their ``dof_work``."""
         keys = [m.sort_key() for m in listing]
-        links = _parent_links(keys)
+        links = _parent_links(keys, numbers)
+        spent = list(itertools.accumulate(dofs)) if dofs is not None else None
         ranked = sorted(range(len(listing)), key=keys.__getitem__)
         sets = []
         for n in lengths:
             if not 1 <= n <= len(listing):
                 raise IndexSetError(f"no prefix of length {n} in a listing of {len(listing)}")
             index_set = cls.__new__(cls)
-            index_set._set_up(listing, links, [listing[k] for k in ranked if k < n])
+            # The members in sort-key order and their positions in the listing.
+            index_set._positions = [k for k in ranked if k < n]
+            index_set._members = tuple(map(listing.__getitem__, index_set._positions))
+            index_set._links, index_set._work = links, spent and spent[n - 1]
+            index_set._member_set = index_set._coefficients = None
             sets.append(index_set)
         return sets
 
@@ -196,6 +222,7 @@ class IndexSet:
         return iter(self._members)
 
     def __contains__(self, index: MixedIndex) -> bool:
+        self._member_set = self._member_set or frozenset(self._members)
         return index in self._member_set
 
     def __eq__(self, other) -> bool:
@@ -225,7 +252,9 @@ class IndexSet:
 
     def nominal_work(self) -> int:
         """Total work per the difference-wise decomposition (degrees of freedom)."""
-        return sum(dof_work(m) for m in self._members)
+        if self._work is None:
+            self._work = sum(dof_work(m) for m in self._members)
+        return self._work
 
     def to_json(self) -> str:
         payload = {
@@ -270,17 +299,17 @@ def combination_coefficients(index_set: IndexSet) -> dict[MixedIndex, int]:
     The sum factors as prod_d (I - T_d) chi_S, T_d one level forward in
     direction d: c starts at 1 on S, and each direction takes one signed
     pass over its parent links, c[parent] -= c[child] with the values from
-    before the pass, one step per link.  Every intermediate value stays on
-    S: it is a signed sum of chi_S(m + e), and by downward closure m not in
-    S implies m + e not in S, so it is 0 off S.
+    before the pass, all links at once (a parent has one child in each
+    direction).  Every intermediate value stays on S: it is a signed sum
+    of chi_S(m + e), and by downward closure m not in S implies m + e not
+    in S, so it is 0 off S.  The members come in sort-key order.
     """
     n = len(index_set)
-    c = [1] * n
+    c = np.ones(n, dtype=np.int64)
     for parents, children in index_set._links.values():
-        previous = c[:]
-        for p, k in zip(parents, children[: bisect.bisect_left(children, n)]):
-            c[p] -= previous[k]
-    return dict(zip(index_set._listing, c))
+        m = np.searchsorted(children, n)
+        c[parents[:m]] -= c[children[:m]]
+    return dict(zip(index_set._members, c[index_set._positions].tolist()))
 
 
 # Uncached points that one evaluation holds before it solves them.  The
@@ -288,15 +317,24 @@ def combination_coefficients(index_set: IndexSet) -> dict[MixedIndex, int]:
 # show, and a bound of 4096 raised the 1-D benchmark's peak RSS by 1.2 MB.
 _FLUSH_POINTS = 1024
 
+# The entry of an alpha's block table (``EvalCache.starts``) for a block
+# not solved yet.
+_UNSOLVED = -1
+_NO_BLOCKS = np.empty(0, dtype=np.intp)
+
 
 @dataclass
 class EvalCache:
-    """Memoized values of F^alpha on nested point blocks, one array per
-    (alpha, block beta items), and of whole tensor grids; the hit/miss
-    counters count points."""
+    """Memoized values of F^alpha at grid points and of whole tensor grids.
 
-    blocks: dict = field(default_factory=dict)
+    ``values[:size]`` holds the solved point values of every alpha; block k
+    of alpha's values starts at ``values[starts[alpha][k]]``, in
+    ``quadrature.block_points`` order.  The hit/miss counters count points."""
+
     grids: dict = field(default_factory=dict)
+    values: np.ndarray = field(default_factory=lambda: np.empty(0))
+    size: int = 0
+    starts: dict = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
 
@@ -311,11 +349,6 @@ class EstimatorResult:
     solves: int
     cache_hits: int
     mode: str
-
-
-def _grid_value(blocks: dict, keys: list, order: np.ndarray, weights: np.ndarray) -> float:
-    """The quadrature sum of one grid over its cached blocks, in row-major order."""
-    return float(np.sum(weights * np.concatenate([blocks[key] for key in keys])[order]))
 
 
 def _difference_terms(index: MixedIndex) -> list[tuple[int, SparseLevelVector, list]]:
@@ -347,11 +380,11 @@ class MiscEvaluator:
     """Evaluates mixed differences and whole estimators with a shared cache.
 
     Every value goes through ``tensor_values``, which caches each tensor
-    grid's reduced value under (alpha, beta items) and the values of
-    each nested point block under (alpha, the block's beta items), and
-    solves the new blocks of all the grids it is given in one batch per
-    spatial level.  Every block of a grid is a grid of its own levels,
-    so nested grids share blocks.
+    grid's value under (alpha, beta items) and solves the points of all
+    the grids it is given that are new at their alpha, in one batch per
+    alpha.  The nested blocks of the quadrature grids are numbered once,
+    for every alpha; a grid reads its values by one gather through its
+    blocks' starts in alpha's block table.
     """
 
     def __init__(self, field_spec: FieldSpec, qoi_spec: QoISpec):
@@ -361,8 +394,29 @@ class MiscEvaluator:
         self.qoi_spec = qoi_spec
         self.cache = EvalCache()
         self.solved_dof = 0
+        self._grids: dict[tuple, np.ndarray] = {}   # beta items -> its grid's block numbers
+        self._blocks: list[tuple] = []              # block number -> its levels and columns
+        self._sizes: list[int] = []                 # block number -> its point count
 
     # -- tensor grids ------------------------------------------------------
+
+    def _grid(self, items: tuple[tuple[int, int], ...]) -> np.ndarray:
+        """The numbers of the nested blocks of the grid with these beta
+        items, row-major by block levels (axis k has levels 1 to b_k).  The
+        last is the grid's own block, numbered on first use after its
+        parents, which hold the blocks below its level on each axis."""
+        blocks = self._grids.get(items)
+        if blocks is None:
+            levels = tuple(b for _, b in items)
+            blocks = np.empty(levels, dtype=np.intp)
+            for k, (j, b) in enumerate(items):
+                blocks[(slice(None),) * k + (slice(b - 1) if b > 2 else 0,)] = self._grid(
+                    items[:k] + (((j, b - 1),) if b > 2 else ()) + items[k + 1 :])
+            blocks[(-1,) * len(levels)] = len(self._blocks)
+            self._grids[items] = blocks
+            self._blocks.append((levels, [j - 1 for j, _ in items]))
+            self._sizes.append(math.prod(_NEW_NODES[b] for b in levels))
+        return blocks
 
     def tensor_value(self, alpha: tuple[int, ...], beta: SparseLevelVector) -> float:
         """Full tensor approximation: quadrature at level beta of F^alpha."""
@@ -372,82 +426,92 @@ class MiscEvaluator:
         """Full tensor approximations of every (alpha, beta) in ``grids``.
 
         A grid evaluated before costs one lookup.  For the others, every
-        block neither cached nor already pending waits, de-duplicated
-        across grids, in its spatial level's batch.  Whenever
-        _FLUSH_POINTS points are pending, and at the end, each level's
-        batch goes to one ``solve_qoi_batch`` call, and the grids waiting
-        on it are reduced with their outer-product quadrature weights in
-        row-major order.  The one-point y = 0 grid is solved on its own
-        through ``solve_qoi`` when its point is new.  Values do not
-        depend on the batching, since each solved row does not depend on
-        its batch.
+        nested block neither solved at alpha nor pending waits, in the
+        order first needed, in alpha's batch.  Whenever _FLUSH_POINTS
+        points are pending, and at the end, each alpha's batch goes to one
+        ``solve_qoi_batch`` call and the waiting grids are reduced.  The
+        one-point y = 0 grid is solved on its own through ``solve_qoi``
+        when its point is new.  No solved row depends on its batch.
         """
-        grids = list(grids)
         keys = [(alpha, beta.items()) for alpha, beta in grids]
-        known = self.cache.grids
-        todo = {}
-        for key, grid in zip(keys, grids):
-            if key not in known:
-                todo.setdefault(key, grid)
-        cached = self.cache.blocks
-        pending: dict[tuple[int, ...], dict] = {}   # alpha -> {block key: points}
-        waiting = []       # (grid key, block keys, order, weights) per grid
+        cache = self.cache
+        pending: dict[tuple[int, ...], dict] = {}   # alpha -> {block number: None}
+        waiting = []       # (alpha, beta items, block numbers) per grid
         count = 0
-        for grid_key, (alpha, beta) in todo.items():
-            blocks, order, weights = quadrature.tensor_blocks(tuple(b for _, b in beta.items()))
-            batch = pending.get(alpha, {})
-            # A block's key is alpha and its (variable, level) items.
-            pairs = [(j, c) for j, b in beta.items() for c in range(2, b + 1)]
-            block_keys = [(alpha, tuple(map(pairs.__getitem__, indices))) for indices, _ in blocks]
-            missing = [i for i, key in enumerate(block_keys) if key not in cached]
-            new = {block_keys[i]: blocks[i][1] for i in missing if block_keys[i] not in batch}
-            waits = len(new) < len(missing)
-            fresh = sum(len(points) for points in new.values())
-            self.cache.hits += len(order) - fresh
-            if new and not pairs:
+        for alpha, items in dict.fromkeys(keys):
+            if (alpha, items) in cache.grids:
+                continue
+            blocks = self._grid(items)
+            table = cache.starts.get(alpha, _NO_BLOCKS)
+            if len(table) < len(self._blocks):
+                table = cache.starts[alpha] = np.concatenate(
+                    (table, np.full(max(len(self._blocks), 2 * len(table)) - len(table), _UNSOLVED)))
+            # A batch holds every unsolved block below each of its grids, so
+            # a grid whose own block is solved or pending needs no other.
+            batch, own = pending.get(alpha, {}), blocks.item(-1)
+            new = []
+            if table[own] == _UNSOLVED and own not in batch:
+                new = [k for k in blocks[table[blocks] == _UNSOLVED].tolist() if k not in batch]
+            fresh = sum(map(self._sizes.__getitem__, new))
+            cache.hits += math.prod(map(_NODES.__getitem__, blocks.shape)) - fresh
+            if new and not items:
                 # The y = 0 anchor goes through solve_qoi, the per-solve
                 # entry point that perfbench/tracer.py counts.
-                cached[block_keys[0]] = np.array(
-                    [pde_solver.solve_qoi(alpha, {}, self.field_spec, self.qoi_spec)])
-                self.cache.misses += 1
+                value = pde_solver.solve_qoi(alpha, {}, self.field_spec, self.qoi_spec)
+                table[new] = self._store(np.array([value]))
+                cache.misses += 1
                 self.solved_dof += pde_solver.unknowns(alpha)
-                new = {}
-            if not (new or waits):
-                known[grid_key] = _grid_value(cached, block_keys, order, weights)
-                continue
-            if new:
-                pending.setdefault(alpha, {}).update(new)
+            elif new:
+                pending.setdefault(alpha, batch).update(dict.fromkeys(new))
                 count += fresh
-            waiting.append((grid_key, block_keys, order, weights))
+            waiting.append((alpha, items, blocks))
             if count >= _FLUSH_POINTS:
                 self._solve_pending(pending, waiting)
                 count = 0
         if waiting:
             self._solve_pending(pending, waiting)
-        return [known[key] for key in keys]
+        return [cache.grids[key] for key in keys]
+
+    def _store(self, values: np.ndarray) -> int:
+        """Append ``values`` to the cache's point values; returns where they start."""
+        cache = self.cache
+        start, cache.size = cache.size, cache.size + len(values)
+        if cache.size > len(cache.values):
+            cache.values = np.resize(cache.values, 2 * cache.size)
+        cache.values[start : cache.size] = values
+        return start
 
     def _solve_pending(self, pending: dict, waiting: list) -> None:
-        """Solve each spatial level's pending blocks in one ``solve_qoi_batch``
-        call, cache the values, and reduce the grids waiting on them."""
-        cached = self.cache.blocks
-        for alpha, batch in pending.items():
+        """Solve each alpha's pending blocks in one ``solve_qoi_batch`` call,
+        then reduce the waiting grids: those of one alpha and one level
+        tuple as the rows of one gathered array times their shared
+        weights, each row summed as ``np.sum`` sums it alone."""
+        cache = self.cache
+        for alpha, numbers in pending.items():
+            numbers = list(numbers)
+            blocks = [self._blocks[k] for k in numbers]
+            sizes = [self._sizes[k] for k in numbers]
+            starts = [0, *itertools.accumulate(sizes)]
             # Rows end at the batch's last variable; the solver rejects one
             # beyond max_modes as outside the enumerated modes.
-            width = max((items[-1][0] for _, items in batch if items), default=0)
-            Y = np.zeros((sum(map(len, batch.values())), width))
-            start = 0
-            for (_, items), points in batch.items():
-                Y[start : start + len(points), [j - 1 for j, _ in items]] = points
-                start += len(points)
-            solved = pde_solver.solve_qoi_batch(alpha, Y, self.field_spec, self.qoi_spec)
-            start = 0
-            for key, points in batch.items():
-                cached[key] = solved[start : start + len(points)]
-                start += len(points)
-            self.cache.misses += len(Y)
+            width = max((columns[-1] + 1 for _, columns in blocks if columns), default=0)
+            Y = np.zeros((starts[-1], width))
+            for (levels, columns), start, size in zip(blocks, starts, sizes):
+                Y[start : start + size, columns] = quadrature.block_points(levels)
+            base = self._store(pde_solver.solve_qoi_batch(alpha, Y, self.field_spec, self.qoi_spec))
+            cache.starts[alpha][numbers] = [base + start for start in starts[:-1]]
+            cache.misses += len(Y)
             self.solved_dof += len(Y) * pde_solver.unknowns(alpha)
-        for grid_key, block_keys, order, weights in waiting:
-            self.cache.grids[grid_key] = _grid_value(cached, block_keys, order, weights)
+        groups: dict[tuple, list] = {}
+        for alpha, items, blocks in waiting:
+            groups.setdefault((alpha, blocks.shape), []).append((items, blocks))
+        for (alpha, levels), members in groups.items():
+            block, offset, weights = quadrature.block_layout(levels)
+            starts = cache.starts[alpha][np.array([blocks for _, blocks in members])]
+            # take keeps the rows C-contiguous, so each row sums as np.sum sums it.
+            values = cache.values[np.take(starts.reshape(len(members), -1), block, axis=1) + offset]
+            sums = (values * weights).sum(axis=1)
+            cache.grids.update(zip([(alpha, items) for items, _ in members], sums.tolist()))
         pending.clear()
         waiting.clear()
 
@@ -486,7 +550,7 @@ class MiscEvaluator:
             for t in terms:
                 value += _difference(t, values)
         else:
-            weighted = [(c, m) for m in index_set.members if (c := index_set.coefficients[m]) != 0]
+            weighted = [(c, m) for m, c in index_set.coefficients.items() if c != 0]
             for (c, _), v in zip(weighted, self.tensor_values((m.alpha, m.beta) for _, m in weighted)):
                 value += c * v
         return EstimatorResult(

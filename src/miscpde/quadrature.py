@@ -7,13 +7,12 @@ point families nested.  Points are evaluated canonically (cosine of the
 reduced angle, then symmetrized about an exact-zero midpoint) so that
 the nesting is bit-exact and no point is -0.0.  A tensor grid therefore
 splits into nested blocks, one per level vector below its own, each
-holding the points first present at those levels; the evaluator caches
-values by block, so nested grids share them.
+holding the points first present at those levels (``block_points``);
+the evaluator solves each block once, so nested grids share them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache, reduce
 from typing import Iterable, Mapping
@@ -221,21 +220,26 @@ class SparseLevelVector:
 
 
 @lru_cache(maxsize=None)
-def _birth_levels(beta: int) -> np.ndarray:
-    """The level at which each point of ``cc_points(beta)`` first appears."""
+def node_births(beta: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each point of ``cc_points(beta)``: the level at which it first
+    appears, and its rank among the points that level adds."""
     birth = np.full(level_to_nodes(beta), beta)
-    if beta == 2:
-        birth[1] = 1
-    elif beta > 2:
-        birth[::2] = _birth_levels(beta - 1)
-    birth.setflags(write=False)
-    return birth
+    rank = np.zeros(level_to_nodes(beta), dtype=int)
+    if beta > 1:
+        # Level beta - 1 sits at index 1 of level 2 and at the even indices above.
+        old = slice(1, 2) if beta == 2 else slice(0, None, 2)
+        birth[old], rank[old] = node_births(beta - 1)
+        rank[birth == beta] = np.arange(new_node_count(beta))
+    for array in (birth, rank):
+        array.setflags(write=False)
+    return birth, rank
 
 
 @lru_cache(maxsize=None)
-def _block_points(levels: tuple[int, ...]) -> np.ndarray:
-    """Row-major product of the points that each of ``levels`` adds, (P, k)."""
-    new = [cc_points(b)[_birth_levels(b) == b] for b in levels]
+def block_points(levels: tuple[int, ...]) -> np.ndarray:
+    """Row-major product of the points that each of ``levels`` adds, (P, k):
+    the nested block of a tensor grid whose points are new on every axis."""
+    new = [cc_points(b)[node_births(b)[0] == b] for b in levels]
     axes = np.meshgrid(*new, indexing="ij")
     points = np.array(axes).reshape(len(levels), math.prod(map(len, new))).T
     points.setflags(write=False)
@@ -243,33 +247,20 @@ def _block_points(levels: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def tensor_blocks(levels: tuple[int, ...]):
-    """The tensor grid of ``levels`` split into its nested blocks.
-
-    Block ``c`` (a level vector with 1 <= c_k <= levels_k) holds the
-    points first present at level c_k on every axis k.  Returns
-    ``(blocks, order, weights)``: per block in row-major order of ``c``,
-    its (axis, level) pairs at level >= 2, given as indices into the list
-    of pairs (k, c) for every axis k and 2 <= c <= levels_k, and the
-    (P_c, pairs) row-major product of their new points, every other axis
-    being at 0; ``order``, which takes the blocks' concatenated values to
-    the grid's row-major order; and the raveled row-major outer-product
-    weights.  An empty ``levels`` is the single point y = 0 with
-    weight 1.
-    """
-    blocks = []
-    starts = [0, *itertools.accumulate(b - 1 for b in levels)]
-    for block in itertools.product(*(range(1, b + 1) for b in levels)):
-        above = [(k, c) for k, c in enumerate(block) if c >= 2]
-        pairs = tuple(starts[k] + c - 2 for k, c in above)
-        blocks.append((pairs, _block_points(tuple(c for _, c in above))))
-    # Each block lists its points in the grid's row-major order, so a
-    # stable sort of the grid by block index concatenates the blocks.
-    block_index = np.zeros((), dtype=int)
+def block_layout(levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tensor grid of ``levels`` point by point, in row-major order: the
+    row-major index of its nested block among the level vectors
+    1 <= c <= levels, its row in that block's ``block_points``, and its
+    weight, the product of the axes' weights.  An empty ``levels`` is the
+    single point y = 0 with weight 1."""
+    block = offset = np.zeros((), dtype=np.intp)
     for b in levels:
-        block_index = block_index[..., None] * b + (_birth_levels(b) - 1)
-    order = np.argsort(np.argsort(block_index.ravel(), kind="stable"))
-    weights = reduce(np.multiply.outer, (cc_weights(b) for b in levels), np.ones(1)).ravel()
-    for array in (order, weights):
+        birth, rank = node_births(b)
+        counts = np.array([new_node_count(c) for c in range(1, b + 1)])[birth - 1]
+        block = block[..., None] * b + (birth - 1)
+        offset = offset[..., None] * counts + rank
+    weights = reduce(np.multiply.outer, (cc_weights(b) for b in levels), np.ones(1))
+    layout = block.ravel(), offset.ravel(), weights.ravel()
+    for array in layout:
         array.setflags(write=False)
-    return tuple(blocks), order, weights
+    return layout

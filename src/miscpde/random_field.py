@@ -209,8 +209,8 @@ def p_bound(s: int, spec: FieldSpec, variant: str, limit: float = 0.5) -> float:
     return p
 
 
-def max_order(spec: FieldSpec, variant: str, limit: float = 0.5) -> int:
-    """Largest derivative order with an admissible exponent below ``limit``."""
+def max_order(spec: FieldSpec, variant: str, limit: float = 0.5, cap: int | None = None) -> int:
+    """Largest derivative order, at most ``cap``, with an admissible exponent below ``limit``."""
     s = 0
     try:
         p_bound(0, spec, variant, limit)
@@ -218,9 +218,10 @@ def max_order(spec: FieldSpec, variant: str, limit: float = 0.5) -> int:
         raise SummabilityError(
             f"not even s = 0 is summable for nu = {spec.nu}, d = {spec.d} ({variant})"
         ) from None
-    while True:
+    while cap is None or s < cap:
         try:
             p_bound(s + 1, spec, variant, limit)
         except SummabilityError:
             return s
         s += 1
+    return s

@@ -254,8 +254,9 @@ def example_prediction(nu: float, d: int, gamma: float, variant: str) -> RatePre
     maximizer.  "square" and "improved" run the max-over-s program with
     the squared-amplitude exponents, a doubled spatial rate (smooth
     functional of the solution), equal cost exponents on all d unit
-    subdomains and (for "improved") the sharper derived exponents;
-    their admissibility extends to nu > d/2 and nu > 0 respectively.
+    subdomains and (for "improved") the sharper derived exponents, over
+    s <= d; their admissibility extends to nu > d/2 and nu > 0
+    respectively.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -271,7 +272,10 @@ def example_prediction(nu: float, d: int, gamma: float, variant: str) -> RatePre
     spec = FieldSpec(d=d, nu=nu, max_modes=1)
     limit = 1.0 if improved else 0.5
     try:
-        s_max = max_order(spec, "square", limit)
+        # The doubled spatial rate is at its cap 2/gamma from s = d on while
+        # p_s grows with s, so no larger s raises the rate: the program's
+        # time and record stay bounded in nu.
+        s_max = max_order(spec, "square", limit, cap=d)
         p_of = lambda s: p_bound(s, spec, "square", limit) + P_SAFETY_OFFSET
         det_of = lambda s: r_det(s, (gamma,) * d, (1,) * d, multiplier=2.0)
         return r_misc(p_of(0), p_of, det_of, s_max, improved=improved, variant=variant)

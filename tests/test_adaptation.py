@@ -508,8 +508,12 @@ class TestWalk:
     def test_rows_are_the_candidates_above_the_cut(self, d, seed):
         error_model, budgets, d, gamma = random_threshold_setting(d, seed)
         rows, cut = _walk(error_model, budgets[-1], d, gamma)
-        listed = {MixedIndex(alpha, SLV(items)): (-key, dof) for key, alpha, items, dof in rows}
+        listed = {MixedIndex(alpha, SLV(items)): (-key, dof) for key, alpha, items, dof, *_ in rows}
         assert len(listed) == len(rows)
+        # s and q number the walk's spatial and quadrature vectors one to one.
+        for column, number in ((1, 4), (2, 5)):
+            pairs = {(row[column], row[number]) for row in rows}
+            assert len(pairs) == len({v for v, _ in pairs}) == len({n for _, n in pairs})
         for m, (p, dof) in listed.items():
             assert p.hex() == profit(m, error_model, gamma).hex()
             assert dof == dof_work(m)
@@ -528,7 +532,7 @@ class TestWalk:
         for budget in (5, 9, 10, 12):
             rows, cut = _walk(error_model, budget, 1, 1.0)
             assert all(-key >= cut for key, *_ in rows)
-            assert near not in {MixedIndex(alpha, SLV(items)) for _, alpha, items, _ in rows}
+            assert near not in {MixedIndex(alpha, SLV(items)) for _, alpha, items, *_ in rows}
             assert cut * (1 - 3e-9) < profit(near, error_model) < cut
 
 

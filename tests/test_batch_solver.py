@@ -333,6 +333,16 @@ class TestSineTransformPreconditioner:
             assert np.abs(matrix @ solution - row).max() <= 1e-10 * np.abs(row).max()
 
 
+def solved_blocks(ev):
+    """The evaluator's solved point values as {(alpha, block items): values},
+    each block's values in ``quadrature.block_points`` order."""
+    blocks = [(tuple(zip([c + 1 for c in columns], levels)), size)
+              for (levels, columns), size in zip(ev._blocks, ev._sizes)]
+    return {(alpha, items): ev.cache.values[start : start + size]
+            for alpha, table in ev.cache.starts.items()
+            for (items, size), start in zip(blocks, table.tolist()) if start >= 0}
+
+
 class TestGridEvaluation:
     def test_3d_batch_matches_point_solves(self, field3, qoi3):
         rows = np.array([[0.0, 0.0], [0.4, -0.3]])
@@ -344,7 +354,7 @@ class TestGridEvaluation:
         ev = MiscEvaluator(field1, qoi1)
         for top in (MixedIndex((2,), SLV({1: 2, 2: 2})), MixedIndex((3,), SLV({1: 3}))):
             ev.evaluate(IndexSet(downward_closure({top})), "surplus")
-        blocks = ev.cache.blocks
+        blocks = solved_blocks(ev)
         for (_, items), values in blocks.items():
             assert len(values) == math.prod(new_node_count(b) for _, b in items)
         assert ev.solved_dof == sum(unknowns(alpha) * len(v) for (alpha, _), v in blocks.items())
@@ -417,8 +427,9 @@ def check_batches(ev, iset, mode, calls):
     assert value == grid_by_grid(single, iset, mode)
     assert (ev.cache.misses, ev.cache.hits) == (single.cache.misses, single.cache.hits)
     assert ev.solved_dof == single.solved_dof
-    assert ev.cache.blocks.keys() == single.cache.blocks.keys()
-    assert all(np.array_equal(v, single.cache.blocks[k]) for k, v in ev.cache.blocks.items())
+    blocks, single_blocks = solved_blocks(ev), solved_blocks(single)
+    assert blocks.keys() == single_blocks.keys()
+    assert all(np.array_equal(v, single_blocks[k]) for k, v in blocks.items())
     assert ev.cache.grids == single.cache.grids
     assert sum(rows for _, _, rows in calls) == ev.cache.misses
     flushes = {}
@@ -500,3 +511,48 @@ class TestBatchedEvaluation:
                 # np.sum is the pairwise row-major sum that the evaluator reduces grids with.
                 assert value == float(np.sum(np.array(weights) * np.array(values)))
             assert ev.cache.misses == len(points)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_a_refused_batch_leaves_its_grids_unsolved(self, field1, qoi1, field3, qoi3, d):
+        """A batch the solver refuses solves none of its blocks, so a later
+        call solves them as a fresh evaluator does."""
+        field_spec, qoi_spec = (field1, qoi1) if d == 1 else (field3, qoi3)
+        alpha = (2,) + (1,) * (d - 1)
+        good, bad = SLV({1: 3, 2: 2}), SLV({1: 2, field_spec.max_modes + 1: 2})
+        ev, fresh = MiscEvaluator(field_spec, qoi_spec), MiscEvaluator(field_spec, qoi_spec)
+        with pytest.raises(IndexError):
+            ev.tensor_values([(alpha, good), (alpha, bad)])
+        assert ev.cache.misses == 0
+        assert ev.tensor_value(alpha, good) == fresh.tensor_value(alpha, good)
+        assert ev.cache.misses == fresh.cache.misses
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_grouped_sums_match_per_grid_sums_in_any_order(self, field1, qoi1, field3, qoi3, d):
+        """Grids reduced together, as rows of one array, equal the row-major
+        ``np.sum`` of each grid alone bit for bit, whatever their order,
+        their split into calls and the calls in between."""
+        field_spec, qoi_spec = (field1, qoi1) if d == 1 else (field3, qoi3)
+        n_vars = 4
+        rng = np.random.default_rng(90 + d)
+        # Many grids share a level tuple and an alpha, so most groups hold
+        # several rows of 9 to 81 points.
+        alphas = [(1,) * d, (2,) + (1,) * (d - 1)]
+        levels = [{j: b for j, b in zip(js, bs)} for r in (1, 2, 3)
+                  for js in itertools.combinations(range(1, n_vars + 1), r)
+                  for bs in itertools.product((2, 3) if r == 3 else (2, 3, 4), repeat=r)]
+        grids = [(alpha, SLV(beta).items()) for alpha in alphas for beta in levels]
+        ev = MiscEvaluator(field_spec, qoi_spec)
+        values = {}
+        for chunk in np.array_split(rng.permutation(len(grids)), 3):
+            batch = [grids[k] for k in chunk]
+            values.update(zip(batch, ev.tensor_values((alpha, SLV(items)) for alpha, items in batch)))
+            alpha, items = grids[rng.integers(len(grids))]
+            ev.mixed_difference(MixedIndex(alpha, SLV(items)))
+        assert len(values) == len(grids)
+        for (alpha, items), value in values.items():
+            points = list(itertools.product(*(cc_points(b) for _, b in items)))
+            rows = np.zeros((len(points), n_vars))
+            rows[:, [j - 1 for j, _ in items]] = points
+            weights = [math.prod(w) for w in itertools.product(*(cc_weights(b) for _, b in items))]
+            solved = solve_qoi_batch(alpha, rows, field_spec, qoi_spec)
+            assert value == float(np.sum(np.array(weights) * solved))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,18 @@ class TestCommands:
         assert self.run("predict", "--config", str(cfg), "--out", str(tmp_path)) == 0
         report = json.loads((tmp_path / "prediction.json").read_text())
         assert report["rates"]["theory"] == 0.5
+
+    def test_predict_at_large_nu_is_quick_and_small(self, tmp_path):
+        # The max-over-s program stops where no larger order can raise the
+        # rate, so neither its time nor prediction.json grows with nu.
+        sizes = []
+        for nu in ("6.5", "1e6"):
+            cfg = write_config(tmp_path / "p.cfg", f"problem.d = 1\nproblem.nu = {nu}\n")
+            start = time.perf_counter()
+            assert self.run("predict", "--config", str(cfg), "--out", str(tmp_path)) == 0
+            assert time.perf_counter() - start < 5.0
+            sizes.append(len((tmp_path / "prediction.json").read_text()))
+        assert sizes[1] <= sizes[0] + 64
 
     def test_missing_config_key_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "bad.cfg", "problem.d = 1\n")

@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,13 +9,16 @@ from miscpde.misc_core import MiscEvaluator
 from miscpde.quadrature import (
     QuadratureLevelError,
     SparseLevelVector,
+    block_layout,
+    block_points,
     cc_points,
     cc_weights,
     leb_delta,
     level_to_nodes,
     new_node_count,
-    tensor_blocks,
+    node_births,
 )
+from test_batch_solver import solved_blocks
 
 
 def moment(k):
@@ -153,6 +157,42 @@ class TestSparseLevelVector:
             SparseLevelVector()._items = ()
 
 
+def birth_levels(beta):
+    """The level at which each point of ``cc_points(beta)`` first appears,
+    found by membership in the coarser rules."""
+    return np.array([min(c for c in range(1, beta + 1) if p in cc_points(c)) for p in cc_points(beta)])
+
+
+def tensor_blocks(levels):
+    """Oracle: the tensor grid of ``levels`` split into its nested blocks.
+
+    Block ``c`` (a level vector with 1 <= c_k <= levels_k) holds the
+    points first present at level c_k on every axis k.  Returns
+    ``(blocks, order, weights)``: per block in row-major order of ``c``,
+    its (axis, level) pairs at level >= 2, given as indices into the list
+    of pairs (k, c) for every axis k and 2 <= c <= levels_k, and the
+    (P_c, pairs) row-major product of their new points; ``order``, which
+    takes the blocks' concatenated values to the grid's row-major order;
+    and the raveled row-major outer-product weights.  An empty ``levels``
+    is the single point y = 0 with weight 1.
+    """
+    blocks = []
+    starts = [0, *itertools.accumulate(b - 1 for b in levels)]
+    for block in itertools.product(*(range(1, b + 1) for b in levels)):
+        above = [(k, c) for k, c in enumerate(block) if c >= 2]
+        new = [cc_points(c)[birth_levels(c) == c] for _, c in above]
+        points = np.array(list(itertools.product(*new))).reshape(math.prod(map(len, new)), len(above))
+        blocks.append((tuple(starts[k] + c - 2 for k, c in above), points))
+    # Each block lists its points in the grid's row-major order, so a
+    # stable sort of the grid by block index concatenates the blocks.
+    block_index = np.zeros((), dtype=int)
+    for b in levels:
+        block_index = block_index[..., None] * b + (birth_levels(b) - 1)
+    order = np.argsort(np.argsort(block_index.ravel(), kind="stable"))
+    weights = reduce(np.multiply.outer, (cc_weights(b) for b in levels), np.ones(1)).ravel()
+    return tuple(blocks), order, weights
+
+
 def block_pairs(levels):
     """(axis, level) of each block of ``tensor_blocks(levels)``."""
     table = [(k, c) for k, b in enumerate(levels) for c in range(2, b + 1)]
@@ -221,14 +261,38 @@ class TestTensorGrid:
         ev = MiscEvaluator(field1, qoi1)
         ev.tensor_value((1,), beta)
         support = beta.support
-        assert set(ev.cache.blocks) == {((1,), tuple((support[k], b) for k, b in pairs))
-                                        for pairs in every}
+        assert set(solved_blocks(ev)) == {((1,), tuple((support[k], b) for k, b in pairs))
+                                          for pairs in every}
         assert ev.cache.misses == len(order)
 
     def test_variables_outside_the_support_stay_at_zero(self, field1, qoi1):
         ev = MiscEvaluator(field1, qoi1)
         ev.tensor_value((1,), SparseLevelVector({4: 2}))
-        assert set(ev.cache.blocks) == {((1,), ()), ((1,), ((4, 2),))}
+        assert set(solved_blocks(ev)) == {((1,), ()), ((1,), ((4, 2),))}
+
+    @pytest.mark.parametrize("levels", GRIDS + [{}])
+    def test_block_layout_places_every_point(self, levels):
+        """Each grid point is the row of its nested block's ``block_points``
+        that ``block_layout`` names, and the weights are the oracle's bit for bit."""
+        beta = grid_levels(levels)
+        block, offset, layout_weights = block_layout(beta)
+        blocks, _, weights = tensor_blocks(beta)
+        table = [(k, c) for k, b in enumerate(beta) for c in range(2, b + 1)]
+        rows = []
+        for k, row in zip(block, offset):
+            pairs = [table[i] for i in blocks[k][0]]
+            full = np.zeros(len(beta))
+            full[[axis for axis, _ in pairs]] = block_points(tuple(c for _, c in pairs))[row]
+            rows.append(full)
+        assert np.array(rows).tobytes() == grid_points(beta).tobytes()
+        assert layout_weights.tobytes() == weights.tobytes()
+
+    @pytest.mark.parametrize("beta", range(1, 8))
+    def test_node_births_follow_nesting(self, beta):
+        birth, rank = node_births(beta)
+        assert birth.tolist() == birth_levels(beta).tolist()
+        for c in range(1, beta + 1):
+            assert rank[birth == c].tolist() == list(range(new_node_count(c)))
 
     def test_empty_support_is_one_point(self):
         blocks, order, weights = tensor_blocks(())

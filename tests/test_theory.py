@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from miscpde.quadrature import max_leb_delta
-from miscpde.random_field import BSequence, FieldSpec, b_sequence
+from miscpde.random_field import BSequence, FieldSpec, b_sequence, max_order, p_bound
 from miscpde.theory import (
+    P_SAFETY_OFFSET,
     RateError,
     StochasticRateInputs,
     e_delta_equation,
@@ -182,3 +183,19 @@ class TestClosedForm:
         from miscpde.theory import VARIANTS
 
         assert set(predict_all_variants(2.5, 1, 1.0)) == set(VARIANTS)
+
+    @pytest.mark.parametrize("variant", ["square", "improved"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_program_over_s_up_to_d_matches_every_order(self, variant, d):
+        # The max over s <= d is the max over every admissible s, with the
+        # same first maximizer, bit for bit.
+        limit = 1.0 if variant == "improved" else 0.5
+        for nu in (2.5, 4.5, 7.0, 20.0, 80.0):
+            spec = FieldSpec(d=d, nu=nu, max_modes=1)
+            p_of = lambda s: p_bound(s, spec, "square", limit) + P_SAFETY_OFFSET
+            det_of = lambda s: r_det(s, (1.0,) * d, (1,) * d, multiplier=2.0)
+            every = r_misc(p_of(0), p_of, det_of, max_order(spec, "square", limit),
+                           improved=variant == "improved", variant=variant)
+            capped = example_prediction(nu, d, 1.0, variant)
+            assert (capped.r_misc.hex(), capped.s_star) == (every.r_misc.hex(), every.s_star)
+            assert len(capped.r_det_by_s) <= d + 1
