@@ -157,9 +157,8 @@ def sweep_apriori(error_model: ErrorModel, budgets: Sequence[float], d: int,
             totals.append(spent)
     ends = [bisect.bisect_right(totals, budget) - 1 for budget in budgets]
     # The walk lists valid spatial levels only.
-    return IndexSet.prefixes([MixedIndex._of(alpha, vectors[items]) for _, alpha, items, *_ in listing],
-                             [sizes[c] for c in ends], ([row[4] for row in listing],
-                             [row[5] for row in listing]), [row[3] for row in listing])
+    return IndexSet.prefixes([MixedIndex._of(alpha, vectors[items]) for _, alpha, items, _ in listing],
+                             [sizes[c] for c in ends], [dof for *_, dof in listing])
 
 
 def _alpha_terms(alpha: tuple[int, ...], gamma: float, r_fem: float):
@@ -174,9 +173,7 @@ def _alpha_terms(alpha: tuple[int, ...], gamma: float, r_fem: float):
 def _walk(error_model: ErrorModel, budget: float, d: int, gamma: float):
     """The candidates whose profit clears a cut just below the profit
     class that takes the DOF above it past ``budget``, as rows
-    (-profit, alpha, beta items, DOF, s, q), s and q numbering the
-    spatial and the quadrature level vectors of the walk, and the cut as
-    a profit.
+    (-profit, alpha, beta items, DOF), and the cut as a profit.
 
     The log profit is log(c_e) plus a spatial and a quadrature log
     factor.  Listed down to a floor by descending factor, with running
@@ -221,8 +218,8 @@ def _walk(error_model: ErrorModel, budget: float, d: int, gamma: float):
         lo, hi = (mid, hi) if work_above(mid) > budget else (lo, mid)
     cut = lo - _SLACK
     floor = math.exp(cut)
-    rows = [(-profit, spatial[1], quad[1], spatial[4] * quad[4], s, q)
-            for s, (spatial, n) in enumerate(above(cut - _SLACK)) for q, quad in enumerate(betas[:n])
+    rows = [(-profit, spatial[1], quad[1], spatial[4] * quad[4])
+            for spatial, n in above(cut - _SLACK) for quad in betas[:n]
             if (profit := error_model.c_e * quad[2] * spatial[2] / 2.0 ** (spatial[3] + quad[3]))
             >= floor]
     return rows, floor

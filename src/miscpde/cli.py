@@ -41,6 +41,12 @@ COMPARE_COLUMNS = ("budget", "misc_work", "misc_error", "mimc_work", "mimc_error
 R_DET_TABLE_MAX_S = 6
 # Deepest isotropic level of the Monte Carlo baseline's hierarchy.
 MIMC_MAX_LEVEL = 12
+# Deepest level of the lebesgue curve: the weights of level beta cost
+# O(4^beta), about 0.5 s at 14 and 3 s at 15.
+LEBESGUE_MAX_BETA = 14
+# Most unknowns of one solve --alpha grid, far above the 24,863 of the
+# largest grid a shipped study solves (alpha = (4, 3, 3)).
+SOLVE_MAX_UNKNOWNS = 2**20
 
 
 class ConfigError(ValueError):
@@ -566,6 +572,8 @@ def store_reference(path: Path, fingerprint: str, value: float) -> None:
 
 
 def cmd_lebesgue(args) -> int:
+    if not 1 <= args.max_beta <= LEBESGUE_MAX_BETA:
+        raise ConfigError(f"--max-beta must be in 1..{LEBESGUE_MAX_BETA}, got {args.max_beta}")
     rows = lebesgue_rows(args.max_beta)
     out = Path(args.out) / "lebesgue.csv"
     write_csv(out, ("beta", "leb_delta"), rows)
@@ -635,7 +643,10 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     study, *_ = _study_from_config(read_config(args.config), out_dir)
     for record, index_set in zip(study.records, study.sets):
-        set_path = out_dir / f"set_budget_{int(record.budget)}.json"
+        # A whole budget names its file as an integer, any other by its
+        # repr, so that no two budgets share a file.
+        name = int(record.budget) if record.budget.is_integer() else repr(record.budget)
+        set_path = out_dir / f"set_budget_{name}.json"
         set_path.parent.mkdir(parents=True, exist_ok=True)
         set_path.write_text(index_set.to_json())
     write_csv(out_dir / "runs.csv", RUN_COLUMNS, [r.row() for r in study.records],
@@ -674,6 +685,11 @@ def cmd_solve(args) -> int:
         raise ConfigError(f"--alpha: {exc}") from exc
     if len(alpha) != field_spec.d:
         raise ConfigError(f"--alpha has {len(alpha)} levels, problem.d = {field_spec.d}")
+    # A level of at least the cap's bit length alone exceeds it.
+    if (max(alpha) >= SOLVE_MAX_UNKNOWNS.bit_length()
+            or pde_solver.unknowns(alpha) > SOLVE_MAX_UNKNOWNS):
+        raise ConfigError(f"--alpha {','.join(map(str, alpha))} has more than "
+                          f"{SOLVE_MAX_UNKNOWNS} unknowns")
     value = pde_solver.solve_qoi(alpha, {}, field_spec, qoi_spec)
     print(f"alpha = {alpha}, unknowns = {pde_solver.unknowns(alpha)}, qoi = {value!r}")
     return EXIT_OK

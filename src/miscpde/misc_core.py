@@ -85,54 +85,29 @@ def _parent_levels(alpha: tuple[int, ...], beta_items: tuple[tuple[int, int], ..
         yield j, (alpha, beta_items[:k] + lowered + beta_items[k + 1 :])
 
 
-def _parent_links(keys: Sequence,
-                  numbers: tuple | None = None) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def _parent_links(keys: Sequence) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """{direction: (parent positions, child positions)} over the sort keys
-    ``keys``, children ascending.  ``numbers`` tell the keys' alphas and
-    beta items apart (by default, in order of first appearance); each
-    such vector finds its parent in each direction once, and the keys
-    their parents in one array of positions.  No keys, mixed spatial
-    dimensions, a repeated key or a parent missing before its child raise
-    ``IndexSetError``."""
+    ``keys``, children ascending.  One pass numbers the keys by position
+    and looks up each key's parents among the keys before it.  No keys,
+    mixed spatial dimensions, a repeated key or a parent missing before
+    its child raise ``IndexSetError``."""
     dims = {len(alpha) for alpha, _ in keys}
     if len(dims) != 1:
         raise IndexSetError(f"members of one spatial dimension needed, got {sorted(dims)}")
-    numbers = numbers or [[seen.setdefault(key[side], len(seen)) for key in keys]
-                          for side, seen in enumerate(({}, {}))]
-    (_, *spatial), (_, *quad) = (np.unique(n, return_index=True, return_inverse=True) for n in numbers)
-    # Row len(alphas) and column len(betas) stand for a vector not listed.
-    position = np.full((len(spatial[0]) + 1, len(quad[0]) + 1), len(keys))
-    position[spatial[1], quad[1]] = listed = np.arange(len(keys))
-    if (repeated := np.flatnonzero(position[spatial[1], quad[1]] != listed)).size:
-        raise IndexSetError(f"{keys[repeated[0]]} is listed twice")
-    links = {}
-    for side, (first, rows) in enumerate((spatial, quad)):
-        vectors = [keys[k][side] for k in first]
-        number = {vector: n for n, vector in enumerate(vectors)}
-        lowered: dict[int, dict[int, int]] = {}
-        for n, vector in enumerate(vectors):
-            for direction, parent in _parent_levels(*((vector, ()) if side == 0 else ((), vector))):
-                lowered.setdefault(direction, {})[n] = number.get(parent[side], len(vectors))
-        for direction, parent_of in lowered.items():
-            up = np.full(len(vectors), -1)
-            up[list(parent_of)] = list(parent_of.values())
-            children = np.flatnonzero(up[rows] >= 0)
-            at = [spatial[1][children], quad[1][children]]
-            at[side] = up[rows[children]]
-            if (late := (parents := position[tuple(at)]) >= children).any():
-                key = keys[children[late][0]]
-                parent = dict(_parent_levels(*key))[direction]
+    position = {}
+    links: dict[int, tuple[list[int], list[int]]] = {}
+    for k, key in enumerate(keys):
+        if position.setdefault(key, k) != k:
+            raise IndexSetError(f"{key} is listed twice")
+        for direction, parent in _parent_levels(*key):
+            p = position.get(parent)
+            if p is None:
                 raise IndexSetError(f"{key} lacks its parent {parent} before it")
-            links[direction] = (parents, children)
-    return links
-
-
-def is_downward_closed(members: Iterable[MixedIndex]) -> bool:
-    try:
-        IndexSet(members)
-    except IndexSetError:
-        return False
-    return True
+            parents, children = links.get(direction) or links.setdefault(direction, ([], []))
+            parents.append(p)
+            children.append(k)
+    return {direction: (np.array(parents), np.array(children))
+            for direction, (parents, children) in links.items()}
 
 
 def corners(levels: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
@@ -183,15 +158,14 @@ class IndexSet:
 
     @classmethod
     def prefixes(cls, listing: Sequence[MixedIndex], lengths: Iterable[int],
-                 numbers: tuple | None = None, dofs: Sequence[int] | None = None) -> list["IndexSet"]:
+                 dofs: Sequence[int] | None = None) -> list["IndexSet"]:
         """The sets of the first n members of ``listing``, one per n in
-        ``lengths``.  One walk checks that each member's parents come
-        before it, which makes every prefix downward closed; a prefix's
-        links are the walk's links with a child position below n.
-        ``numbers`` may number the entries' alphas and beta items as
-        ``_parent_links`` takes them, and ``dofs`` give their ``dof_work``."""
+        ``lengths``.  One pass over the members checks that each one's
+        parents come before it, which makes every prefix downward closed;
+        a prefix's links are the pass's links with a child position below
+        n.  ``dofs``, if given, are the members' ``dof_work``."""
         keys = [m.sort_key() for m in listing]
-        links = _parent_links(keys, numbers)
+        links = _parent_links(keys)
         spent = list(itertools.accumulate(dofs)) if dofs is not None else None
         ranked = sorted(range(len(listing)), key=keys.__getitem__)
         sets = []

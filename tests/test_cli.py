@@ -268,6 +268,16 @@ class TestCommands:
         assert header == ["beta", "leb_delta"]
         assert len(rows) == 5
 
+    @pytest.mark.parametrize("max_beta", [0, cli.LEBESGUE_MAX_BETA + 1, 31])
+    def test_lebesgue_outside_the_cap_exits_2(self, tmp_path, capsys, monkeypatch, max_beta):
+        def refuse(beta):
+            raise AssertionError(f"computed the weights of level {beta}")
+
+        monkeypatch.setattr(cli.quadrature, "leb_delta", refuse)
+        assert self.run("lebesgue", "--max-beta", str(max_beta), "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "lebesgue.csv").exists()
+
     def test_predict_command(self, tmp_path):
         cfg = write_config(tmp_path / "p.cfg", "problem.d = 1\nproblem.nu = 2.5\n")
         assert self.run("predict", "--config", str(cfg), "--out", str(tmp_path)) == 0
@@ -454,6 +464,17 @@ class TestCommands:
             assert stored.nominal_work() == int(record["work"])
             assert float(record["work"]) <= float(record["budget"])
 
+    def test_budgets_of_one_integer_part_write_their_own_set_files(self, tmp_path):
+        cfg = write_config(tmp_path / "run.cfg", BASE_1D.replace("20,80,320", "100.2,100.7,400"))
+        out = tmp_path / "o"
+        assert self.run("run", "--config", str(cfg), "--out", str(out)) == 0
+        names = ["set_budget_100.2.json", "set_budget_100.7.json", "set_budget_400.json"]
+        assert sorted(p.name for p in out.glob("set_budget_*.json")) == names
+        header, rows, _ = read_csv(out / "runs.csv")
+        for name, row in zip(names, rows):
+            stored = IndexSet.from_json((out / name).read_text())
+            assert stored.nominal_work() == int(dict(zip(header, row))["work"])
+
     def test_fit_then_run_apriori(self, tmp_path):
         fit_cfg = write_config(
             tmp_path / "fit.cfg",
@@ -509,12 +530,20 @@ class TestCommands:
         assert exit_info.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("alpha", ["2,x", "0", "2,2"])
+    @pytest.mark.parametrize("alpha", ["2,x", "0", "2,2", "19", "60", "1000000000"])
     def test_bad_solve_alpha_exits_2(self, tmp_path, capsys, alpha):
         cfg = write_config(tmp_path / "s.cfg", "problem.d = 1\nproblem.nu = 2.5\n")
         assert self.run("solve", "--config", str(cfg), "--alpha", alpha,
                         "--out", str(tmp_path)) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_solve_alpha_cap_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path / "s.cfg", "problem.d = 1\nproblem.nu = 2.5\n")
+        for cap, status in ((23, 0), (22, 2)):   # alpha = 3 has 23 unknowns
+            monkeypatch.setattr(cli, "SOLVE_MAX_UNKNOWNS", cap)
+            assert self.run("solve", "--config", str(cfg), "--alpha", "3",
+                            "--out", str(tmp_path)) == status
+        assert "more than 22 unknowns" in capsys.readouterr().err
 
     def test_dimension_without_default_window_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "s.cfg", "problem.d = 2\nproblem.nu = 2.5\n")

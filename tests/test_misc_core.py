@@ -14,7 +14,6 @@ from miscpde.misc_core import (
     combination_coefficients,
     corners,
     dof_work,
-    is_downward_closed,
     mimc_estimate,
     root_index,
 )
@@ -107,7 +106,7 @@ class TestIndexSet:
     def test_closure_idempotent(self):
         members = {MixedIndex((2,), SLV({1: 2, 3: 2})), MixedIndex((1,), SLV({2: 3}))}
         closed = downward_closure(members)
-        assert is_downward_closed(closed)
+        assert set(IndexSet(closed)) == closed
         assert downward_closure(closed) == closed
 
     def test_closure_check_sees_every_parent(self):
@@ -122,7 +121,11 @@ class TestIndexSet:
 
         for m in closed:
             rest = closed - {m}
-            assert is_downward_closed(rest) == (not any(dominates(x, m) for x in rest))
+            if any(dominates(x, m) for x in rest):
+                with pytest.raises(IndexSetError, match="lacks its parent"):
+                    IndexSet(rest)
+            else:
+                assert set(IndexSet(rest)) == rest
 
     def test_prefixes_of_a_listing(self):
         # Every prefix of a listing that puts parents first is the
