@@ -391,33 +391,29 @@ def pilot_samples(
     if n_modes > field_spec.max_modes:
         raise ValueError("cannot sweep more variables than the field enumerates")
     evaluator = evaluator or MiscEvaluator(field_spec, qoi_spec)
-    modes = mode_ordering(field_spec)
-    base = abs(evaluator.tensor_value((1,) * field_spec.d, SparseLevelVector()))
-    floor = 1e-13 * max(1.0, base)
+    modes, steps = mode_ordering(field_spec), range(1, depth + 1)
+    sweeps = [[MixedIndex((pilot_level(max(modes[j - 1].k)),) * field_spec.d,
+                          SparseLevelVector({j: 1 + t})) for t in steps] for j in range(1, n_modes + 1)]
+    if field_spec.d == 1:
+        base_level = pilot_level(max(modes[0].k))
+        sweeps.append([MixedIndex((1 + t,), SparseLevelVector()) for t in steps])
+        sweeps.append([MixedIndex((base_level + t,), SparseLevelVector({1: 1 + t})) for t in steps])
+    # The root's difference is the base grid's value.  All the sweeps are
+    # measured in one call, also the levels past a sweep's stop.
+    measured = iter(map(abs, evaluator.mixed_differences(
+        [root_index(field_spec.d)] + [index for sweep in sweeps for index in sweep])))
+    floor = 1e-13 * max(1.0, next(measured))
     out = []
-
-    def sweep(indices):
-        kept_any = False
-        for index in indices:
-            value = abs(evaluator.mixed_difference(index))
+    for sweep in sweeps:
+        for index, value in zip(sweep, [next(measured) for _ in sweep]):
             if value <= floor:
-                if kept_any:
+                if index is not sweep[0]:
                     break
                 raise RateFitError(
                     f"pilot difference at {index} ({value:.3e}) is below the noise floor; "
                     "the rate is not measurable at this resolution"
                 )
             out.append((index, value))
-            kept_any = True
-
-    for j in range(1, n_modes + 1):
-        alpha = (pilot_level(max(modes[j - 1].k)),) * field_spec.d
-        sweep(MixedIndex(alpha, SparseLevelVector({j: 1 + t})) for t in range(1, depth + 1))
-    if field_spec.d == 1:
-        sweep(MixedIndex((1 + t,), SparseLevelVector()) for t in range(1, depth + 1))
-        base_level = pilot_level(max(modes[0].k))
-        sweep(MixedIndex((base_level + t,), SparseLevelVector({1: 1 + t}))
-              for t in range(1, depth + 1))
     return out
 
 

@@ -22,7 +22,7 @@ from . import adaptation, misc_core, pde_solver, quadrature, theory
 from .adaptation import ErrorModel
 from .misc_core import IndexSet, MiscEvaluator, mimc_estimate
 from .pde_solver import QoISpec, default_qoi_spec
-from .random_field import FieldSpec, mode_ordering
+from .random_field import FREQUENCY_CAP, FieldSpec, mode_ordering
 
 if TYPE_CHECKING:
     import argparse
@@ -47,6 +47,9 @@ LEBESGUE_MAX_BETA = 14
 # Most unknowns of one solve --alpha grid, far above the 24,863 of the
 # largest grid a shipped study solves (alpha = (4, 3, 3)).
 SOLVE_MAX_UNKNOWNS = 2**20
+# Most problem.max_modes: the modes that |k| <= FREQUENCY_CAP holds in 1-D.  A
+# count past what the box holds walks up to 4097^d frequency vectors to fail.
+MAX_MODES = 2 * FREQUENCY_CAP + 1
 
 
 class ConfigError(ValueError):
@@ -133,7 +136,8 @@ def _up_to_8_modes(values: dict):
 CONFIG_KEYS = {
     "problem.d": (_at_least(1), ...),
     "problem.nu": (_finite_above(0), ...),
-    "problem.max_modes": (_at_least(1), 32),
+    "problem.max_modes": (_ranged(int, f"an integer in 1..{MAX_MODES} (the frequency cap in 1-D)",
+                                  lambda v: 1 <= v <= MAX_MODES), 32),
     "problem.sigma": (_finite_above(0), 0.2),
     "problem.x0": (_floats, None),  # checked where the window is built
     "solver.gamma": (_ranged(float, "a finite number >= 1", lambda v: 1 <= v < math.inf), 1.0),
@@ -364,12 +368,12 @@ def _require_finite(value: float, what: str) -> None:
 
 
 def fitted_slope(works: Sequence[float], errors: Sequence[float]) -> float:
-    pairs = [(w, e) for w, e in zip(works, errors) if e > 0]
+    """Least-squares slope of log error over log work, one point per distinct
+    work (the last with a positive error); NaN with fewer than two works."""
+    pairs = {w: e for w, e in zip(works, errors) if e > 0}
     if len(pairs) < 2:
         return math.nan
-    logw = np.log10([p[0] for p in pairs])
-    loge = np.log10([p[1] for p in pairs])
-    return float(np.polyfit(logw, loge, 1)[0])
+    return float(np.polyfit(np.log10(list(pairs)), np.log10(list(pairs.values())), 1)[0])
 
 
 def study_driver(

@@ -7,11 +7,12 @@ first-order differences (surplus form) or as a signed combination of
 plain tensor approximations (combination technique); both go through
 ``MiscEvaluator.tensor_values``.  It numbers the nested point blocks of
 the quadrature grids (``quadrature.block_points``) once for every
-spatial level, solves the new blocks of all the grids an evaluation
-needs in one batch per spatial level, and reduces the grids of one level
-tuple together: their values gathered by block number, times the shared
-weights, summed row by row.  No point is solved twice, and every grid
-value is cached.
+spatial level and takes the grids an evaluation needs level by level:
+one mask over the level's block table marks the blocks still to solve,
+which are solved in batches of about ``_FLUSH_POINTS`` points, and the
+grids of one level tuple are reduced together: their values gathered by
+block number, times the shared weights, summed row by row.  No point is
+solved twice, and every grid value is cached.
 """
 
 from __future__ import annotations
@@ -286,15 +287,14 @@ def combination_coefficients(index_set: IndexSet) -> dict[MixedIndex, int]:
     return dict(zip(index_set._members, c[index_set._positions].tolist()))
 
 
-# Uncached points that one evaluation holds before it solves them.  The
-# batches are already large enough here for the per-call cost not to
-# show, and a bound of 4096 raised the 1-D benchmark's peak RSS by 1.2 MB.
+# Points of one flush of tensor_values.  The batches are already large
+# enough here for the per-call cost not to show, and a bound of 4096
+# raised the 1-D benchmark's peak RSS by 1.2 MB.
 _FLUSH_POINTS = 1024
 
 # The entry of an alpha's block table (``EvalCache.starts``) for a block
 # not solved yet.
 _UNSOLVED = -1
-_NO_BLOCKS = np.empty(0, dtype=np.intp)
 
 
 @dataclass
@@ -355,10 +355,10 @@ class MiscEvaluator:
 
     Every value goes through ``tensor_values``, which caches each tensor
     grid's value under (alpha, beta items) and solves the points of all
-    the grids it is given that are new at their alpha, in one batch per
-    alpha.  The nested blocks of the quadrature grids are numbered once,
-    for every alpha; a grid reads its values by one gather through its
-    blocks' starts in alpha's block table.
+    the grids it is given that are new at their alpha, in batches of
+    about ``_FLUSH_POINTS`` points.  The nested blocks of the quadrature
+    grids are numbered once, for every alpha; a grid reads its values by
+    one gather through its blocks' starts in alpha's block table.
     """
 
     def __init__(self, field_spec: FieldSpec, qoi_spec: QoISpec):
@@ -399,51 +399,57 @@ class MiscEvaluator:
     def tensor_values(self, grids: Iterable[tuple[tuple[int, ...], SparseLevelVector]]) -> list[float]:
         """Full tensor approximations of every (alpha, beta) in ``grids``.
 
-        A grid evaluated before costs one lookup.  For the others, every
-        nested block neither solved at alpha nor pending waits, in the
-        order first needed, in alpha's batch.  Whenever _FLUSH_POINTS
-        points are pending, and at the end, each alpha's batch goes to one
-        ``solve_qoi_batch`` call and the waiting grids are reduced.  The
-        one-point y = 0 grid is solved on its own through ``solve_qoi``
-        when its point is new.  No solved row depends on its batch.
+        A grid evaluated before costs one lookup.  For the others, one mask
+        per alpha marks the nested blocks they hold that are not solved,
+        which go, alpha by alpha and by number, into flushes of at least
+        _FLUSH_POINTS points (``_solve_blocks``); then the grids of each
+        alpha and level tuple are reduced together.  If alpha's first grid
+        is the y = 0 grid and its point is new, ``solve_qoi`` solves it
+        alone.  No solved row depends on its batch.
         """
         keys = [(alpha, beta.items()) for alpha, beta in grids]
         cache = self.cache
-        pending: dict[tuple[int, ...], dict] = {}   # alpha -> {block number: None}
-        waiting = []       # (alpha, beta items, block numbers) per grid
-        count = 0
+        new_grids: dict[tuple[int, ...], dict] = {}   # alpha -> {level tuple: [(items, blocks)]}
         for alpha, items in dict.fromkeys(keys):
-            if (alpha, items) in cache.grids:
-                continue
-            blocks = self._grid(items)
-            table = cache.starts.get(alpha, _NO_BLOCKS)
+            if (alpha, items) not in cache.grids:
+                blocks = self._grid(items)
+                new_grids.setdefault(alpha, {}).setdefault(blocks.shape, []).append((items, blocks))
+        misses, flush, count = cache.misses, {}, 0
+        for alpha, groups in new_grids.items():
+            table = cache.starts.get(alpha, np.empty(0, dtype=np.intp))
             if len(table) < len(self._blocks):
                 table = cache.starts[alpha] = np.concatenate(
                     (table, np.full(max(len(self._blocks), 2 * len(table)) - len(table), _UNSOLVED)))
-            # A batch holds every unsolved block below each of its grids, so
-            # a grid whose own block is solved or pending needs no other.
-            batch, own = pending.get(alpha, {}), blocks.item(-1)
-            new = []
-            if table[own] == _UNSOLVED and own not in batch:
-                new = [k for k in blocks[table[blocks] == _UNSOLVED].tolist() if k not in batch]
-            fresh = sum(map(self._sizes.__getitem__, new))
-            cache.hits += math.prod(map(_NODES.__getitem__, blocks.shape)) - fresh
-            if new and not items:
-                # The y = 0 anchor goes through solve_qoi, the per-solve
-                # entry point that perfbench/tracer.py counts.
+            needed = np.zeros(len(table), dtype=bool)
+            needed[np.concatenate([b for m in groups.values() for _, b in m], axis=None)] = True
+            new = np.flatnonzero(needed & (table == _UNSOLVED))
+            if next(iter(groups)) == () and table[0] == _UNSOLVED:
+                # alpha's first grid is y = 0 and its point (block 0 of every
+                # grid) is new: solve_qoi, which perfbench/tracer.py counts, solves it.
                 value = pde_solver.solve_qoi(alpha, {}, self.field_spec, self.qoi_spec)
-                table[new] = self._store(np.array([value]))
+                table[0] = self._store(np.array([value]))
                 cache.misses += 1
                 self.solved_dof += pde_solver.unknowns(alpha)
-            elif new:
-                pending.setdefault(alpha, batch).update(dict.fromkeys(new))
-                count += fresh
-            waiting.append((alpha, items, blocks))
-            if count >= _FLUSH_POINTS:
-                self._solve_pending(pending, waiting)
-                count = 0
-        if waiting:
-            self._solve_pending(pending, waiting)
+                new = new[1:]
+            for k in new.tolist():
+                flush.setdefault(alpha, []).append(k)
+                count += self._sizes[k]
+                if count >= _FLUSH_POINTS:
+                    self._solve_blocks(flush)
+                    flush, count = {}, 0
+        if flush:
+            self._solve_blocks(flush)
+        # Every point of these grids is a hit unless it was solved here.
+        cache.hits -= cache.misses - misses
+        for alpha, groups in new_grids.items():
+            for levels, members in groups.items():
+                cache.hits += len(members) * math.prod(map(_NODES.__getitem__, levels))
+                block, offset, weights = quadrature.block_layout(levels)
+                starts = cache.starts[alpha][np.array([blocks for _, blocks in members])]
+                # take keeps the rows C-contiguous, so each row sums as np.sum sums it.
+                values = cache.values[np.take(starts.reshape(len(members), -1), block, axis=1) + offset]
+                sums = (values * weights).sum(axis=1)
+                cache.grids.update(zip([(alpha, items) for items, _ in members], sums.tolist()))
         return [cache.grids[key] for key in keys]
 
     def _store(self, values: np.ndarray) -> int:
@@ -455,39 +461,30 @@ class MiscEvaluator:
         cache.values[start : cache.size] = values
         return start
 
-    def _solve_pending(self, pending: dict, waiting: list) -> None:
-        """Solve each alpha's pending blocks in one ``solve_qoi_batch`` call,
-        then reduce the waiting grids: those of one alpha and one level
-        tuple as the rows of one gathered array times their shared
-        weights, each row summed as ``np.sum`` sums it alone."""
+    def _solve_blocks(self, flush: dict[tuple[int, ...], list[int]]) -> None:
+        """Solve each alpha's blocks in ``flush`` in one ``solve_qoi_batch`` call,
+        placing the points of each level tuple's blocks by one indexed
+        assignment, and enter where their values start in alpha's table."""
         cache = self.cache
-        for alpha, numbers in pending.items():
-            numbers = list(numbers)
+        for alpha, numbers in flush.items():
             blocks = [self._blocks[k] for k in numbers]
-            sizes = [self._sizes[k] for k in numbers]
-            starts = [0, *itertools.accumulate(sizes)]
+            sizes = np.array([self._sizes[k] for k in numbers])
+            starts = np.cumsum(sizes) - sizes
             # Rows end at the batch's last variable; the solver rejects one
             # beyond max_modes as outside the enumerated modes.
             width = max((columns[-1] + 1 for _, columns in blocks if columns), default=0)
-            Y = np.zeros((starts[-1], width))
-            for (levels, columns), start, size in zip(blocks, starts, sizes):
-                Y[start : start + size, columns] = quadrature.block_points(levels)
+            Y = np.zeros((int(sizes.sum()), width))
+            by_levels: dict[tuple, list] = {}
+            for (levels, columns), start in zip(blocks, starts.tolist()):
+                by_levels.setdefault(levels, []).append((start, columns))
+            for levels, placed in by_levels.items():
+                points = quadrature.block_points(levels)
+                rows, cols = (np.array(v, dtype=np.intp) for v in zip(*placed))
+                Y[(rows[:, None] + np.arange(len(points)))[..., None], cols[:, None, :]] = points
             base = self._store(pde_solver.solve_qoi_batch(alpha, Y, self.field_spec, self.qoi_spec))
-            cache.starts[alpha][numbers] = [base + start for start in starts[:-1]]
+            cache.starts[alpha][numbers] = base + starts
             cache.misses += len(Y)
             self.solved_dof += len(Y) * pde_solver.unknowns(alpha)
-        groups: dict[tuple, list] = {}
-        for alpha, items, blocks in waiting:
-            groups.setdefault((alpha, blocks.shape), []).append((items, blocks))
-        for (alpha, levels), members in groups.items():
-            block, offset, weights = quadrature.block_layout(levels)
-            starts = cache.starts[alpha][np.array([blocks for _, blocks in members])]
-            # take keeps the rows C-contiguous, so each row sums as np.sum sums it.
-            values = cache.values[np.take(starts.reshape(len(members), -1), block, axis=1) + offset]
-            sums = (values * weights).sum(axis=1)
-            cache.grids.update(zip([(alpha, items) for items, _ in members], sums.tolist()))
-        pending.clear()
-        waiting.clear()
 
     # -- difference operators ----------------------------------------------
 
@@ -498,8 +495,13 @@ class MiscEvaluator:
 
     def mixed_difference(self, index: MixedIndex) -> float:
         """First-order difference in every direction, stochastic around spatial."""
-        terms = _difference_terms(index)
-        return _difference(terms, iter(self.tensor_values(_difference_grids(terms))))
+        return self.mixed_differences([index])[0]
+
+    def mixed_differences(self, indices: Iterable[MixedIndex]) -> list[float]:
+        """``mixed_difference`` at each of ``indices``, their grids in one ``tensor_values`` call."""
+        terms = [_difference_terms(index) for index in indices]
+        values = iter(self.tensor_values(g for t in terms for g in _difference_grids(t)))
+        return [_difference(t, values) for t in terms]
 
     # -- estimator ----------------------------------------------------------
 
@@ -519,10 +521,8 @@ class MiscEvaluator:
         work_before = self.solved_dof
         value = 0.0
         if mode == "surplus":
-            terms = [_difference_terms(m) for m in index_set.members]
-            values = iter(self.tensor_values(g for t in terms for g in _difference_grids(t)))
-            for t in terms:
-                value += _difference(t, values)
+            for difference in self.mixed_differences(index_set.members):
+                value += difference
         else:
             weighted = [(c, m) for m, c in index_set.coefficients.items() if c != 0]
             for (c, _), v in zip(weighted, self.tensor_values((m.alpha, m.beta) for _, m in weighted)):

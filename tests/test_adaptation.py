@@ -30,7 +30,8 @@ from miscpde.misc_core import (
     root_index,
 )
 from miscpde.quadrature import QuadratureLevelError, SparseLevelVector, level_to_nodes
-from miscpde.random_field import FieldSpec
+from miscpde.pde_solver import QoISpec, default_qoi_spec
+from miscpde.random_field import FieldSpec, mode_ordering
 
 SLV = SparseLevelVector
 
@@ -716,3 +717,54 @@ class TestPilot:
         samples = pilot_samples(field1, qoi1, 5, 2)
         swept = {j for index, _ in samples for j in index.beta.support}
         assert swept == {1, 2, 3, 4, 5}
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_one_call_keeps_the_samples_of_one_difference_at_a_time(self, d):
+        """The pilot measures every sweep in one call; it keeps the samples
+        that sweeps measured one difference at a time keep, each stopping
+        at its first difference below the noise floor."""
+        if d == 1:
+            field_spec, qoi_spec, n_modes, depth = FieldSpec(1, 2.5, 24), default_qoi_spec(1), 16, 3
+        else:
+            field_spec, qoi_spec, n_modes, depth = (FieldSpec(3, 4.5, 10),
+                                                    QoISpec(0.2, (0.3, 0.2, 0.6)), 6, 2)
+        evaluator = MiscEvaluator(field_spec, qoi_spec)
+        modes = mode_ordering(field_spec)
+        sweeps = [[MixedIndex((pilot_level(max(modes[j - 1].k)),) * d, SLV({j: 1 + t}))
+                   for t in range(1, depth + 1)] for j in range(1, n_modes + 1)]
+        if d == 1:
+            base_level = pilot_level(max(modes[0].k))
+            sweeps.append([MixedIndex((1 + t,), SLV()) for t in range(1, depth + 1)])
+            sweeps.append([MixedIndex((base_level + t,), SLV({1: 1 + t}))
+                           for t in range(1, depth + 1)])
+        floor = 1e-13 * max(1.0, abs(evaluator.tensor_value((1,) * d, SLV())))
+        expected = []
+        for sweep in sweeps:
+            for index in sweep:
+                value = abs(evaluator.mixed_difference(index))
+                if value <= floor:
+                    break
+                expected.append((index, value))
+        samples = pilot_samples(field_spec, qoi_spec, n_modes, depth)
+        assert samples == expected
+        stopped = len(expected) < sum(map(len, sweeps))
+        assert stopped == (d == 1)
+
+    @pytest.mark.parametrize("pattern", [(1e-3, 1e-20, 1e-3), (1e-20, 1e-3, 1e-3)])
+    def test_a_sweep_stops_at_its_first_difference_below_the_floor(self, field1, qoi1,
+                                                                  monkeypatch, pattern):
+        # The base grid's value 1, then the same three levels in every sweep.
+        def measured(evaluator, indices):
+            return [1.0] + [pattern[k % 3] for k in range(len(list(indices)) - 1)]
+
+        monkeypatch.setattr(MiscEvaluator, "mixed_differences", measured)
+        if pattern[0] < 1e-13:
+            with pytest.raises(RateFitError, match="below the noise floor"):
+                pilot_samples(field1, qoi1, 2, 3)
+            return
+        samples = pilot_samples(field1, qoi1, 2, 3)
+        # Two variable sweeps, the spatial and the joint diagonal: each keeps
+        # its first level only, though its third is above the floor again.
+        assert [value for _, value in samples] == [1e-3] * 4
+        assert [index.beta.as_dict() for index, _ in samples] == [{1: 2}, {2: 2}, {}, {1: 2}]
+        assert samples[2][0].alpha == (2,)

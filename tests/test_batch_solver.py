@@ -367,6 +367,14 @@ class TestGridEvaluation:
         warmed.tensor_value((2,), SLV({2: 2}))
         warmed.tensor_value((1,), SLV({1: 3, 2: 2}))
         assert warmed.evaluate(iset).value == fresh
+        # One call whose alphas interleave: each y = 0 grid comes after a
+        # larger grid of its alpha, and alpha (3,) lies outside the set.
+        interleaved = MiscEvaluator(field1, qoi1)
+        grids = [((2,), SLV({2: 2})), ((1,), SLV({1: 3, 2: 2})), ((2,), SLV()),
+                 ((3,), SLV({1: 2})), ((1,), SLV()), ((2,), SLV({1: 3}))]
+        values = interleaved.tensor_values(grids)
+        assert values == [MiscEvaluator(field1, qoi1).tensor_value(*grid) for grid in grids]
+        assert interleaved.evaluate(iset).value == fresh
 
 
 def grid_by_grid(ev, iset, mode):
@@ -398,23 +406,25 @@ BATCHED_SETS = {
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Records each ``solve_qoi_batch`` call as (flush number or None, alpha, rows)."""
+    """Records each ``solve_qoi_batch`` call as (flush number or None, alpha, rows).
+    A flush is one ``_solve_blocks`` call; the y = 0 anchor is solved
+    outside any."""
     calls, flushes = [], []
-    solve_batch, solve_pending = pde_solver.solve_qoi_batch, MiscEvaluator._solve_pending
+    solve_batch, solve_blocks = pde_solver.solve_qoi_batch, MiscEvaluator._solve_blocks
 
     def batch(alpha, Y, *args):
         calls.append((flushes[-1] if flushes else None, tuple(alpha), len(Y)))
         return solve_batch(alpha, Y, *args)
 
-    def pending(evaluator, *args):
+    def blocks(evaluator, *args):
         flushes.append(len(calls))
         try:
-            solve_pending(evaluator, *args)
+            solve_blocks(evaluator, *args)
         finally:
             flushes.append(None)
 
     monkeypatch.setattr(pde_solver, "solve_qoi_batch", batch)
-    monkeypatch.setattr(MiscEvaluator, "_solve_pending", pending)
+    monkeypatch.setattr(MiscEvaluator, "_solve_blocks", blocks)
     return calls
 
 

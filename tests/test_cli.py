@@ -2,11 +2,12 @@ import itertools
 import json
 import math
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
-from miscpde import cli
+from miscpde import cli, random_field
 from miscpde.cli import (
     ConfigError,
     compare_driver,
@@ -140,6 +141,14 @@ class TestSmallDrivers:
         works = [10, 100, 1000]
         errors = [1e-1, 1e-3, 1e-5]
         assert fitted_slope(works, errors) == pytest.approx(-2.0, abs=1e-12)
+
+    def test_fitted_slope_through_equal_works(self):
+        # One point per distinct work: the repeated works add nothing, and
+        # one distinct work has no slope.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fitted_slope([10, 10, 100, 100], [1e-1, 1e-1, 1e-3, 1e-3]) == pytest.approx(-2.0)
+            assert math.isnan(fitted_slope([100, 100], [1e-3, 1e-3]))
 
     def test_mimc_plan_within_budget(self):
         for budget in (200.0, 5000.0, 80000.0):
@@ -475,6 +484,17 @@ class TestCommands:
             stored = IndexSet.from_json((out / name).read_text())
             assert stored.nominal_work() == int(dict(zip(header, row))["work"])
 
+    def test_budgets_of_one_set_write_a_nan_slope(self, tmp_path):
+        cfg = write_config(tmp_path / "run.cfg", BASE_1D.replace("20,80,320", "100.2,100.7"))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert self.run("run", "--config", str(cfg), "--out", str(out)) == 0
+        header, rows, footer = read_csv(out / "runs.csv")
+        works = [dict(zip(header, row))["work"] for row in rows]
+        assert len(works) == 2 and works[0] == works[1]
+        assert footer["fitted_slope"] == "nan"
+
     def test_fit_then_run_apriori(self, tmp_path):
         fit_cfg = write_config(
             tmp_path / "fit.cfg",
@@ -632,6 +652,28 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:") and "frequency cap" in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_modes_past_the_cap_exit_2_before_enumeration(self, tmp_path, capsys, monkeypatch, d):
+        def no_enumeration(*args):
+            raise AssertionError("enumerated modes before the config was checked")
+
+        monkeypatch.setattr(random_field, "_ordered_modes", no_enumeration)
+        cfg = write_config(tmp_path / "c.cfg", f"problem.d = {d}\nproblem.nu = 4.5\n"
+                           f"problem.max_modes = {cli.MAX_MODES + 1}\n")
+        out = tmp_path / "o"
+        assert self.run("fit", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "'problem.max_modes'" in err[0] and str(cli.MAX_MODES) in err[0]
+        assert not out.exists()
+
+    def test_the_mode_cap_is_what_the_frequency_cap_holds_in_1d(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg", "problem.d = 1\nproblem.nu = 2.5\n"
+                           f"problem.max_modes = {cli.MAX_MODES}\n")
+        field_spec, _ = cli.problem_from_config(read_config(cfg))
+        assert len(cli.mode_ordering(field_spec)) == cli.MAX_MODES
+        with pytest.raises(random_field.ModeEnumerationError):
+            cli.mode_ordering(FieldSpec(1, 2.5, cli.MAX_MODES + 1))
 
     def test_compare_reports_a_literal_reference(self, tmp_path):
         cfg = self.compare_config(tmp_path, "output.reference = 1.5\n")
