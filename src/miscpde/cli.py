@@ -199,7 +199,7 @@ def problem_from_config(cfg: dict) -> tuple[FieldSpec, QoISpec]:
     d, x0 = cfg["problem.d"], cfg["problem.x0"]
     try:
         field_spec = FieldSpec(d=d, nu=cfg["problem.nu"], max_modes=cfg["problem.max_modes"])
-        mode_ordering(field_spec)  # a mode count past the frequency cap fails here
+        mode_ordering(field_spec)  # too many modes, or amplitudes that underflow, fail here
         qoi_spec = QoISpec(cfg["problem.sigma"], x0 if x0 is not None else default_qoi_spec(d).x0)
     except ValueError as exc:
         raise ConfigError(f"problem settings: {exc}") from exc
@@ -643,21 +643,23 @@ def _study_from_config(cfg: dict, out: Path):
     return study, field_spec, qoi_spec, error_model
 
 
+def budget_name(budget: float) -> str:
+    """A whole budget as an integer, any other by its repr: no two budgets share a name."""
+    return str(int(budget)) if budget.is_integer() else repr(budget)
+
+
 def cmd_run(args) -> int:
     out_dir = Path(args.out)
     study, *_ = _study_from_config(read_config(args.config), out_dir)
     for record, index_set in zip(study.records, study.sets):
-        # A whole budget names its file as an integer, any other by its
-        # repr, so that no two budgets share a file.
-        name = int(record.budget) if record.budget.is_integer() else repr(record.budget)
-        set_path = out_dir / f"set_budget_{name}.json"
+        set_path = out_dir / f"set_budget_{budget_name(record.budget)}.json"
         set_path.parent.mkdir(parents=True, exist_ok=True)
         set_path.write_text(index_set.to_json())
     write_csv(out_dir / "runs.csv", RUN_COLUMNS, [r.row() for r in study.records],
               footer={"fitted_slope": study.slope, "reference": study.reference,
                       "solved_dof": study.evaluator.solved_dof})
     for record in study.records:
-        print(f"budget {record.budget:>12.0f}  work {record.work:>10d}  "
+        print(f"budget {budget_name(record.budget):>12}  work {record.work:>10d}  "
               f"error {record.abs_error:.6e}")
     print(f"fitted log-log slope: {study.slope:.4f}")
     print(f"solved DOF: {study.evaluator.solved_dof}")
@@ -676,7 +678,7 @@ def cmd_compare(args) -> int:
     out = Path(args.out) / "compare.csv"
     write_csv(out, COMPARE_COLUMNS, result.rows, footer={"reference": result.reference})
     for row in result.rows:
-        print(f"budget {row[0]:>12.0f}  misc {row[2]:.6e}  mimc {row[4]:.6e}")
+        print(f"budget {budget_name(row[0]):>12}  misc {row[2]:.6e}  mimc {row[4]:.6e}")
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -7,9 +7,9 @@ first-order differences (surplus form) or as a signed combination of
 plain tensor approximations (combination technique); both go through
 ``MiscEvaluator.tensor_values``.  It numbers the nested point blocks of
 the quadrature grids (``quadrature.block_points``) once for every
-spatial level and takes the grids an evaluation needs level by level:
-one mask over the level's block table marks the blocks still to solve,
-which are solved in batches of about ``_FLUSH_POINTS`` points, and the
+spatial level and takes the grids an evaluation needs one level at a
+time: one mask over its block table marks the blocks still to solve,
+which are solved in batches of about ``_FLUSH_POINTS`` points; then its
 grids of one level tuple are reduced together: their values gathered by
 block number, times the shared weights, summed row by row.  No point is
 solved twice, and every grid value is cached.
@@ -287,9 +287,9 @@ def combination_coefficients(index_set: IndexSet) -> dict[MixedIndex, int]:
     return dict(zip(index_set._members, c[index_set._positions].tolist()))
 
 
-# Points of one flush of tensor_values.  The batches are already large
-# enough here for the per-call cost not to show, and a bound of 4096
-# raised the 1-D benchmark's peak RSS by 1.2 MB.
+# An alpha's batch in tensor_values ends with the block that brings it to
+# this many points: large enough for the per-call cost not to show, while
+# a bound of 4096 raised the 1-D benchmark's peak RSS by 1.2 MB.
 _FLUSH_POINTS = 1024
 
 # The entry of an alpha's block table (``EvalCache.starts``) for a block
@@ -355,10 +355,10 @@ class MiscEvaluator:
 
     Every value goes through ``tensor_values``, which caches each tensor
     grid's value under (alpha, beta items) and solves the points of all
-    the grids it is given that are new at their alpha, in batches of
-    about ``_FLUSH_POINTS`` points.  The nested blocks of the quadrature
-    grids are numbered once, for every alpha; a grid reads its values by
-    one gather through its blocks' starts in alpha's block table.
+    the grids it is given that are new at their alpha, alpha by alpha, in
+    batches of about ``_FLUSH_POINTS`` points.  The nested blocks of the
+    quadrature grids are numbered once, for every alpha; a grid reads its
+    values by one gather through its blocks' starts in alpha's block table.
     """
 
     def __init__(self, field_spec: FieldSpec, qoi_spec: QoISpec):
@@ -399,12 +399,12 @@ class MiscEvaluator:
     def tensor_values(self, grids: Iterable[tuple[tuple[int, ...], SparseLevelVector]]) -> list[float]:
         """Full tensor approximations of every (alpha, beta) in ``grids``.
 
-        A grid evaluated before costs one lookup.  For the others, one mask
-        per alpha marks the nested blocks they hold that are not solved,
-        which go, alpha by alpha and by number, into flushes of at least
-        _FLUSH_POINTS points (``_solve_blocks``); then the grids of each
-        alpha and level tuple are reduced together.  If alpha's first grid
-        is the y = 0 grid and its point is new, ``solve_qoi`` solves it
+        A grid evaluated before costs one lookup.  The others are taken one
+        alpha at a time: one mask marks the nested blocks they hold that are
+        not solved, which go by number into batches of about _FLUSH_POINTS
+        points (``_solve_blocks``), each ending at a block boundary; then
+        alpha's grids are reduced together by level tuple.  If alpha's first
+        grid is the y = 0 grid and its point is new, ``solve_qoi`` solves it
         alone.  No solved row depends on its batch.
         """
         keys = [(alpha, beta.items()) for alpha, beta in grids]
@@ -414,7 +414,6 @@ class MiscEvaluator:
             if (alpha, items) not in cache.grids:
                 blocks = self._grid(items)
                 new_grids.setdefault(alpha, {}).setdefault(blocks.shape, []).append((items, blocks))
-        misses, flush, count = cache.misses, {}, 0
         for alpha, groups in new_grids.items():
             table = cache.starts.get(alpha, np.empty(0, dtype=np.intp))
             if len(table) < len(self._blocks):
@@ -423,6 +422,7 @@ class MiscEvaluator:
             needed = np.zeros(len(table), dtype=bool)
             needed[np.concatenate([b for m in groups.values() for _, b in m], axis=None)] = True
             new = np.flatnonzero(needed & (table == _UNSOLVED))
+            misses = cache.misses
             if next(iter(groups)) == () and table[0] == _UNSOLVED:
                 # alpha's first grid is y = 0 and its point (block 0 of every
                 # grid) is new: solve_qoi, which perfbench/tracer.py counts, solves it.
@@ -431,21 +431,19 @@ class MiscEvaluator:
                 cache.misses += 1
                 self.solved_dof += pde_solver.unknowns(alpha)
                 new = new[1:]
-            for k in new.tolist():
-                flush.setdefault(alpha, []).append(k)
+            numbers, batch, count = new.tolist(), [], 0
+            for k in numbers:
+                batch.append(k)
                 count += self._sizes[k]
-                if count >= _FLUSH_POINTS:
-                    self._solve_blocks(flush)
-                    flush, count = {}, 0
-        if flush:
-            self._solve_blocks(flush)
-        # Every point of these grids is a hit unless it was solved here.
-        cache.hits -= cache.misses - misses
-        for alpha, groups in new_grids.items():
+                if count >= _FLUSH_POINTS or k == numbers[-1]:
+                    self._solve_blocks(alpha, batch)
+                    batch, count = [], 0
+            # Every point of these grids is a hit unless it was solved here.
+            cache.hits -= cache.misses - misses
             for levels, members in groups.items():
                 cache.hits += len(members) * math.prod(map(_NODES.__getitem__, levels))
                 block, offset, weights = quadrature.block_layout(levels)
-                starts = cache.starts[alpha][np.array([blocks for _, blocks in members])]
+                starts = table[np.array([blocks for _, blocks in members])]
                 # take keeps the rows C-contiguous, so each row sums as np.sum sums it.
                 values = cache.values[np.take(starts.reshape(len(members), -1), block, axis=1) + offset]
                 sums = (values * weights).sum(axis=1)
@@ -461,30 +459,28 @@ class MiscEvaluator:
         cache.values[start : cache.size] = values
         return start
 
-    def _solve_blocks(self, flush: dict[tuple[int, ...], list[int]]) -> None:
-        """Solve each alpha's blocks in ``flush`` in one ``solve_qoi_batch`` call,
+    def _solve_blocks(self, alpha: tuple[int, ...], numbers: list[int]) -> None:
+        """Solve alpha's blocks ``numbers`` in one ``solve_qoi_batch`` call,
         placing the points of each level tuple's blocks by one indexed
         assignment, and enter where their values start in alpha's table."""
-        cache = self.cache
-        for alpha, numbers in flush.items():
-            blocks = [self._blocks[k] for k in numbers]
-            sizes = np.array([self._sizes[k] for k in numbers])
-            starts = np.cumsum(sizes) - sizes
-            # Rows end at the batch's last variable; the solver rejects one
-            # beyond max_modes as outside the enumerated modes.
-            width = max((columns[-1] + 1 for _, columns in blocks if columns), default=0)
-            Y = np.zeros((int(sizes.sum()), width))
-            by_levels: dict[tuple, list] = {}
-            for (levels, columns), start in zip(blocks, starts.tolist()):
-                by_levels.setdefault(levels, []).append((start, columns))
-            for levels, placed in by_levels.items():
-                points = quadrature.block_points(levels)
-                rows, cols = (np.array(v, dtype=np.intp) for v in zip(*placed))
-                Y[(rows[:, None] + np.arange(len(points)))[..., None], cols[:, None, :]] = points
-            base = self._store(pde_solver.solve_qoi_batch(alpha, Y, self.field_spec, self.qoi_spec))
-            cache.starts[alpha][numbers] = base + starts
-            cache.misses += len(Y)
-            self.solved_dof += len(Y) * pde_solver.unknowns(alpha)
+        blocks = [self._blocks[k] for k in numbers]
+        sizes = np.array([self._sizes[k] for k in numbers])
+        starts = np.cumsum(sizes) - sizes
+        # Rows end at the batch's last variable; the solver rejects one
+        # beyond max_modes as outside the enumerated modes.
+        width = max((columns[-1] + 1 for _, columns in blocks if columns), default=0)
+        Y = np.zeros((int(sizes.sum()), width))
+        by_levels: dict[tuple, list] = {}
+        for (levels, columns), start in zip(blocks, starts.tolist()):
+            by_levels.setdefault(levels, []).append((start, columns))
+        for levels, placed in by_levels.items():
+            points = quadrature.block_points(levels)
+            rows, cols = (np.array(v, dtype=np.intp) for v in zip(*placed))
+            Y[(rows[:, None] + np.arange(len(points)))[..., None], cols[:, None, :]] = points
+        base = self._store(pde_solver.solve_qoi_batch(alpha, Y, self.field_spec, self.qoi_spec))
+        self.cache.starts[alpha][numbers] = base + starts
+        self.cache.misses += len(Y)
+        self.solved_dof += len(Y) * pde_solver.unknowns(alpha)
 
     # -- difference operators ----------------------------------------------
 

@@ -26,7 +26,7 @@ FREQUENCY_CAP = 4096
 
 
 class ModeEnumerationError(ValueError):
-    """Requested more modes than the internal frequency cap can supply."""
+    """Requested more modes of nonzero amplitude than the frequency cap can supply."""
 
 
 class SummabilityError(ValueError):
@@ -111,12 +111,13 @@ def _ordered_modes(d: int, nu: float, count: int) -> tuple[Mode, ...]:
     k_cap = 4
     while True:
         modes = _enumerate_modes(d, nu, k_cap)
-        if len(modes) >= count and _max_amplitude_at(k_cap + 1, d, nu) < modes[count - 1].amplitude:
+        beyond = _max_amplitude_at(k_cap + 1, d, nu)
+        if len(modes) >= count and beyond < modes[count - 1].amplitude:
             return tuple(modes[:count])
-        if k_cap >= FREQUENCY_CAP:
-            raise ModeEnumerationError(
-                f"cannot enumerate {count} modes within the frequency cap |k| <= {FREQUENCY_CAP}"
-            )
+        # Once every amplitude beyond the box is 0, no larger box adds a mode.
+        if k_cap >= FREQUENCY_CAP or beyond == 0.0:
+            raise ModeEnumerationError(f"cannot enumerate {count} modes of nonzero amplitude at "
+                                       f"nu = {nu} within the frequency cap |k| <= {FREQUENCY_CAP}")
         k_cap = min(2 * k_cap, FREQUENCY_CAP)
 
 

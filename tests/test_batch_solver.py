@@ -406,22 +406,25 @@ BATCHED_SETS = {
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Records each ``solve_qoi_batch`` call as (flush number or None, alpha, rows).
-    A flush is one ``_solve_blocks`` call; the y = 0 anchor is solved
-    outside any."""
-    calls, flushes = [], []
+    """Records each ``_solve_blocks`` call as (alpha, points of its last
+    block, [(alpha, rows) of each ``solve_qoi_batch`` call it makes]); the
+    y = 0 anchor, solved outside any, as (alpha, None, [(alpha, rows)])."""
+    calls, current = [], [None]
     solve_batch, solve_blocks = pde_solver.solve_qoi_batch, MiscEvaluator._solve_blocks
 
     def batch(alpha, Y, *args):
-        calls.append((flushes[-1] if flushes else None, tuple(alpha), len(Y)))
+        if current[0] is None:
+            calls.append((tuple(alpha), None, []))
+        calls[-1][2].append((tuple(alpha), len(Y)))
         return solve_batch(alpha, Y, *args)
 
-    def blocks(evaluator, *args):
-        flushes.append(len(calls))
+    def blocks(evaluator, alpha, numbers):
+        current[0] = (tuple(alpha), evaluator._sizes[numbers[-1]], [])
+        calls.append(current[0])
         try:
-            solve_blocks(evaluator, *args)
+            solve_blocks(evaluator, alpha, numbers)
         finally:
-            flushes.append(None)
+            current[0] = None
 
     monkeypatch.setattr(pde_solver, "solve_qoi_batch", batch)
     monkeypatch.setattr(MiscEvaluator, "_solve_blocks", blocks)
@@ -429,8 +432,10 @@ def recorded(monkeypatch):
 
 
 def check_batches(ev, iset, mode, calls):
-    """A fresh ``evaluate`` against one-grid evaluation; returns the alphas
-    solved in each flush, after checking there is one call per alpha."""
+    """A fresh ``evaluate`` against one-grid evaluation; returns the number
+    of ``_solve_blocks`` calls per alpha, after checking that each call is
+    one alpha's single ``solve_qoi_batch`` call of at most ``_FLUSH_POINTS``
+    points plus its last block, and that the calls of one alpha come together."""
     value = ev.evaluate(iset, mode).value
     calls = list(calls)
     single = MiscEvaluator(ev.field_spec, ev.qoi_spec)
@@ -441,19 +446,24 @@ def check_batches(ev, iset, mode, calls):
     assert blocks.keys() == single_blocks.keys()
     assert all(np.array_equal(v, single_blocks[k]) for k, v in blocks.items())
     assert ev.cache.grids == single.cache.grids
-    assert sum(rows for _, _, rows in calls) == ev.cache.misses
-    flushes = {}
-    for flush, alpha, rows in calls:
-        if flush is None:
+    assert sum(rows for _, _, batches in calls for _, rows in batches) == ev.cache.misses
+    order = [alpha for alpha, _, _ in calls]
+    assert len([alpha for alpha, _ in itertools.groupby(order)]) == len(set(order))
+    per_alpha = {}
+    for alpha, last, batches in calls:
+        assert len(batches) == 1 and batches[0][0] == alpha
+        rows = batches[0][1]
+        if last is None:
             assert rows == 1          # the y = 0 anchor, through solve_qoi
         else:
-            flushes.setdefault(flush, []).append(alpha)
-    assert all(len(alphas) == len(set(alphas)) for alphas in flushes.values())
-    return list(flushes.values())
+            assert rows - last < misc_core._FLUSH_POINTS
+            per_alpha[alpha] = per_alpha.get(alpha, 0) + 1
+    return per_alpha
 
 
 class TestBatchedEvaluation:
-    """``evaluate`` solves each evaluation's new points in one batch per alpha."""
+    """``evaluate`` solves an evaluation's new points alpha by alpha, in
+    batches of about ``_FLUSH_POINTS`` points."""
 
     @pytest.mark.parametrize("bound", [None, 8])
     @pytest.mark.parametrize("mode", ["combination", "surplus"])
@@ -465,21 +475,21 @@ class TestBatchedEvaluation:
         if bound is not None:
             monkeypatch.setattr(misc_core, "_FLUSH_POINTS", bound)
         ev = MiscEvaluator(field_spec, qoi_spec)
-        flushes = check_batches(ev, IndexSet(downward_closure(set(tops))), mode, recorded)
+        per_alpha = check_batches(ev, IndexSet(downward_closure(set(tops))), mode, recorded)
         if bound is None:
             assert ev.cache.misses < misc_core._FLUSH_POINTS
-            assert len(flushes) == 1
+            assert set(per_alpha.values()) == {1}
         else:
-            assert len(flushes) > 1
+            assert max(per_alpha.values()) > 1
 
     def test_default_bound_is_crossed(self, field1, qoi1, recorded):
         tops = [MixedIndex((3,), SLV({1: 5, 2: 4, 3: 2})),
                 MixedIndex((2,), SLV({1: 4, 2: 2, 3: 3, 4: 2})),
                 MixedIndex((1,), SLV({1: 3, 2: 3, 4: 3, 5: 2}))]
         ev = MiscEvaluator(field1, qoi1)
-        flushes = check_batches(ev, IndexSet(downward_closure(set(tops))), "surplus", recorded)
+        per_alpha = check_batches(ev, IndexSet(downward_closure(set(tops))), "surplus", recorded)
         assert ev.cache.misses > misc_core._FLUSH_POINTS
-        assert len(flushes) > 1
+        assert max(per_alpha.values()) > 1
 
     def test_repeated_and_cached_grids_cost_lookups(self, field3, qoi3):
         ev = MiscEvaluator(field3, qoi3)

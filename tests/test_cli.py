@@ -473,7 +473,7 @@ class TestCommands:
             assert stored.nominal_work() == int(record["work"])
             assert float(record["work"]) <= float(record["budget"])
 
-    def test_budgets_of_one_integer_part_write_their_own_set_files(self, tmp_path):
+    def test_budgets_of_one_integer_part_write_their_own_set_files(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg", BASE_1D.replace("20,80,320", "100.2,100.7,400"))
         out = tmp_path / "o"
         assert self.run("run", "--config", str(cfg), "--out", str(out)) == 0
@@ -483,6 +483,15 @@ class TestCommands:
         for name, row in zip(names, rows):
             stored = IndexSet.from_json((out / name).read_text())
             assert stored.nominal_work() == int(dict(zip(header, row))["work"])
+        # Each budget prints as its set file names it, in run and in compare.
+        printed = ["100.2", "100.7", "400"]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines if line.startswith("budget ")] == printed
+        cfg = self.compare_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("20,80,320", "100.2,100.7,400"))
+        assert self.run("compare", "--config", str(cfg), "--out", str(tmp_path / "c")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines if line.startswith("budget ")] == printed
 
     def test_budgets_of_one_set_write_a_nan_slope(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", BASE_1D.replace("20,80,320", "100.2,100.7"))
@@ -665,6 +674,27 @@ class TestCommands:
         assert self.run("fit", "--config", str(cfg), "--out", str(out)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "'problem.max_modes'" in err[0] and str(cli.MAX_MODES) in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "run"])
+    def test_amplitudes_that_underflow_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        # At nu = 1000 in 3-D every amplitude past |k| = 1 underflows to 0,
+        # so no box holds 10 modes of nonzero amplitude.
+        enumerate_modes = random_field._enumerate_modes
+
+        def small_boxes(d, nu, k_cap):
+            if k_cap > 8:
+                raise AssertionError(f"enumerated the box |k| <= {k_cap}")
+            return enumerate_modes(d, nu, k_cap)
+
+        monkeypatch.setattr(random_field, "_enumerate_modes", small_boxes)
+        cfg = write_config(tmp_path / "c.cfg", "problem.d = 3\nproblem.nu = 1000\n"
+                           "problem.max_modes = 10\nadaptivity.mode = deterministic\n")
+        out = tmp_path / "o"
+        assert self.run(command, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "10 modes" in err[0] and "nu = 1000" in err[0]
         assert not out.exists()
 
     def test_the_mode_cap_is_what_the_frequency_cap_holds_in_1d(self, tmp_path):

@@ -25,4 +25,7 @@ def test_seven_budget_3d_study_converges():
     assert math.isfinite(result.reference)
     assert result.slope <= -0.5
     assert errors[-1] < errors[0]
+    # Guards the sets against summation drift, as criterion 7 does in 1-D.
+    assert result.evaluator.cache.misses == 28_444
+    assert result.evaluator.solved_dof == 32_462_168
     print(f"\n3-D study: slope {result.slope:.4f}, errors {errors[0]:.3e} -> {errors[-1]:.3e}")
