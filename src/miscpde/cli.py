@@ -113,9 +113,10 @@ def _reference(raw: str) -> str | float | Path:
     if raw == "auto":
         return raw
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         return Path(raw)
+    return _finite_above(-math.inf)(value)
 
 
 def _at_least(low: int):
@@ -393,13 +394,12 @@ def study_driver(
     explicit reference value, a set at ``reference_factor`` times the
     largest budget provides it.  In the a-priori modes one listing of
     the candidates by profit, down to the largest budget needed, yields
-    every set (``adaptation.sweep_apriori``); adaptive mode builds each
-    set on its own, measuring on the study's evaluator, so the evaluator's
-    ``solved_dof`` counts the margin's solves too.  One evaluator
-    evaluates them largest first (the reference set, then the budgets in
-    descending order), so the largest set solves nearly every point in a
-    few large batches and the others reuse them.  No value depends on
-    this order; the records come in budget order.
+    every set (``adaptation.sweep_apriori``), and one
+    ``MiscEvaluator.prefix_estimates`` call sums the mixed differences of
+    each.  Adaptive mode builds each set on its own, measuring on the
+    study's evaluator, so the evaluator's ``solved_dof`` counts the
+    margin's solves too; each set is its own listing, whose grids the
+    build leaves cached.  The records come in budget order.
     """
     if threads != 1:
         raise ValueError(f"the evaluator is single-threaded; threads must be 1, got {threads}")
@@ -407,37 +407,33 @@ def study_driver(
     error_model = _study_model(mode, field_spec, error_model)
     evaluator = MiscEvaluator(field_spec, qoi_spec)
 
-    reference_budget = reference_factor * budgets[-1]
-    needed = sorted(set(budgets) | ({reference_budget} if reference is None else set()))
+    needed = [*budgets, reference_factor * budgets[-1]] if reference is None else budgets
     if mode == "adaptive":
-        built = {budget: adaptation.build_set_adaptive(field_spec, qoi_spec, budget, evaluator)
-                 for budget in needed}
+        sets = [adaptation.build_set_adaptive(field_spec, qoi_spec, budget, evaluator)
+                for budget in needed]
+        estimates = [evaluator.prefix_estimates(s, [len(s)])[0] for s in sets]
     else:
-        built = dict(zip(needed, adaptation.sweep_apriori(error_model, needed, field_spec.d, gamma)))
+        sets = adaptation.sweep_apriori(error_model, needed, field_spec.d, gamma)
+        estimates = evaluator.prefix_estimates(sets[-1], [len(s) for s in sets])
 
     if reference is None:
-        reference = evaluator.evaluate(built[reference_budget], mode="combination").value
+        reference = estimates[-1]
         _require_finite(reference, "reference estimate")
-    evaluated = {}
-    for budget in reversed(budgets):
-        evaluated[budget] = evaluator.evaluate(built[budget], mode="combination")
-        _require_finite(evaluated[budget].value, f"estimate at budget {budget}")
-
-    records, sets = [], [built[budget] for budget in budgets]
-    for budget, index_set in zip(budgets, sets):
-        result = evaluated[budget]
+    records = []
+    for budget, index_set, estimate in zip(budgets, sets, estimates):
+        _require_finite(estimate, f"estimate at budget {budget}")
         records.append(RunRecord(
             budget=budget,
-            work=result.work,
-            estimate=result.value,
-            abs_error=abs(result.value - reference),
+            work=index_set.nominal_work(),
+            estimate=estimate,
+            abs_error=abs(estimate - reference),
             max_alpha=index_set.max_alpha_level(),
             max_beta=index_set.max_beta_level(),
             last_var=index_set.last_variable(),
             joint_vars=index_set.max_joint_variables(),
         ))
     slope = fitted_slope([r.work for r in records], [r.abs_error for r in records])
-    return StudyResult(records, slope, reference, sets, evaluator)
+    return StudyResult(records, slope, reference, sets[:len(budgets)], evaluator)
 
 
 @dataclass
@@ -541,10 +537,10 @@ def reference_fingerprint(field_spec: FieldSpec, qoi_spec: QoISpec, gamma: float
 
 
 def read_reference(path: Path) -> tuple[str | None, float]:
-    """The (fingerprint, value) pair stored in a reference file."""
+    """The (fingerprint, value) pair stored in a reference file; the value must be finite."""
     try:
         data = json.loads(path.read_text())
-        return data.get("fingerprint"), float(data["value"])
+        return data.get("fingerprint"), _finite_above(-math.inf)(data["value"])
     except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
         raise ConfigError(f"unreadable reference file {path}: {exc!r}") from exc
 
@@ -737,6 +733,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -2,9 +2,9 @@
 
 A mixed index pairs a dense vector of spatial refinement levels with a
 sparse vector of quadrature levels.  The estimator over a downward
-closed set of mixed indices can be evaluated either by summing mixed
-first-order differences (surplus form) or as a signed combination of
-plain tensor approximations (combination technique); both go through
+closed set is the sum of its mixed differences: over every prefix of a
+listing at once, as prefix sums (``MiscEvaluator.prefix_estimates``), or
+over one set in surplus or combination form.  All go through
 ``MiscEvaluator.tensor_values``.  It numbers the nested point blocks of
 the quadrature grids (``quadrature.block_points``) once for every
 spatial level and takes the grids an evaluation needs one level at a
@@ -321,8 +321,6 @@ class EstimatorResult:
     work: int              # difference-wise decomposition, in degrees of freedom
     solve_work: int        # degrees of freedom actually solved in this evaluation
     solves: int
-    cache_hits: int
-    mode: str
 
 
 def _difference_terms(index: MixedIndex) -> list[tuple[int, SparseLevelVector, list]]:
@@ -501,6 +499,19 @@ class MiscEvaluator:
 
     # -- estimator ----------------------------------------------------------
 
+    def prefix_estimates(self, index_set: IndexSet, lengths: Sequence[int]) -> list[float]:
+        """The sums of the mixed differences of the first n members of
+        ``index_set``'s listing, for each n in ``lengths``.  The members'
+        grid values, from one ``tensor_values`` call, go in listing order;
+        one pass per direction over its parent links, D[child] -= D[parent]
+        (``combination_coefficients`` backward), turns them into differences."""
+        D = np.empty(len(index_set))
+        D[index_set._positions] = self.tensor_values((m.alpha, m.beta) for m in index_set._members)
+        for parents, children in index_set._links.values():
+            m = np.searchsorted(children, len(D))
+            D[children[:m]] -= D[parents[:m]]
+        return np.cumsum(D)[np.asarray(lengths) - 1].tolist()
+
     def evaluate(self, index_set: IndexSet, mode: str = "combination") -> EstimatorResult:
         """Evaluate the estimator in surplus or combination form.
 
@@ -513,7 +524,6 @@ class MiscEvaluator:
         if mode not in ("surplus", "combination"):
             raise ValueError(f"unknown evaluation mode {mode!r}")
         solves_before = self.cache.misses
-        hits_before = self.cache.hits
         work_before = self.solved_dof
         value = 0.0
         if mode == "surplus":
@@ -528,8 +538,6 @@ class MiscEvaluator:
             work=index_set.nominal_work(),
             solve_work=self.solved_dof - work_before,
             solves=self.cache.misses - solves_before,
-            cache_hits=self.cache.hits - hits_before,
-            mode=mode,
         )
 
 

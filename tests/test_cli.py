@@ -244,23 +244,27 @@ def tiny_study(request, field1, qoi1, field3, qoi3):
 
 
 class TestStudyEvaluationOrder:
-    """``study_driver`` evaluates its largest set first; no value depends on it."""
+    """``study_driver`` sums the mixed differences of one listing; no value
+    depends on how its grids were reached."""
 
     @pytest.mark.parametrize("reference", [None, 0.25])
     def test_estimates_match_fresh_evaluators(self, tiny_study, reference):
         field_spec, qoi_spec, model, budgets = tiny_study
         study = study_driver(field_spec, qoi_spec, budgets, error_model=model, reference=reference)
-        for record, index_set in zip(study.records, study.sets):
-            fresh = MiscEvaluator(field_spec, qoi_spec).evaluate(index_set, mode="combination")
-            assert record.estimate.hex() == fresh.value.hex()
-            assert record.work == fresh.work
-        # Budget order on one evaluator, the reference set last, solves the same points.
-        sets = list(study.sets)
-        if reference is None:
-            needed = [*budgets, 4.0 * budgets[-1]]
-            sets.append(sweep_apriori(model, needed, field_spec.d)[-1])
+        needed = [*budgets, 4.0 * budgets[-1]] if reference is None else budgets
+        sets = sweep_apriori(model, needed, field_spec.d)
+        fresh = MiscEvaluator(field_spec, qoi_spec)
+        values = fresh.prefix_estimates(sets[-1], [len(s) for s in sets])
+        # Budget order on one evaluator, each set its own listing and the
+        # reference set last, gives the same values and solves the same points.
         ascending = MiscEvaluator(field_spec, qoi_spec)
-        values = [ascending.evaluate(index_set, mode="combination").value for index_set in sets]
+        one_by_one = [ascending.prefix_estimates(s, [len(s)])[0] for s in sets]
+        assert [v.hex() for v in one_by_one] == [v.hex() for v in values]
+        for record, index_set, value in zip(study.records, study.sets, values):
+            assert record.estimate.hex() == value.hex()
+            combo = MiscEvaluator(field_spec, qoi_spec).evaluate(index_set, mode="combination")
+            assert abs(record.estimate - combo.value) <= 1e-10 * abs(combo.value)
+            assert record.work == combo.work
         if reference is None:
             assert study.reference.hex() == values[-1].hex()
         assert study.evaluator.cache.misses == ascending.cache.misses
@@ -579,20 +583,31 @@ class TestCommands:
         assert self.run("solve", "--config", str(cfg), "--out", str(tmp_path)) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", ["{not json", "[1, 2]"])
+    @pytest.mark.parametrize("content", ["{not json", "[1, 2]", '{"value": NaN}',
+                                         '{"value": Infinity}'])
     def test_corrupt_reference_file_exits_2(self, tmp_path, capsys, content):
         cfg = write_config(tmp_path / "run.cfg", BASE_1D.replace("20,80,320", "20,80"))
         out = tmp_path / "o"
         assert self.run("run", "--config", str(cfg), "--out", str(out)) == 0
+        capsys.readouterr()
         (out / "reference.json").write_text(content)
         assert self.run("run", "--config", str(cfg), "--out", str(out)) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
 
     def test_corrupt_explicit_reference_file_exits_2(self, tmp_path, capsys):
-        write_config(tmp_path / "ref.json", '{"value": "not a number"}')
-        cfg = write_config(tmp_path / "run.cfg", BASE_1D + "output.reference = ref.json\n")
-        assert self.run("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
-        assert "config error" in capsys.readouterr().err
+        # A file's value and a literal value must both be finite numbers.
+        for reference, content in (("ref.json", '{"value": "not a number"}'),
+                                   ("ref.json", '{"value": Infinity}'),
+                                   ("nan", None), ("-inf", None)):
+            if content is not None:
+                write_config(tmp_path / "ref.json", content)
+            cfg = write_config(tmp_path / "run.cfg", BASE_1D + f"output.reference = {reference}\n")
+            out = tmp_path / "o"
+            assert self.run("run", "--config", str(cfg), "--out", str(out)) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error:")
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_corrupt_model_file_exits_2(self, tmp_path, capsys, command):
@@ -780,3 +795,16 @@ class TestCommands:
         _, rows2, _ = read_csv(out2 / "compare.csv")
         assert h1 == list(cli.COMPARE_COLUMNS)
         assert rows1 == rows2
+
+    def test_negative_seed_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_solves(*args):
+            raise AssertionError("solved before the seed was checked")
+
+        monkeypatch.setattr(cli.pde_solver, "solve_qoi_batch", no_solves)
+        monkeypatch.setattr(cli.pde_solver, "solve_qoi", no_solves)
+        cfg = self.compare_config(tmp_path)
+        out = tmp_path / "o"
+        assert self.run("compare", "--config", str(cfg), "--out", str(out), "--seed", "-1") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "--seed" in err[0]
+        assert not out.exists()

@@ -70,6 +70,16 @@ def random_closed_set(rng, spatial_dim=1, n_vars=4, max_level=4, max_members=25,
     return IndexSet(members)
 
 
+def random_listing(rng, iset):
+    """The members of ``iset`` in a random order that puts parents first."""
+    listing, rest = [], list(iset.members)
+    while rest:
+        ready = [m for m in rest if all(p in listing for p in m.parents())]
+        listing.append(ready[rng.integers(len(ready))])
+        rest.remove(listing[-1])
+    return listing
+
+
 class TestMixedIndex:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -227,11 +237,7 @@ class TestCombinationCoefficients:
         rng = np.random.default_rng(17)
         gap = IndexSet(downward_closure({MixedIndex((2,) * spatial_dim, SLV({2: 3, 4: 2}))}))
         for iset in [gap] + [random_closed_set(rng, spatial_dim, max_members=30) for _ in range(5)]:
-            listing, rest = [], list(iset.members)
-            while rest:
-                ready = [m for m in rest if all(p in listing for p in m.parents())]
-                listing.append(ready[rng.integers(len(ready))])
-                rest.remove(listing[-1])
+            listing = random_listing(rng, iset)
             lengths = range(1, len(listing) + 1)
             for n, prefix in zip(lengths, IndexSet.prefixes(listing, lengths)):
                 assert prefix.coefficients == oracle_coefficients(listing[:n])
@@ -320,6 +326,30 @@ class TestEstimator:
             surplus = ev.evaluate(iset, "surplus").value
             combo = ev.evaluate(iset, "combination").value
             assert abs(surplus - combo) <= 1e-10 * max(1.0, abs(surplus))
+
+    @pytest.mark.parametrize("spatial_dim", [1, 3])
+    def test_prefix_estimates_of_random_listings(self, spatial_dim, field1, qoi1, field3, qoi3):
+        # Parents-first listings in random order: every prefix's estimate
+        # is both forms' value, bit for bit the same on any evaluator.
+        field_spec, qoi_spec = (field1, qoi1) if spatial_dim == 1 else (field3, qoi3)
+        ev = MiscEvaluator(field_spec, qoi_spec)
+        rng = np.random.default_rng(23)
+        for _ in range(6):
+            listing = random_listing(rng, random_closed_set(rng, spatial_dim, max_members=20,
+                                                            max_level=3))
+            lengths = range(1, len(listing) + 1)
+            prefixes = IndexSet.prefixes(listing, lengths)
+            estimates = ev.prefix_estimates(prefixes[-1], lengths)
+            warmed = MiscEvaluator(field_spec, qoi_spec)
+            warmed.tensor_values((m.alpha, m.beta) for m in reversed(listing))
+            again = warmed.prefix_estimates(prefixes[-1], lengths)
+            assert [v.hex() for v in again] == [v.hex() for v in estimates]
+            for n, prefix, estimate in zip(lengths, prefixes, estimates):
+                for mode in ("surplus", "combination"):
+                    value = ev.evaluate(prefix, mode).value
+                    assert abs(estimate - value) <= 1e-10 * abs(value)
+                fresh = MiscEvaluator(field_spec, qoi_spec).prefix_estimates(prefix, [n])
+                assert fresh[0].hex() == estimate.hex()
 
     def test_cache_prevents_resolves(self, field1, qoi1):
         ev = MiscEvaluator(field1, qoi1)
