@@ -507,9 +507,11 @@ class MiscEvaluator:
         (``combination_coefficients`` backward), turns them into differences."""
         D = np.empty(len(index_set))
         D[index_set._positions] = self.tensor_values((m.alpha, m.beta) for m in index_set._members)
-        for parents, children in index_set._links.values():
-            m = np.searchsorted(children, len(D))
-            D[children[:m]] -= D[parents[:m]]
+        # A non-finite value (inf - inf) spreads NaN, which study_driver reports.
+        with np.errstate(invalid="ignore"):
+            for parents, children in index_set._links.values():
+                m = np.searchsorted(children, len(D))
+                D[children[:m]] -= D[parents[:m]]
         return np.cumsum(D)[np.asarray(lengths) - 1].tolist()
 
     def evaluate(self, index_set: IndexSet, mode: str = "combination") -> EstimatorResult:

@@ -14,8 +14,10 @@ other rows run one conjugate-gradient iteration with separate scalars
 per row, preconditioned by the same sine-transform solve with diagonal
 scaling around it.  Each block of rows builds its operators once, as a
 flat stencil (a diagonal and one coupling per axis), and applies them
-with shifted contiguous slices; no matrix is assembled.  Each row's
-value is bit-identical whatever the batch around it.
+with shifted contiguous slices; no matrix is assembled.  A row that has
+converged stays in the block with its iterate frozen until the last
+row converges, and one backward-error check covers the block.  Each
+row's value is bit-identical whatever the batch around it.
 """
 
 from __future__ import annotations
@@ -58,10 +60,11 @@ CG_RTOL = 1e-12
 PCG_MAX_ITERATIONS = 100
 
 # Rows x unknowns (midpoints in 1-D) held in one batch temporary (64 KiB
-# of float64).  The d > 1 CG holds about twenty such arrays: halving the
-# block from 1 << 14 lowered the 3-D benchmark's peak RSS from 35.1 to
-# 33.8 MB with no change in its wall time, and blocks four times larger
-# than 1 << 14 had raised it by 2 MB, for no speedup.
+# of float64).  The d > 1 CG holds about twenty such arrays, each the
+# size of the whole block until its last row converges: halving the block
+# from 1 << 14 lowered the 3-D benchmark's peak RSS from 35.1 to 33.8 MB
+# with no change in its wall time, and blocks four times larger than
+# 1 << 14 had raised it by 2 MB, for no speedup.
 _BLOCK_ENTRIES = 1 << 13
 
 
@@ -85,22 +88,24 @@ def validate_alpha(alpha: Sequence[int]) -> tuple[int, ...]:
     return alpha
 
 
-def mesh_sizes(alpha: Sequence[int]) -> tuple[float, ...]:
+@lru_cache(maxsize=None)
+def mesh_sizes(alpha: tuple[int, ...]) -> tuple[float, ...]:
     """Per-dimension mesh sizes h_i = h_0 * 2^(-alpha_i) with h_0 = 1/3."""
     return tuple(H0 * 2.0 ** (-a) for a in validate_alpha(alpha))
 
 
-def interior_counts(alpha: Sequence[int]) -> tuple[int, ...]:
+@lru_cache(maxsize=None)
+def interior_counts(alpha: tuple[int, ...]) -> tuple[int, ...]:
     """Interior nodes per dimension: 1/h_i - 1 = 3 * 2^alpha_i - 1."""
     return tuple(3 * 2**a - 1 for a in validate_alpha(alpha))
 
 
-def unknowns(alpha: Sequence[int]) -> int:
+def unknowns(alpha: tuple[int, ...]) -> int:
     """Total number of interior unknowns; the work unit of all cost accounting."""
     return math.prod(interior_counts(alpha))
 
 
-def interior_axes(alpha: Sequence[int]) -> tuple[np.ndarray, ...]:
+def interior_axes(alpha: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return tuple(h * np.arange(1, n + 1)
                  for h, n in zip(mesh_sizes(alpha), interior_counts(alpha)))
 
@@ -161,11 +166,12 @@ def _mode_row(level: int, mode: Mode) -> np.ndarray:
     return _frozen(mode.amplitude * _axis_trig(level, k, ell, True))
 
 
-def _window(alpha: Sequence[int], spec: QoISpec) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _window(alpha: tuple[int, ...], spec: QoISpec) -> np.ndarray:
     """The Gaussian window on the interior nodes, shaped like the solution."""
     gaussians = [np.exp(-((ax - c) ** 2) / (2.0 * spec.sigma**2))
                  for ax, c in zip(interior_axes(alpha), spec.x0)]
-    return reduce(np.multiply.outer, gaussians)
+    return _frozen(reduce(np.multiply.outer, gaussians))
 
 
 @lru_cache(maxsize=64)
@@ -223,8 +229,13 @@ def _flux_form_1d(level: int, Y: np.ndarray, modes) -> tuple[np.ndarray, np.ndar
     return b, flux
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``a`` with the same row of ``b``."""
+    return np.einsum("...j,...j->...", a, b)
+
+
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(x * x, axis=-1))
+    return np.sqrt(_dot(x, x))
 
 
 def _check_backward_error(what: str, au: np.ndarray, u: np.ndarray, norm_a,
@@ -335,12 +346,18 @@ def _sine_solve(alpha: tuple[int, ...], r: np.ndarray) -> np.ndarray:
 def _solve_constant(alpha: tuple[int, ...]) -> np.ndarray:
     """The a == 1 solution, the sine-transform solve of a row of ones.
 
-    It is checked with one apply of the a == 1 operator, which
-    ``_operator`` builds with no modes; |A| is its largest eigenvalue.
+    It is checked with one apply of the a == 1 stencil: diagonal
+    c = sum_i 2 / h_i^2, and coupling 1 / h_i^2 along axis i, 0 at the
+    last node of each grid line; |A| is its largest eigenvalue.
     """
     counts = interior_counts(alpha)
     u = _sine_solve(alpha, np.ones((1, math.prod(counts))))
-    diag, couplings, _ = _operator(alpha, np.zeros((1, 0)), ())
+    couplings = []
+    for i, h in enumerate(mesh_sizes(alpha)):
+        w = np.full(counts, 1.0 / h**2)
+        w[_axis_slice(i, -1, None)] = 0.0
+        couplings.append((math.prod(counts[i + 1 :]), w.reshape(1, -1)))
+    diag = np.full_like(u, sum(2.0 / h**2 for h in mesh_sizes(alpha)))
     _check_backward_error(f"sine-transform solve at alpha = {alpha}",
                           _apply(diag, couplings, u), u, _laplacian_eigenvalues(alpha).max())
     return u[0].reshape(counts)
@@ -435,10 +452,10 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
 
     The operators are built once (``_operator``), and all rows advance
     together through one stencil apply (``_apply``), each with its own
-    step lengths.  A row stops at |r| <= CG_RTOL |b|, has its backward
-    error checked with one more apply of its own stencil rows, and then
-    leaves the working set, so its iterates and its result do not depend
-    on the other rows, and no copy of the operator outlives compaction.
+    step lengths.  A row stops at |r| <= CG_RTOL |b| and from then on
+    takes step 0 and direction factor 0, so its iterate stays as it was
+    and its result does not depend on the other rows.  When every row
+    has stopped, one more apply checks the backward error of the block.
     Raises ``SolverError`` when a coefficient is not finite and positive,
     when a row is still running after PCG_MAX_ITERATIONS, or when a
     solution's backward error exceeds RESIDUAL_TOL; that error names the
@@ -448,45 +465,35 @@ def _solve_pcg(alpha, Y: np.ndarray, modes) -> np.ndarray:
     rows, size = diag.shape
     tol = CG_RTOL * math.sqrt(size)
     scale = np.sqrt(sum(2.0 / h**2 for h in mesh_sizes(alpha)) / diag)
-    u = np.empty((rows, size))
-    work = np.arange(rows)                  # the row of Y behind each working row
+    running = np.ones(rows, dtype=bool)
     x = np.zeros((rows, size))
     r = np.ones((rows, size))
     p = scale * _sine_solve(alpha, scale * r)
-    rz = np.sum(r * p, axis=1)
-    # The vector updates write into tmp, which is about a tenth faster
-    # than fresh temporaries on batches of 1e4 to 1e5 entries.
+    rz = _dot(r, p)
+    # The vector updates write into tmp, one buffer for the whole block,
+    # which is about a tenth faster than fresh temporaries on batches of
+    # 1e4 to 1e5 entries.
     tmp = np.empty_like(x)
     for _ in range(PCG_MAX_ITERATIONS):
         q = _apply(diag, couplings, p)
-        step = (rz / np.sum(np.multiply(p, q, out=tmp), axis=1))[:, None]
+        step = np.divide(rz, _dot(p, q), out=np.zeros(rows), where=running)[:, None]
         x += np.multiply(step, p, out=tmp)
         r -= np.multiply(step, q, out=tmp)
-        done = np.sqrt(np.sum(np.multiply(r, r, out=tmp), axis=1)) <= tol
-        if done.any():
-            keep = ~done
-            finished, solution = work[done], x[done]
-            stencil = ((diag[done], [(stride, w[done]) for stride, w in couplings])
-                       if keep.any() else (diag, couplings))
-            _check_backward_error(f"PCG solve at alpha = {alpha}", _apply(*stencil, solution),
-                                  solution, norm_a[finished], finished)
-            u[finished] = solution
-            del stencil, solution
-            if not keep.any():
-                break
-            work, x, r, p, rz, scale, diag = (a[keep] for a in (work, x, r, p, rz, scale, diag))
-            couplings = [(stride, w[keep]) for stride, w in couplings]
-            tmp = np.empty_like(x)
+        running &= ~(_row_norms(r) <= tol)      # NaN keeps running
+        if not running.any():
+            break
         z = scale * _sine_solve(alpha, scale * r)
-        rz_next = np.sum(np.multiply(r, z, out=tmp), axis=1)
-        p *= (rz_next / rz)[:, None]
+        rz_next = _dot(r, z)
+        p *= np.divide(rz_next, rz, out=np.zeros(rows), where=running)[:, None]
         p += z
         rz = rz_next
     else:
-        worst = float(np.max(_row_norms(r))) / math.sqrt(size)
+        worst = float(np.max(_row_norms(r[running]))) / math.sqrt(size)
         raise SolverError(f"PCG at alpha = {alpha} did not converge in "
                           f"{PCG_MAX_ITERATIONS} iterations", residual=worst)
-    return u
+    _check_backward_error(f"PCG solve at alpha = {alpha}", _apply(diag, couplings, x), x,
+                          norm_a, np.arange(rows))
+    return x
 
 
 def solve_qoi(alpha, y, field_spec: FieldSpec, qoi_spec: QoISpec) -> float:

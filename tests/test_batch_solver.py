@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
-from miscpde import misc_core, pde_solver
+from miscpde import cli, misc_core, pde_solver
 from miscpde.misc_core import IndexSet, MiscEvaluator, MixedIndex, corners
 from miscpde.pde_solver import (
     _BLOCK_ENTRIES,
@@ -33,6 +33,23 @@ def random_rows(rng, count, n_vars, density=1.0):
     rows = rng.uniform(-1.0, 1.0, (count, n_vars))
     rows[rng.uniform(size=rows.shape) > density] = 0.0
     return rows
+
+
+def count_calls(monkeypatch, *names):
+    """Counts of the calls to each named ``pde_solver`` function, from now on."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        function = getattr(pde_solver, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(pde_solver, name, counted(name))
+    return calls
 
 
 @pytest.fixture(scope="session")
@@ -213,6 +230,43 @@ class TestJacobiPCG:
             solve_qoi_batch((1, 1, 1), np.array([[0.5, 0.1]]), field3, qoi3)
         assert f"did not converge in {pde_solver.PCG_MAX_ITERATIONS} iterations" in str(info.value)
 
+    def test_converged_rows_freeze_in_a_mixed_block(self, field3, qoi3, monkeypatch):
+        # Near-zero rows converge after one iteration and then stand still
+        # while the high-variance rows run for eight.
+        alpha, modes = (2, 1, 2), mode_ordering(field3)
+        tiny, ones = np.r_[1e-6, np.zeros(9)], np.ones(10)
+        rows = np.array([tiny, ones, (-1.0) ** np.arange(10), 0.5 * tiny, -ones])
+        calls = count_calls(monkeypatch, "_apply")
+        alone_u, iterations = [], []
+        for row in rows:
+            calls["_apply"] = 0
+            alone_u.append(_solve_pcg(alpha, row[None], modes)[0])
+            iterations.append(calls["_apply"] - 1)     # one apply checks the solution
+        assert iterations == [1, 8, 8, 1, 8]
+        assert np.array_equal(_solve_pcg(alpha, rows, modes), alone_u)
+        block = solve_qoi_batch(alpha, rows, field3, qoi3)
+        alone = [solve_qoi_batch(alpha, row[None], field3, qoi3)[0] for row in rows]
+        assert [float(v).hex() for v in block] == [float(v).hex() for v in alone]
+
+    def test_one_backward_error_check_per_block(self, field3, qoi3, monkeypatch):
+        calls = count_calls(monkeypatch, "_solve_pcg", "_check_backward_error")
+        per_block = _BLOCK_ENTRIES // unknowns((1, 1, 1))
+        rows = random_rows(np.random.default_rng(33), 3 * per_block - 5, 6)
+        solve_qoi_batch((1, 1, 1), rows, field3, qoi3)
+        assert calls == {"_solve_pcg": 3, "_check_backward_error": 3}
+
+    def test_study_3d_solver_call_counts(self, field3, qoi3, monkeypatch):
+        # The benchmark's study-3d workload: 59 PCG blocks, 35 y = 0 anchors,
+        # and one apply per iteration of each block, one per block for its
+        # backward-error check and one per anchor.
+        model = cli.fit_driver(field3, qoi3, 6, 2)
+        calls = count_calls(monkeypatch, "_solve_pcg", "_solve_constant", "_apply", "_operator",
+                            "_check_backward_error")
+        cli.study_driver(field3, qoi3, [2000.0 * 4**t for t in range(4)], mode="apriori",
+                         error_model=model, threads=1)
+        assert calls == {"_solve_pcg": 59, "_solve_constant": 35, "_apply": 303, "_operator": 59,
+                         "_check_backward_error": 94}
+
 
 class TestMatrixFreeOperator:
     """The flux-form operator as a flat stencil, against an assembled CSR matrix."""
@@ -234,7 +288,8 @@ class TestMatrixFreeOperator:
 
     @pytest.mark.parametrize("alpha", [(1, 1, 1), (2, 1, 3), (1, 1, 6)])
     def test_apply_after_rows_are_dropped(self, field3, assembled_operator, alpha):
-        # PCG drops converged rows from the diagonal and every coupling.
+        # Each row of the stencil is its own operator: a subset of the rows of
+        # the diagonal and of every coupling applies as those rows' operators.
         rng = np.random.default_rng(75 + sum(alpha))
         rows = random_rows(rng, 4, field3.max_modes)
         diagonals, couplings, _ = _operator(alpha, rows, mode_ordering(field3))

@@ -90,6 +90,7 @@ def test_compare_output_round_trips(tmp_path, model_file):
     assert math.isfinite(float(footer["reference"]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_estimate_exits_3(tmp_path, monkeypatch, bad):
     cfg = tmp_path / "det.cfg"
