@@ -369,7 +369,6 @@ def pilot_samples(
     qoi_spec: QoISpec,
     n_modes: int,
     depth: int,
-    evaluator: MiscEvaluator | None = None,
 ) -> list[tuple[MixedIndex, float]]:
     """Pilot sweeps: per-variable quadrature levels, a spatial diagonal,
     and joint diagonals.
@@ -390,7 +389,6 @@ def pilot_samples(
         raise ValueError("pilot depth must be at least 2 to identify rates and constant")
     if n_modes > field_spec.max_modes:
         raise ValueError("cannot sweep more variables than the field enumerates")
-    evaluator = evaluator or MiscEvaluator(field_spec, qoi_spec)
     modes, steps = mode_ordering(field_spec), range(1, depth + 1)
     sweeps = [[MixedIndex((pilot_level(max(modes[j - 1].k)),) * field_spec.d,
                           SparseLevelVector({j: 1 + t})) for t in steps] for j in range(1, n_modes + 1)]
@@ -400,7 +398,7 @@ def pilot_samples(
         sweeps.append([MixedIndex((base_level + t,), SparseLevelVector({1: 1 + t})) for t in steps])
     # The root's difference is the base grid's value.  All the sweeps are
     # measured in one call, also the levels past a sweep's stop.
-    measured = iter(map(abs, evaluator.mixed_differences(
+    measured = iter(map(abs, MiscEvaluator(field_spec, qoi_spec).mixed_differences(
         [root_index(field_spec.d)] + [index for sweep in sweeps for index in sweep])))
     floor = 1e-13 * max(1.0, next(measured))
     out = []

@@ -312,8 +312,7 @@ def fit_driver(
     r_fem: float | None = None,
 ) -> ErrorModel:
     r_fem = r_fem if r_fem is not None else default_r_fem(field_spec.nu, field_spec.d)
-    evaluator = MiscEvaluator(field_spec, qoi_spec)
-    samples = adaptation.pilot_samples(field_spec, qoi_spec, n_modes, depth, evaluator)
+    samples = adaptation.pilot_samples(field_spec, qoi_spec, n_modes, depth)
     return adaptation.fit_rates(samples, r_fem)
 
 

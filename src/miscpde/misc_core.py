@@ -4,7 +4,9 @@ A mixed index pairs a dense vector of spatial refinement levels with a
 sparse vector of quadrature levels.  The estimator over a downward
 closed set is the sum of its mixed differences: over every prefix of a
 listing at once, as prefix sums (``MiscEvaluator.prefix_estimates``), or
-over one set in surplus or combination form.  All go through
+over one set in surplus or combination form.  A mixed difference is a
+signed sum over the corners of one box in the joint levels (``corners``),
+as the combination form is over the members.  All go through
 ``MiscEvaluator.tensor_values``.  It numbers the nested point blocks of
 the quadrature grids (``quadrature.block_points``) once for every
 spatial level and takes the grids an evaluation needs one level at a
@@ -247,17 +249,21 @@ class IndexSet:
 
     @classmethod
     def from_json(cls, text: str) -> "IndexSet":
-        """The set written by ``to_json``; every stored ``coeff`` must match
-        the coefficient computed from the members."""
+        """The set written by ``to_json``; its levels and ``spatial_dim``
+        must be JSON integers, ``spatial_dim`` the members' dimension, and
+        every stored ``coeff`` the coefficient computed from the members."""
         payload = json.loads(text)
-        stored = {
-            MixedIndex(
-                tuple(entry["alpha"]),
-                SparseLevelVector({int(j): b for j, b in entry["beta"].items()}),
-            ): entry.get("coeff")
-            for entry in payload["members"]
-        }
+        stored = {}
+        for entry in payload["members"]:
+            alpha, beta = entry["alpha"], entry["beta"]
+            if any(type(v) is not int for v in [*alpha, *beta.values()]):
+                raise IndexSetError(f"levels must be integers, got alpha {alpha!r} and beta {beta!r}")
+            member = MixedIndex(tuple(alpha), SparseLevelVector({int(j): b for j, b in beta.items()}))
+            stored[member] = entry.get("coeff")
         index_set = cls(stored)
+        dim = payload["spatial_dim"]
+        if type(dim) is not int or dim != index_set.spatial_dim:
+            raise IndexSetError(f"spatial_dim {dim!r} does not match the members' {index_set.spatial_dim}")
         for m in index_set.members:
             if stored[m] != index_set.coefficients[m]:
                 raise IndexSetError(
@@ -323,29 +329,14 @@ class EstimatorResult:
     solves: int
 
 
-def _difference_terms(index: MixedIndex) -> list[tuple[int, SparseLevelVector, list]]:
-    """The mixed difference at ``index`` as (sign, beta, signed spatial
-    corners) for every corner of the stochastic box."""
-    support = index.beta.support
-    box = corners(index.alpha)
-    return [(sign, SparseLevelVector(zip(support, lowered)), box)
-            for sign, lowered in corners(tuple(b for _, b in index.beta.items()))]
-
-
-def _difference_grids(terms) -> list[tuple[tuple[int, ...], SparseLevelVector]]:
-    return [(alpha, beta) for _, beta, box in terms for _, alpha in box]
-
-
-def _difference(terms, values) -> float:
-    """The alternating sum of ``terms``, taking grid values from the iterator
-    ``values`` in ``_difference_grids`` order: spatial corners innermost."""
-    total = 0.0
-    for sign, _, box in terms:
-        inner = 0.0
-        for corner_sign, _ in box:
-            inner += corner_sign * next(values)
-        total += sign * inner
-    return total
+def _corner_grids(alpha: tuple[int, ...], beta: SparseLevelVector) -> list[tuple]:
+    """The mixed difference at (alpha, beta) as (sign, alpha', beta') at
+    every corner of its box: one ``corners`` call over beta's levels
+    followed by alpha, so the spatial corners are innermost."""
+    support = beta.support
+    n = len(support)
+    return [(sign, lowered[n:], SparseLevelVector(zip(support, lowered[:n])))
+            for sign, lowered in corners(tuple(b for _, b in beta.items()) + alpha)]
 
 
 class MiscEvaluator:
@@ -357,6 +348,8 @@ class MiscEvaluator:
     batches of about ``_FLUSH_POINTS`` points.  The nested blocks of the
     quadrature grids are numbered once, for every alpha; a grid reads its
     values by one gather through its blocks' starts in alpha's block table.
+    Each mixed difference, ``delta_det`` and the combination form is one
+    signed sum of grid values (``_signed_sums``).
     """
 
     def __init__(self, field_spec: FieldSpec, qoi_spec: QoISpec):
@@ -484,8 +477,7 @@ class MiscEvaluator:
 
     def delta_det(self, alpha: tuple[int, ...], beta: SparseLevelVector) -> float:
         """Spatial mixed difference: alternating sum over the corners below alpha."""
-        terms = [(1, beta, corners(alpha))]
-        return _difference(terms, iter(self.tensor_values(_difference_grids(terms))))
+        return self._signed_sums([[(sign, lowered, beta) for sign, lowered in corners(alpha)]])[0]
 
     def mixed_difference(self, index: MixedIndex) -> float:
         """First-order difference in every direction, stochastic around spatial."""
@@ -493,9 +485,20 @@ class MiscEvaluator:
 
     def mixed_differences(self, indices: Iterable[MixedIndex]) -> list[float]:
         """``mixed_difference`` at each of ``indices``, their grids in one ``tensor_values`` call."""
-        terms = [_difference_terms(index) for index in indices]
-        values = iter(self.tensor_values(g for t in terms for g in _difference_grids(t)))
-        return [_difference(t, values) for t in terms]
+        return self._signed_sums([_corner_grids(m.alpha, m.beta) for m in indices])
+
+    def _signed_sums(self, groups: list[list[tuple]]) -> list[float]:
+        """For each group of (sign, alpha, beta), the sum of sign times the
+        grid's value, left to right from 0.0.  Every group's grids are read
+        in one ``tensor_values`` call."""
+        values = iter(self.tensor_values((alpha, beta) for group in groups for _, alpha, beta in group))
+        sums = []
+        for group in groups:
+            total = 0.0
+            for sign, _, _ in group:
+                total += sign * next(values)
+            sums.append(total)
+        return sums
 
     # -- estimator ----------------------------------------------------------
 
@@ -527,14 +530,13 @@ class MiscEvaluator:
             raise ValueError(f"unknown evaluation mode {mode!r}")
         solves_before = self.cache.misses
         work_before = self.solved_dof
-        value = 0.0
         if mode == "surplus":
+            value = 0.0
             for difference in self.mixed_differences(index_set.members):
                 value += difference
         else:
-            weighted = [(c, m) for m, c in index_set.coefficients.items() if c != 0]
-            for (c, _), v in zip(weighted, self.tensor_values((m.alpha, m.beta) for _, m in weighted)):
-                value += c * v
+            value = self._signed_sums([[(c, m.alpha, m.beta) for m, c in index_set.coefficients.items()
+                                        if c != 0]])[0]
         return EstimatorResult(
             value=value,
             work=index_set.nominal_work(),

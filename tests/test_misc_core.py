@@ -190,6 +190,23 @@ class TestIndexSet:
         with pytest.raises(IndexSetError, match=r"alpha=\(2, 2\)"):
             IndexSet.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", [1.9]), ("alpha", [2.0]), ("alpha", [True]), ("alpha", "2"),
+        ("beta", {"1": 2.7}), ("beta", {"1": 3.0}), ("beta", {"1": True}),
+        ("spatial_dim", 3), ("spatial_dim", 1.0), ("spatial_dim", True),
+    ])
+    def test_read_back_refuses_malformed_levels(self, key, value):
+        # Each edit once loaded as some other set: levels truncated to
+        # integers, or a 1-D set under any stored spatial_dim.
+        iset = IndexSet(downward_closure({MixedIndex((2,), SLV({1: 3}))}))
+        payload = json.loads(iset.to_json())
+        if key == "spatial_dim":
+            payload[key] = value
+        else:
+            payload["members"][-1][key] = value
+        with pytest.raises(IndexSetError, match="integers" if key != "spatial_dim" else "spatial_dim"):
+            IndexSet.from_json(json.dumps(payload))
+
 
 def filtered_product(levels):
     """Independent route to the signed corners: every binary offset,
@@ -302,6 +319,22 @@ class TestDifferences:
         got = ev.mixed_difference(MixedIndex((1,), SLV({1: 2})))
         assert abs(got - expected) < 1e-14
 
+    def test_mixed_differences_sum_their_corners_left_to_right(self, field3, qoi3):
+        # Alpha above 1 on two axes and two active variables: 16 corners
+        # per index, stochastic levels first, so spatial corners innermost.
+        ev = MiscEvaluator(field3, qoi3)
+        indices = [MixedIndex((2, 1, 3), SLV({1: 2, 3: 3})), MixedIndex((1, 2, 2), SLV({2: 3, 4: 2}))]
+        expected = []
+        for m in indices:
+            box = corners(tuple(b for _, b in m.beta.items()) + m.alpha)
+            assert len(box) == 16
+            total = 0.0
+            for sign, lowered in box:
+                total += sign * ev.tensor_value(lowered[2:], SLV(zip(m.beta.support, lowered[:2])))
+            expected.append(total)
+        assert MiscEvaluator(field3, qoi3).mixed_differences(indices) == expected
+        assert [MiscEvaluator(field3, qoi3).mixed_difference(m) for m in indices] == expected
+
     def test_spatial_decay_rate(self, field1, qoi1, shared_evaluator1):
         ev = shared_evaluator1
         beta = SLV({1: 2})
@@ -326,6 +359,17 @@ class TestEstimator:
             surplus = ev.evaluate(iset, "surplus").value
             combo = ev.evaluate(iset, "combination").value
             assert abs(surplus - combo) <= 1e-10 * max(1.0, abs(surplus))
+
+    def test_combination_form_sums_its_weighted_members_left_to_right(self, field3, qoi3):
+        ev = MiscEvaluator(field3, qoi3)
+        iset = IndexSet(downward_closure({MixedIndex((2, 2, 1), SLV({1: 2})),
+                                          MixedIndex((1, 2, 2), SLV({2: 3}))}))
+        weighted = [(c, m) for m, c in iset.coefficients.items() if c != 0]
+        assert len(weighted) > 2
+        expected = 0.0
+        for c, m in weighted:
+            expected += c * ev.tensor_value(m.alpha, m.beta)
+        assert MiscEvaluator(field3, qoi3).evaluate(iset, "combination").value == expected
 
     @pytest.mark.parametrize("spatial_dim", [1, 3])
     def test_prefix_estimates_of_random_listings(self, spatial_dim, field1, qoi1, field3, qoi3):
